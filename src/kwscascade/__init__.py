@@ -26,7 +26,6 @@ from .decoder import (
     batch_frame_scores,
     keyword_score,
     smooth,
-    streaming_decode,
 )
 from .encoder import (
     Activation,

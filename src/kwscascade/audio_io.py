@@ -56,7 +56,7 @@ def read_raw_pcm(stream=None):
     stream = stream if stream is not None else sys.stdin.buffer
     raw = stream.read()
     if len(raw) % 2:
-        raw = raw[:-1]
+        raise ValueError(f"raw PCM has an odd byte count ({len(raw)}); samples are 16-bit")
     return AudioChunk(np.frombuffer(raw, dtype="<i2").astype(np.int16))
 
 
@@ -76,6 +76,8 @@ def read_features(fileobj):
     version, channels, hop_ms = struct.unpack("<III", head[4:])
     if version != STREAM_VERSION:
         raise ValueError(f"unsupported feature stream version {version}")
+    if channels == 0:
+        raise ValueError("feature stream has 0 channels")
     data = np.frombuffer(fileobj.read(), dtype="<f4").astype(np.float64)
     if data.size % channels:
         raise ValueError("feature stream data is not a whole number of frames")

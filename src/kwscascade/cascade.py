@@ -166,7 +166,7 @@ class DetectorStream:
 
     def push(self, samples):
         """Feed PCM; return [(feature_frame_index, KeywordHypothesis)]."""
-        out = []
+        rows = []
         for frame in self._frontend.push(samples):
             if self.features is not None:
                 self.features.append(frame)
@@ -177,8 +177,8 @@ class DetectorStream:
                 continue
             vec = np.concatenate(self._stack)
             probs = forward_vector(self._model, vec, self._mode)
-            out.append(self._decoder.push(probs[: self._model.num_units]))
-        return out
+            rows.append(probs[: self._model.num_units])
+        return self._decoder.push_many(np.reshape(rows, (-1, self._model.num_units)))
 
 
 class CascadePhase(Enum):

@@ -200,12 +200,11 @@ def cmd_score(args):
     decoder_cfg = _decoder_from(cfg, "stage1", num_units)
     dec = StreamingDecoder(decoder_cfg)
     sys.stdout.write("record,frame,score\n")
-    last_hyp = None
-    for row in posteriors:
-        frame, hyp = dec.push(row[:num_units])
+    hits = dec.push_many(posteriors[:, :num_units])
+    for frame, hyp in hits:
         sys.stdout.write(f"score,{frame},{hyp.score:.9f}\n")
-        last_hyp = hyp
-    if last_hyp is not None:
+    if hits:
+        last_hyp = hits[-1][1]
         cells = ",".join(str(a) for a in last_hyp.alignment)
         sys.stdout.write(f"alignment,{last_hyp.end_frame},{cells}\n")
     return EXIT_OK

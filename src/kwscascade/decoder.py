@@ -40,13 +40,26 @@ class DecoderConfig:
             raise ValueError("threshold must be >= 0")
 
 
-@dataclass
 class KeywordHypothesis:
-    """Score in [0, 1] plus the maximising, non-decreasing firing times."""
+    """Score in [0, 1] plus the maximising, non-decreasing firing times.
 
-    score: float
-    alignment: tuple
-    end_frame: int
+    A streaming hypothesis keeps the smoothed rows of its score window and
+    computes ``alignment`` (in global frame numbers) the first time it is
+    read.
+    """
+
+    def __init__(self, score, alignment, end_frame, window=None):
+        self.score = score
+        self.end_frame = end_frame
+        self._alignment = alignment
+        self._window = window
+
+    @property
+    def alignment(self):
+        if self._alignment is None:
+            offset = self.end_frame - len(self._window) + 1
+            self._alignment = tuple(a + offset for a in _score_window(self._window).alignment)
+        return self._alignment
 
 
 def smooth(posteriors, window):
@@ -60,17 +73,32 @@ def smooth(posteriors, window):
     posteriors = np.asarray(posteriors, dtype=np.float64)
     if posteriors.ndim == 1:
         posteriors = posteriors[:, None]
-    total = posteriors.shape[0]
-    cs = np.cumsum(posteriors, axis=0)
-    out = np.empty_like(posteriors)
-    head = min(window, total)
-    counts = np.arange(1, head + 1, dtype=np.float64)
-    out[:head] = cs[:head] / counts[:, None]
-    if total > window:
-        out[window:] = (cs[window:] - cs[:-window]) / window
+    return _smooth_rows(posteriors, posteriors[:0], 0, window)[0]
+
+
+def _smooth_rows(rows, sums, seen, window, lead=0):
+    """Trailing means of ``rows``, continuing a stream of ``seen`` frames.
+
+    ``sums`` holds the stream's cumulative sums at its last
+    min(seen, window) frames. The cumsum continues from the carried one in
+    place, so any split of a stream gives the same bits as one cumsum over
+    all of it. Returns the smoothed rows behind ``lead`` zero rows (room for
+    a score window's history), and the sums to carry on.
+    """
+    carried = len(sums)
+    cs = np.concatenate((sums, rows))
+    tail = cs[max(carried - 1, 0) :]
+    np.cumsum(tail, axis=0, out=tail)
+    head = min(max(window - seen, 0), len(rows))  # warm-up rows
+    start = carried + head
+    out = np.zeros((lead + len(rows), cs.shape[1]))
+    counts = np.arange(seen + 1, seen + head + 1, dtype=np.float64)
+    out[lead : lead + head] = cs[carried:start] / counts[:, None]
+    out[lead + head :] = (cs[start:] - cs[start - window : len(cs) - window]) / window
     # cancellation in the running sums can leave tiny negatives where the
     # true mean is 0; posteriors live in [0, 1], so clamp
-    return np.clip(out, 0.0, 1.0)
+    np.clip(out, 0.0, 1.0, out=out)
+    return out, cs[-window:].copy()
 
 
 def _running_max_earliest(values):
@@ -125,8 +153,8 @@ def batch_frame_scores(posteriors, config):
 
     ``posteriors`` is [T, M] (keyword units only) or [T, M+1] with the
     filler as the last column, which is then dropped. The result matches
-    StreamingDecoder frame for frame; windows shorter than the score
-    window at stream start are scored over the frames available.
+    StreamingDecoder frame for frame, bit for bit; windows shorter than the
+    score window at stream start are scored over the frames available.
     """
     posteriors = np.asarray(posteriors, dtype=np.float64)
     if posteriors.ndim != 2:
@@ -137,21 +165,32 @@ def batch_frame_scores(posteriors, config):
         raise ValueError(
             f"stream has {posteriors.shape[1]} units, config expects {config.num_units}"
         )
-    total, units = posteriors.shape
-    if total == 0:
-        return np.zeros(0)
     window = config.score_window_frames
+    padded, _ = _smooth_rows(posteriors, posteriors[:0], 0, config.smoothing_window_frames,
+                             lead=window - 1)
+    return _window_scores(padded, window)
+
+
+def _window_scores(padded, window):
+    """Score of the trailing window ending at each row from ``window - 1`` on.
+
+    ``padded`` holds smoothed rows, the first ``window - 1`` of them history
+    that only earlier windows end in, and is overwritten with its log. Zero
+    rows before the stream start become -inf, which makes every window
+    exactly ``window`` long without changing any score: padded frames can
+    never be on a maximising path unless the whole window is -inf, where
+    the score is 0 either way.
+    """
+    total, units = padded.shape
+    if total < window:
+        return np.zeros(0)
     with np.errstate(divide="ignore"):
-        ls = np.log(smooth(posteriors, config.smoothing_window_frames))
-    # -inf-padded prefix makes every window exactly `window` long without
-    # changing any score: padded frames can never be on a maximising path
-    # unless the whole window is -inf, where the score is 0 either way.
-    padded = np.vstack([np.full((window - 1, units), -np.inf), ls])
+        np.log(padded, out=padded)
     sliding = np.lib.stride_tricks.sliding_window_view(padded, window, axis=0)
     # sliding: [T, units, window] view
-    out = np.empty(total)
+    out = np.empty(total - window + 1)
     chunk = max(1, 4_000_000 // (units * window))
-    for start in range(0, total, chunk):
+    for start in range(0, len(out), chunk):
         block = sliding[start : start + chunk]
         level = block[:, 0, :]
         run = np.maximum.accumulate(level, axis=1)
@@ -163,19 +202,21 @@ def batch_frame_scores(posteriors, config):
 
 
 class StreamingDecoder:
-    """Push one posterior frame at a time, get the trailing-window hypothesis.
+    """Push posterior frames, get each frame's trailing-window hypothesis.
 
-    State is O(M * T_s): the smoothing ring plus the smoothed score window.
-    Output at frame t equals keyword_score over frames t-T_s+1..t (fewer
-    at stream start). Per-stream, single-threaded.
+    Runs the batch kernel over each push, with state carried between
+    pushes: the cumulative sums of the last L frames and the smoothed rows
+    of the last T_s-1 frames, O(M * (L + T_s)) whatever the push size.
+    Scores equal batch_frame_scores bit for bit however the stream is
+    split. Per-stream, single-threaded.
     """
 
     def __init__(self, config, first_frame_index=0):
         self._config = config
-        self._raw = []  # last L raw posterior vectors
-        self._raw_sum = np.zeros(config.num_units)
-        self._window = []  # last T_s smoothed vectors
-        self._next = first_frame_index
+        self._first = first_frame_index
+        self._seen = 0
+        self._sums = np.zeros((0, config.num_units))
+        self._history = np.zeros((0, config.num_units))
 
     @property
     def config(self):
@@ -183,32 +224,29 @@ class StreamingDecoder:
 
     def push(self, posteriors):
         """Consume one frame's unit posteriors, return (frame_index, hypothesis)."""
-        vec = np.asarray(
-            getattr(posteriors, "keyword_posteriors", posteriors), dtype=np.float64
-        )
-        if vec.shape != (self._config.num_units,):
+        vec = np.asarray(getattr(posteriors, "keyword_posteriors", posteriors))
+        return self.push_many(vec[None])[0]
+
+    def push_many(self, rows):
+        """Consume [n, M] unit posteriors, return [(frame_index, hypothesis)] per row."""
+        cfg = self._config
+        lag = cfg.score_window_frames - 1
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != cfg.num_units:
             raise ValueError(
-                f"expected {self._config.num_units} unit posteriors, got shape {vec.shape}"
+                f"expected [n, {cfg.num_units}] unit posteriors, got shape {rows.shape}"
             )
-        self._raw.append(vec)
-        self._raw_sum = self._raw_sum + vec
-        if len(self._raw) > self._config.smoothing_window_frames:
-            self._raw_sum = self._raw_sum - self._raw.pop(0)
-        smoothed = np.clip(self._raw_sum / len(self._raw), 0.0, 1.0)
-        self._window.append(smoothed)
-        if len(self._window) > self._config.score_window_frames:
-            self._window.pop(0)
-        hyp = _score_window(np.stack(self._window))
-        frame_index = self._next
-        self._next += 1
-        offset = frame_index - len(self._window) + 1
-        hyp.alignment = tuple(a + offset for a in hyp.alignment)
-        hyp.end_frame = frame_index
-        return frame_index, hyp
-
-
-def streaming_decode(posteriors, config):
-    """Generator form of StreamingDecoder over an iterable of frames."""
-    dec = StreamingDecoder(config)
-    for frame in posteriors:
-        yield dec.push(frame)
+        padded, self._sums = _smooth_rows(
+            rows, self._sums, self._seen, cfg.smoothing_window_frames, lead=lag
+        )
+        first = len(self._history)
+        padded[lag - first : lag] = self._history
+        smoothed = padded[lag - first :].copy()  # kept by the hypotheses
+        self._history = smoothed[max(0, len(smoothed) - lag) :].copy()
+        scores = _window_scores(padded, cfg.score_window_frames)
+        base = self._first + self._seen - first  # frame number of smoothed[0]
+        self._seen += len(rows)
+        return [
+            (base + j, KeywordHypothesis(score, None, base + j, smoothed[max(0, j - lag) : j + 1]))
+            for j, score in enumerate(scores.tolist(), start=first)
+        ]

@@ -42,6 +42,7 @@ from .quantize import (
     fixed_accumulate,
     quantize,
     quantize_bias,
+    quantized_matvec,
     requantize_fixed,
 )
 
@@ -223,6 +224,8 @@ def load_model(data):
             activation = Activation(act)
         except ValueError:
             raise ModelParseError(f"unknown activation code {act}", offset - _LAYER_HEADER.size)
+        if not np.all(np.isfinite([in_min, in_max, w_min, w_max])):
+            raise ModelParseError(f"layer {i} has a non-finite range", offset - _LAYER_HEADER.size)
         raw, offset = _take(data, offset, in_dim * out_dim, f"layer {i} weights")
         weights = QuantizedTensor(
             np.frombuffer(raw, dtype=np.uint8).reshape(out_dim, in_dim).copy(),
@@ -258,8 +261,8 @@ def forward_vector(model, features, mode=AccumMode.FIXED):
     x_q = quantize(features, model.layers[0].input_params)
     for k, layer in enumerate(model.layers):
         last = k == len(model.layers) - 1
-        combined = layer.combined_scale
         if mode is AccumMode.FIXED:
+            combined = layer.combined_scale
             acc = fixed_accumulate(layer.weights, x_q, layer.bias_q)
             if layer.activation is Activation.RELU:
                 acc = np.maximum(acc, 0)
@@ -271,9 +274,7 @@ def forward_vector(model, features, mode=AccumMode.FIXED):
                 model.layers[k + 1].input_params,
             )
         else:
-            w = layer.weights.data.astype(np.float32) - np.float32(layer.weights.params.zero_point)
-            v = x_q.data.astype(np.float32) - np.float32(x_q.params.zero_point)
-            real = (w @ v).astype(np.float64) * combined + layer.bias_q.astype(np.float64) * combined
+            real = quantized_matvec(layer.weights, x_q, layer.bias_q, AccumMode.FLOAT)
             if layer.activation is Activation.RELU:
                 real = np.maximum(real, 0.0)
             if last:

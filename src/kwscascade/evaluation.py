@@ -68,14 +68,8 @@ class PipelineScorer:
     def frame_scores(self, stream):
         samples = stream.views[self.view] if hasattr(stream, "views") else stream
         det = DetectorStream(self.frontend_config, self.model, self.config, self.mode)
-        hits = det.push(samples)
-        if not hits:
-            return np.zeros(0)
-        first = hits[0][0]
-        scores = np.zeros(hits[-1][0] + 1)
-        for idx, hyp in hits:
-            scores[idx] = hyp.score
-        return scores[first:]
+        # the decoder numbers frames consecutively, so hit k is frame first + k
+        return np.array([hyp.score for _, hyp in det.push(samples)])
 
     def hop_ms(self, stream):
         return self.frontend_config.hop_ms
@@ -102,33 +96,6 @@ def accept_event_frames(scores, threshold, refractory_frames):
             events.append(int(t))
             next_allowed = t + refractory_frames + 1
     return events
-
-
-def measure_far(detector, negatives, threshold, refractory_ms=DEFAULT_REFRACTORY_MS):
-    """False accepts per hour over negative streams."""
-    total_hours = sum(s.duration_hours for s in negatives)
-    if total_hours <= 0:
-        raise CorpusError("negative corpus has zero duration")
-    count = 0
-    for stream in negatives:
-        scores = detector.frame_scores(stream)
-        refr = int(round(refractory_ms / detector.hop_ms(stream)))
-        count += len(accept_event_frames(scores, threshold, refr))
-    return count / total_hours
-
-
-def measure_frr(detector, positives, threshold, hit_window_ms=DEFAULT_HIT_WINDOW_MS):
-    """Fraction of positives with no accept near the labelled keyword end."""
-    if not positives:
-        raise CorpusError("positive corpus is empty")
-    misses = 0
-    for pos in positives:
-        scores = detector.frame_scores(pos.stream)
-        ts = detector.frame_timestamps_ms(pos.stream, len(scores))
-        in_window = np.abs(ts - pos.keyword_end_ms) <= hit_window_ms
-        if not np.any((scores >= threshold) & in_window):
-            misses += 1
-    return misses / len(positives)
 
 
 def sweep_operating_points(detector, corpus, thresholds,
@@ -346,15 +313,3 @@ def power_proxy(event_log, duration_sec, multiplier=100.0, snapshot_sec=2.0):
     total = duration_sec * 1.0 + run_seconds * multiplier
     return PowerProxy(1.0, multiplier, run_seconds, duration_sec, total, wake_count)
 
-
-def brute_force_event_count(scores, threshold, refractory_frames):
-    """Independent recount of accept events by linear scan (test oracle)."""
-    count = 0
-    cooldown = 0
-    for s in scores:
-        if cooldown > 0:
-            cooldown -= 1
-        elif s >= threshold:
-            count += 1
-            cooldown = refractory_frames
-    return count

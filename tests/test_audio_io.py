@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -37,9 +38,9 @@ class TestRawPcm:
         chunk = audio_io.read_raw_pcm(io.BytesIO(samples.astype("<i2").tobytes()))
         assert np.array_equal(chunk.samples, samples)
 
-    def test_odd_trailing_byte_dropped(self):
-        chunk = audio_io.read_raw_pcm(io.BytesIO(b"\x01\x00\x02"))
-        assert list(chunk.samples) == [1]
+    def test_odd_trailing_byte_rejected(self):
+        with pytest.raises(ValueError, match="odd byte count"):
+            audio_io.read_raw_pcm(io.BytesIO(b"\x01\x00\x02"))
 
 
 class TestFeatureStream:
@@ -60,6 +61,11 @@ class TestFeatureStream:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             audio_io.read_features(io.BytesIO(b"NOPE" + b"\x00" * 12))
+
+    def test_zero_channels_rejected(self):
+        head = b"KWSF" + struct.pack("<III", 1, 0, 10)
+        with pytest.raises(ValueError, match="0 channels"):
+            audio_io.read_features(io.BytesIO(head + b"\x00" * 8))
 
 
 class TestPosteriorStream:

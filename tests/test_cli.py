@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -175,6 +176,24 @@ class TestRunCascade:
         )
         assert code == EXIT_USAGE
         assert "stage1.treshold" in err
+
+    def test_non_finite_model_range_exits_2(self, model_files, keyword_wav,
+                                            tmp_path, capsys):
+        model = make_tone_acoustic_model(k.FrontendConfig(), 3)
+        data = bytearray(serialize_model(model))
+        layer = 18 + len(model.name.encode())  # first layer header
+        struct.pack_into("<2f", data, layer + 12, -np.inf, np.inf)  # input range
+        bad = tmp_path / "inf.kwsq"
+        bad.write_bytes(bytes(data))
+        wav, _ = keyword_wav
+        code, out, err = run_cli(
+            ["run-cascade", "--stage1", str(bad), "--stage2", model_files["stage2"],
+             "--input", wav],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "non-finite range" in err
 
     def test_raw_pcm_on_stdin(self, model_files, tmp_path):
         cfg = k.FrontendConfig()

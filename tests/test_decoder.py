@@ -2,6 +2,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwscascade.decoder import (
     DecoderConfig,
@@ -10,7 +12,6 @@ from kwscascade.decoder import (
     batch_frame_scores,
     keyword_score,
     smooth,
-    streaming_decode,
 )
 
 
@@ -205,12 +206,6 @@ class TestStreaming:
                 assert current <= previous
             previous = current
 
-    def test_generator_form(self):
-        cfg = DecoderConfig(2, score_window_frames=8)
-        rows = np.random.default_rng(8).uniform(0, 1, (20, 2))
-        out = list(streaming_decode(rows, cfg))
-        assert [f for f, _ in out] == list(range(20))
-
     def test_scores_bounded(self):
         rng = np.random.default_rng(9)
         cfg = DecoderConfig(3, smoothing_window_frames=4, score_window_frames=12)
@@ -223,3 +218,45 @@ class TestStreaming:
         frame, hyp = dec.push(np.array([0.5]))
         assert frame == 10
         assert hyp.alignment == (10,)
+
+
+@st.composite
+def split_streams(draw):
+    """A decoder config, a posterior stream with runs of zeros, and push sizes."""
+    units = draw(st.integers(1, 4))
+    cfg = DecoderConfig(units, smoothing_window_frames=draw(st.integers(1, 25)),
+                        score_window_frames=draw(st.integers(units, 60)))
+    total = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    posteriors = rng.uniform(0, 1, size=(total, units))
+    for start, length in draw(st.lists(st.tuples(st.integers(0, total - 1),
+                                                 st.integers(1, 80)), max_size=3)):
+        posteriors[start : start + length] = 0.0
+    if draw(st.booleans()):
+        cuts = range(1, total)  # one frame per push
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, total - 1)), max_size=20)))
+    bounds = [0, *(c for c in cuts if c < total), total]
+    return cfg, posteriors, bounds, draw(st.floats(0.0, 1.0))
+
+
+class TestPushSplits:
+    @settings(max_examples=60, deadline=None)
+    @given(split_streams())
+    def test_any_split_equals_batch_and_keyword_score(self, case):
+        cfg, posteriors, bounds, threshold = case
+        dec = StreamingDecoder(cfg)
+        hits = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            hits.extend(dec.push_many(posteriors[lo:hi]))
+        assert [frame for frame, _ in hits] == list(range(len(posteriors)))
+        scores = np.array([hyp.score for _, hyp in hits])
+        assert np.array_equal(scores, batch_frame_scores(posteriors, cfg))
+        smoothed = smooth(posteriors, cfg.smoothing_window_frames)
+        for t, hyp in hits:
+            lo = max(0, t - cfg.score_window_frames + 1)
+            # keyword_score needs at least one frame per unit
+            if hyp.score < threshold or t - lo + 1 < cfg.num_units:
+                continue
+            oracle = keyword_score(smoothed[lo : t + 1])
+            assert hyp.alignment == tuple(a + lo for a in oracle.alignment)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,17 @@ class TestSerialization:
                 load_model(bytes(corrupted))
             except (ModelParseError, DegenerateRangeError, DimensionError):
                 pass
+
+    @pytest.mark.parametrize("field", range(4))  # input min/max, weight min/max
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_range_rejected_at_layer_header(self, field, value):
+        model = random_acoustic_model(np.random.default_rng(97))
+        data = bytearray(serialize_model(model))
+        layer = 18 + len(model.name.encode())  # first layer header
+        struct.pack_into("<f", data, layer + 12 + 4 * field, value)
+        with pytest.raises(ModelParseError) as err:
+            load_model(bytes(data))
+        assert err.value.offset == layer
 
     def test_invalid_utf8_name_is_parse_error(self):
         model = random_acoustic_model(np.random.default_rng(98))

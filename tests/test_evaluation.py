@@ -5,10 +5,7 @@ from kwscascade.evaluation import (
     CorpusError,
     DecoderScorer,
     accept_event_frames,
-    brute_force_event_count,
     cascade_table,
-    measure_far,
-    measure_frr,
     power_proxy,
     sweep_operating_points,
 )
@@ -36,6 +33,32 @@ class FixedScorer:
 
     def frame_timestamps_ms(self, stream, count):
         return (np.arange(count) + 1) * self._hop
+
+
+def brute_force_event_count(scores, threshold, refractory_frames):
+    """Independent recount of accept events by linear scan."""
+    count = 0
+    cooldown = 0
+    for s in scores:
+        if cooldown > 0:
+            cooldown -= 1
+        elif s >= threshold:
+            count += 1
+            cooldown = refractory_frames
+    return count
+
+
+def far(detector, negatives, threshold, **kwargs):
+    """FA/hr from a one-threshold sweep; one stub positive completes the corpus."""
+    filler = PositiveExample(score_stream([1.0]), keyword_end_ms=10)
+    corpus = SyntheticCorpus(negatives, [filler], 1)
+    return sweep_operating_points(detector, corpus, [threshold], **kwargs)[0][1]
+
+
+def frr(detector, positives, threshold, **kwargs):
+    """FRR from a one-threshold sweep; one silent negative frame completes the corpus."""
+    corpus = SyntheticCorpus([score_stream([0.0])], positives, 1)
+    return sweep_operating_points(detector, corpus, [threshold], **kwargs)[0][2]
 
 
 def score_stream(scores, hop=10):
@@ -81,25 +104,25 @@ class TestMeasureFar:
         # 1.5 hours of frames at 10 ms, three well-separated spikes
         frames = int(1.5 * 3600 * 100)
         stream = spike_stream(frames, [1000, 200_000, 400_000])
-        assert measure_far(FixedScorer(), [stream], 0.5) == pytest.approx(2.0)
+        assert far(FixedScorer(), [stream], 0.5) == pytest.approx(2.0)
 
     def test_unreachable_threshold_is_zero(self):
         stream = spike_stream(36000, [5, 600])
-        assert measure_far(FixedScorer(), [stream], 1.01) == 0.0
+        assert far(FixedScorer(), [stream], 1.01) == 0.0
 
     def test_planted_spikes_counted_exactly(self):
         frames = 3600 * 100  # one hour
         stream = spike_stream(frames, [100, 50_000, 110_000, 200_000, 300_000])
-        assert measure_far(FixedScorer(), [stream], 0.5) == pytest.approx(5.0)
+        assert far(FixedScorer(), [stream], 0.5) == pytest.approx(5.0)
 
     def test_sustained_spike_counts_once(self):
         scores = np.zeros(3600 * 100)
         scores[1000:1050] = 0.9  # 500 ms over threshold
-        assert measure_far(FixedScorer(), [score_stream(scores)], 0.5) == pytest.approx(1.0)
+        assert far(FixedScorer(), [score_stream(scores)], 0.5) == pytest.approx(1.0)
 
     def test_zero_duration_rejected(self):
         with pytest.raises(CorpusError):
-            measure_far(FixedScorer(), [score_stream([])], 0.5)
+            far(FixedScorer(), [score_stream([])], 0.5)
 
 
 class TestMeasureFrr:
@@ -110,28 +133,28 @@ class TestMeasureFrr:
 
     def test_threshold_zero_never_misses(self):
         positives = [self._positive(0.4) for _ in range(10)]
-        assert measure_frr(FixedScorer(), positives, 0.0) == 0.0
+        assert frr(FixedScorer(), positives, 0.0) == 0.0
 
     def test_unreachable_threshold_misses_all(self):
         positives = [self._positive(0.99) for _ in range(10)]
-        assert measure_frr(FixedScorer(), positives, 1.01) == 1.0
+        assert frr(FixedScorer(), positives, 1.01) == 1.0
 
     def test_fraction_below_threshold(self):
         peaks = [0.3] * 7 + [0.9] * 93
         positives = [self._positive(p) for p in peaks]
-        assert measure_frr(FixedScorer(), positives, 0.5) == pytest.approx(0.07)
+        assert frr(FixedScorer(), positives, 0.5) == pytest.approx(0.07)
 
     def test_hit_window_enforced(self):
         # accept exists but 2 s after the labelled end: still a miss
         scores = np.zeros(600)
         scores[400] = 0.9
         pos = PositiveExample(score_stream(scores), keyword_end_ms=2000)
-        assert measure_frr(FixedScorer(), [pos], 0.5) == 1.0
-        assert measure_frr(FixedScorer(), [pos], 0.5, hit_window_ms=2100) == 0.0
+        assert frr(FixedScorer(), [pos], 0.5) == 1.0
+        assert frr(FixedScorer(), [pos], 0.5, hit_window_ms=2100) == 0.0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError):
-            measure_frr(FixedScorer(), [], 0.5)
+            frr(FixedScorer(), [], 0.5)
 
 
 class TestSweep:
@@ -248,7 +271,7 @@ class TestGroundTruthAgreement:
         scorer = DecoderScorer(oracle_decoder_config(), "stage1")
         impostors = [e for s in corpus.negatives for e in s.events]
         for theta in (0.35, 0.5, 0.65, 0.8):
-            measured = measure_far(scorer, corpus.negatives, theta)
+            _, measured, _ = sweep_operating_points(scorer, corpus, [theta])[0]
             planted = sum(1 for e in impostors if e.stage1_peak >= theta)
             assert measured == pytest.approx(planted / corpus.negative_hours)
 
@@ -257,7 +280,7 @@ class TestGroundTruthAgreement:
                                            negative_minutes_each=5.0, num_positives=80)
         scorer = DecoderScorer(oracle_decoder_config(), "stage1")
         for theta in (0.4, 0.55, 0.7):
-            measured = measure_frr(scorer, corpus.positives, theta)
+            _, _, measured = sweep_operating_points(scorer, corpus, [theta])[0]
             planted = sum(1 for p in corpus.positives
                           if p.stream.events[0].stage1_peak < theta)
             assert measured == pytest.approx(planted / len(corpus.positives))
