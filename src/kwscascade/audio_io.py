@@ -105,7 +105,7 @@ def read_posteriors(fileobj):
     data = np.frombuffer(fileobj.read(), dtype="<f4").astype(np.float64)
     if data.size % (num_units + 1):
         raise ValueError("posterior stream data is not a whole number of frames")
-    return data.reshape(-1, num_units + 1), num_units
+    return _finite_frames(data.reshape(-1, num_units + 1), "posterior stream"), num_units
 
 
 def read_posteriors_csv(fileobj):
@@ -123,7 +123,15 @@ def read_posteriors_csv(fileobj):
     if header is None or not rows:
         raise ValueError("empty posterior CSV")
     data = np.asarray(rows, dtype=np.float64)
-    return data, data.shape[1] - 1
+    return _finite_frames(data, "posterior CSV"), data.shape[1] - 1
+
+
+def _finite_frames(data, what):
+    """``data`` [T, C], or ValueError naming its first frame with a NaN or inf."""
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{what} frame {bad[0]} is not finite")
+    return data
 
 
 def read_manifest(path):

@@ -10,6 +10,18 @@ computed as a log-space dynamic program with running maxima; log(0) is
 the -inf sentinel and the M-th root becomes a divide. Ties are broken
 toward the earliest frames: the last firing time is minimised first, then
 each earlier one. All frame indices are 0-based.
+
+Every frame's score comes from one block-decomposed kernel (van Herk /
+Gil-Werman running maxima lifted to the ordered max-product). The stream
+is cut into blocks of T_s frames on the decoder's own frame clock; per
+block, prefix chains (units j..M-1 from the block start) and suffix chains
+(units 0..k to the block end) are running maxima, and a window ending in
+block b is a suffix of block b-1 joined to a prefix of block b, so a score
+costs O(M^2) rather than O(M * T_s). The batch scorer runs the kernel over
+chunks of whole blocks and the streaming decoder over each push, carrying
+the same state, so both give the same bits. keyword_score is the
+per-window dynamic program; it agrees with the kernel to rounding (its sums
+are taken in another order) and gives the alignments.
 """
 
 from dataclasses import dataclass
@@ -83,7 +95,7 @@ def _smooth_rows(rows, sums, seen, window, lead=0):
     min(seen, window) frames. The cumsum continues from the carried one in
     place, so any split of a stream gives the same bits as one cumsum over
     all of it. Returns the smoothed rows behind ``lead`` zero rows (room for
-    a score window's history), and the sums to carry on.
+    carried history rows), and the sums to carry on.
     """
     carried = len(sums)
     cs = np.concatenate((sums, rows))
@@ -148,6 +160,9 @@ def _score_window(smoothed):
     return KeywordHypothesis(min(score, 1.0), tuple(alignment), total - 1)
 
 
+_CHUNK_ROWS = 65536  # bounds batch_frame_scores' temporaries
+
+
 def batch_frame_scores(posteriors, config):
     """Score at every frame: keyword_score over each trailing window.
 
@@ -165,50 +180,71 @@ def batch_frame_scores(posteriors, config):
         raise ValueError(
             f"stream has {posteriors.shape[1]} units, config expects {config.num_units}"
         )
-    window = config.score_window_frames
-    padded, _ = _smooth_rows(posteriors, posteriors[:0], 0, config.smoothing_window_frames,
-                             lead=window - 1)
-    return _window_scores(padded, window)
+    # whole blocks per chunk, so no chunk re-scores rows of the one before
+    step = max(1, _CHUNK_ROWS // config.score_window_frames) * config.score_window_frames
+    dec = StreamingDecoder(config)
+    out = np.empty(len(posteriors))
+    for start in range(0, len(posteriors), step):
+        out[start : start + step] = dec._advance(posteriors[start : start + step])[2]
+    return out
 
 
-def _window_scores(padded, window):
-    """Score of the trailing window ending at each row from ``window - 1`` on.
+def _window_scores(logs, suffix, skip=0):
+    """Scores of the trailing windows ending at rows ``skip`` on of ``logs``.
 
-    ``padded`` holds smoothed rows, the first ``window - 1`` of them history
-    that only earlier windows end in, and is overwritten with its log. Zero
-    rows before the stream start become -inf, which makes every window
-    exactly ``window`` long without changing any score: padded frames can
-    never be on a maximising path unless the whole window is -inf, where
-    the score is 0 either way.
+    ``logs`` [T, M] holds log-smoothed rows from a block boundary on, and
+    ``suffix`` [M, W] the suffix chains of the block before them (-inf
+    before the stream start). Row q of block b scores the window made of
+    rows q+1.. of block b-1 and rows ..q of block b, as the best of: a
+    chain of units 0..k in the suffix of b-1 followed by units k+1..M-1 in
+    the prefix of b, for k = -1..M-1. At q = W-1 the window is block b
+    itself and only the prefix term counts. Returns the scores and the
+    suffix chains of the last complete block.
     """
-    total, units = padded.shape
-    if total < window:
-        return np.zeros(0)
-    with np.errstate(divide="ignore"):
-        np.log(padded, out=padded)
-    sliding = np.lib.stride_tricks.sliding_window_view(padded, window, axis=0)
-    # sliding: [T, units, window] view
-    out = np.empty(total - window + 1)
-    chunk = max(1, 4_000_000 // (units * window))
-    for start in range(0, len(out), chunk):
-        block = sliding[start : start + chunk]
-        level = block[:, 0, :]
-        run = np.maximum.accumulate(level, axis=1)
-        for i in range(1, units):
-            run = np.maximum.accumulate(block[:, i, :] + run, axis=1)
-        with np.errstate(invalid="ignore"):
-            out[start : start + chunk] = np.exp(run[:, -1] / units)
-    return np.minimum(np.nan_to_num(out, nan=0.0), 1.0)
+    units, window = suffix.shape
+    total = len(logs)
+    blocks, complete = -(-total // window), total // window
+    x = np.full((units, blocks * window), -np.inf)
+    x[:, :total] = logs.T
+    x = x.reshape(units, blocks, window)
+    # pre[j]: best chain of units j..M-1 from the block start to each row,
+    # built unit by unit for every j at once
+    pre = np.maximum.accumulate(x[:1], axis=2)
+    for k in range(1, units):
+        pre = np.maximum.accumulate(np.concatenate((pre + x[k], x[k : k + 1])), axis=2)
+    # prev[k]: suf[k] of the block before, one row on; -inf where none
+    prev = np.full((units, blocks, window), -np.inf)
+    prev[:, :1, :-1] = suffix[:, None, 1:]
+    if complete:
+        # suf[k]: best chain of units 0..k from each row to the block end,
+        # on reversed rows, built unit by unit from the last
+        rev = x[:, :complete, ::-1]
+        suf = np.maximum.accumulate(rev[units - 1 :], axis=2)
+        for j in range(units - 2, -1, -1):
+            suf = np.maximum.accumulate(np.concatenate((rev[j : j + 1], suf + rev[j])), axis=2)
+        suf = suf[:, :, ::-1]
+        prev[:, 1:, :-1] = suf[:, : blocks - 1, 1:]
+        suffix = suf[:, -1].copy()
+    pre = pre.reshape(units, -1)[:, skip:total]
+    prev = prev.reshape(units, -1)[:, skip:total]
+    best = np.maximum(pre[0], prev[units - 1])
+    for k in range(units - 1):
+        np.maximum(best, prev[k] + pre[k + 1], out=best)
+    with np.errstate(invalid="ignore"):
+        scores = np.exp(best / units)
+    return np.minimum(np.nan_to_num(scores, nan=0.0), 1.0), suffix
 
 
 class StreamingDecoder:
     """Push posterior frames, get each frame's trailing-window hypothesis.
 
     Runs the batch kernel over each push, with state carried between
-    pushes: the cumulative sums of the last L frames and the smoothed rows
-    of the last T_s-1 frames, O(M * (L + T_s)) whatever the push size.
-    Scores equal batch_frame_scores bit for bit however the stream is
-    split. Per-stream, single-threaded.
+    pushes: the cumulative sums of the last L frames, the smoothed rows of
+    the last T_s-1 frames and the suffix chains of the last complete block
+    of T_s frames, O(M * (L + T_s)) whatever the push size. Blocks follow
+    the frames pushed, not ``first_frame_index``. Scores equal
+    batch_frame_scores bit for bit however the stream is split.
+    Per-stream, single-threaded.
     """
 
     def __init__(self, config, first_frame_index=0):
@@ -217,6 +253,7 @@ class StreamingDecoder:
         self._seen = 0
         self._sums = np.zeros((0, config.num_units))
         self._history = np.zeros((0, config.num_units))
+        self._suffix = np.full((config.num_units, config.score_window_frames), -np.inf)
 
     @property
     def config(self):
@@ -236,17 +273,30 @@ class StreamingDecoder:
             raise ValueError(
                 f"expected [n, {cfg.num_units}] unit posteriors, got shape {rows.shape}"
             )
-        padded, self._sums = _smooth_rows(
-            rows, self._sums, self._seen, cfg.smoothing_window_frames, lead=lag
-        )
-        first = len(self._history)
-        padded[lag - first : lag] = self._history
-        smoothed = padded[lag - first :].copy()  # kept by the hypotheses
-        self._history = smoothed[max(0, len(smoothed) - lag) :].copy()
-        scores = _window_scores(padded, cfg.score_window_frames)
-        base = self._first + self._seen - first  # frame number of smoothed[0]
-        self._seen += len(rows)
+        base = self._first + self._seen - len(self._history)  # frame number of smoothed[0]
+        smoothed, first, scores = self._advance(rows)  # the hypotheses keep smoothed's rows
         return [
             (base + j, KeywordHypothesis(score, None, base + j, smoothed[max(0, j - lag) : j + 1]))
             for j, score in enumerate(scores.tolist(), start=first)
         ]
+
+    def _advance(self, rows):
+        """Smooth and score [n, M] rows, carrying the state on.
+
+        Returns the carried smoothed rows followed by the new ones, the
+        index of the first new row in them, and the new rows' scores.
+        """
+        cfg = self._config
+        window = cfg.score_window_frames
+        first = len(self._history)
+        smoothed, self._sums = _smooth_rows(
+            rows, self._sums, self._seen, cfg.smoothing_window_frames, lead=first
+        )
+        smoothed[:first] = self._history
+        self._history = smoothed[max(0, len(smoothed) - window + 1) :].copy()
+        phase = self._seen % window  # rows of the current block pushed before
+        with np.errstate(divide="ignore"):
+            logs = np.log(smoothed[first - phase :])
+        scores, self._suffix = _window_scores(logs, self._suffix, phase)
+        self._seen += len(rows)
+        return smoothed, first, scores

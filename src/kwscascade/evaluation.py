@@ -89,12 +89,21 @@ def accept_event_frames(scores, threshold, refractory_frames):
     than the refractory apart, hence monotone under mask inclusion.
     """
     hits = np.flatnonzero(np.asarray(scores) >= threshold)
+    if not len(hits):
+        return []
+    # runs of consecutive crossing frames; inside a run the events are
+    # evenly spaced, so the loop is over runs, not crossings
+    cut = np.flatnonzero(np.diff(hits) > 1) + 1
+    starts = hits[np.r_[0, cut]].tolist()
+    ends = hits[np.r_[cut - 1, len(hits) - 1]].tolist()
+    step = max(refractory_frames + 1, 1)
     events = []
-    next_allowed = -1
-    for t in hits:
-        if t >= next_allowed:
-            events.append(int(t))
-            next_allowed = t + refractory_frames + 1
+    next_allowed = 0
+    for lo, hi in zip(starts, ends):
+        first = max(lo, next_allowed)
+        if first <= hi:
+            events.extend(range(first, hi + 1, step))
+            next_allowed = events[-1] + step
     return events
 
 
@@ -196,7 +205,7 @@ def _speaker_gate_mask(stream, count, profile_direction, speaker_threshold):
 
 
 def _event_count_from_mask(mask, refractory_frames):
-    return len(accept_event_frames(mask.astype(np.float64), 0.5, refractory_frames))
+    return len(accept_event_frames(mask, 0.5, refractory_frames))
 
 
 def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,

@@ -89,6 +89,23 @@ class TestPosteriorStream:
         assert data.shape == (2, 3)
         assert data[0, 0] == 0.5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, bad):
+        posteriors = np.full((300, 3), 0.2)
+        posteriors[100, 1] = bad
+        posteriors[200, 0] = bad
+        buf = io.BytesIO()
+        audio_io.write_posteriors(buf, posteriors, 2)
+        buf.seek(0)
+        with pytest.raises(ValueError, match="frame 100 "):
+            audio_io.read_posteriors(buf)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_frame_rejected(self, bad):
+        text = io.StringIO(f"u1,u2,filler\n0.5,0.25,0.25\n0.1,{bad},0.7\n0.1,0.2,{bad}\n")
+        with pytest.raises(ValueError, match="frame 1 "):
+            audio_io.read_posteriors_csv(text)
+
 
 class TestManifest:
     def test_parse_and_relative_paths(self, tmp_path):

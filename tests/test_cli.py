@@ -126,6 +126,17 @@ class TestScore:
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 4  # header + 2 scores + alignment
 
+    def test_non_finite_stream_exits_2(self, tmp_path, capsys):
+        posteriors = np.full((300, 3), 0.2)
+        posteriors[100, 0] = np.nan
+        path = tmp_path / "posts.kwsy"
+        with open(path, "wb") as fh:
+            audio_io.write_posteriors(fh, posteriors, 2)
+        code, out, err = run_cli(["score", "--posteriors", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert "frame 100 " in err
+        assert out == ""
+
 
 class TestRunCascade:
     def test_events_as_json_lines(self, model_files, keyword_wav, tmp_path, capsys):

@@ -222,41 +222,59 @@ class TestStreaming:
 
 @st.composite
 def split_streams(draw):
-    """A decoder config, a posterior stream with runs of zeros, and push sizes."""
+    """A decoder config, a first frame index, a posterior stream with runs of
+    zeros, and push sizes.
+
+    Score windows go down to T_s = M = 1; stream lengths include exact
+    multiples of T_s and lengths shorter than T_s; zero runs may start just
+    before a block boundary of the decoder's frame clock.
+    """
     units = draw(st.integers(1, 4))
+    window = draw(st.one_of(st.just(units), st.integers(units, 60)))
     cfg = DecoderConfig(units, smoothing_window_frames=draw(st.integers(1, 25)),
-                        score_window_frames=draw(st.integers(units, 60)))
-    total = draw(st.integers(1, 300))
+                        score_window_frames=window)
+    total = draw(st.one_of(
+        st.integers(1, 300),
+        st.integers(1, 6).map(lambda blocks: blocks * window),
+        st.integers(1, window),
+    ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     posteriors = rng.uniform(0, 1, size=(total, units))
-    for start, length in draw(st.lists(st.tuples(st.integers(0, total - 1),
-                                                 st.integers(1, 80)), max_size=3)):
+    starts = st.one_of(
+        st.integers(0, total - 1),
+        st.tuples(st.integers(1, 6), st.integers(0, 3)).map(
+            lambda bd: max(0, min(total - 1, bd[0] * window - bd[1]))),
+    )
+    for start, length in draw(st.lists(st.tuples(starts, st.integers(1, 80)), max_size=3)):
         posteriors[start : start + length] = 0.0
     if draw(st.booleans()):
         cuts = range(1, total)  # one frame per push
     else:
         cuts = sorted(draw(st.sets(st.integers(1, max(1, total - 1)), max_size=20)))
     bounds = [0, *(c for c in cuts if c < total), total]
-    return cfg, posteriors, bounds, draw(st.floats(0.0, 1.0))
+    return cfg, draw(st.integers(0, 1000)), posteriors, bounds, draw(st.floats(0.0, 1.0))
 
 
 class TestPushSplits:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(split_streams())
     def test_any_split_equals_batch_and_keyword_score(self, case):
-        cfg, posteriors, bounds, threshold = case
-        dec = StreamingDecoder(cfg)
+        cfg, first, posteriors, bounds, threshold = case
+        dec = StreamingDecoder(cfg, first_frame_index=first)
         hits = []
         for lo, hi in zip(bounds, bounds[1:]):
             hits.extend(dec.push_many(posteriors[lo:hi]))
-        assert [frame for frame, _ in hits] == list(range(len(posteriors)))
+        assert [frame for frame, _ in hits] == list(range(first, first + len(posteriors)))
         scores = np.array([hyp.score for _, hyp in hits])
         assert np.array_equal(scores, batch_frame_scores(posteriors, cfg))
         smoothed = smooth(posteriors, cfg.smoothing_window_frames)
-        for t, hyp in hits:
+        for t, hyp in enumerate(hyp for _, hyp in hits):
             lo = max(0, t - cfg.score_window_frames + 1)
-            # keyword_score needs at least one frame per unit
-            if hyp.score < threshold or t - lo + 1 < cfg.num_units:
-                continue
-            oracle = keyword_score(smoothed[lo : t + 1])
-            assert hyp.alignment == tuple(a + lo for a in oracle.alignment)
+            # keyword_score needs one frame per unit; leading zero rows
+            # never lie on a maximising chain, so padding keeps the score
+            short = max(0, cfg.num_units - (t - lo + 1))
+            window = np.concatenate((np.zeros((short, cfg.num_units)), smoothed[lo : t + 1]))
+            oracle = keyword_score(window)
+            assert abs(hyp.score - oracle.score) <= 1e-12
+            if hyp.score >= threshold and not short:
+                assert hyp.alignment == tuple(a + lo + first for a in oracle.alignment)

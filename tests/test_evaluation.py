@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwscascade.evaluation import (
     CorpusError,
@@ -48,6 +50,17 @@ def brute_force_event_count(scores, threshold, refractory_frames):
     return count
 
 
+def greedy_event_frames(scores, threshold, refractory_frames):
+    """Reference dedup: walk every crossing, keep those past the refractory."""
+    events = []
+    next_allowed = -1
+    for t in np.flatnonzero(np.asarray(scores) >= threshold):
+        if t >= next_allowed:
+            events.append(int(t))
+            next_allowed = t + refractory_frames + 1
+    return events
+
+
 def far(detector, negatives, threshold, **kwargs):
     """FA/hr from a one-threshold sweep; one stub positive completes the corpus."""
     filler = PositiveExample(score_stream([1.0]), keyword_end_ms=10)
@@ -87,6 +100,25 @@ class TestEventCounting:
             assert len(accept_event_frames(scores, theta, refr)) == brute_force_event_count(
                 scores, theta, refr
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.booleans(), max_size=400),
+            st.integers(0, 400).map(lambda n: [True] * n),
+            st.just([]),
+            st.tuples(st.integers(0, 400), st.lists(st.tuples(st.integers(0, 399),
+                                                              st.integers(1, 60)), max_size=8))
+            .map(lambda case: [any(s <= t < s + n for s, n in case[1]) for t in range(case[0])]),
+        ),
+        st.integers(0, 40),
+    )
+    def test_mask_events_equal_per_hit_greedy_loop(self, mask, refractory):
+        # random, all-true, empty and run-structured masks
+        mask = np.array(mask, dtype=bool)
+        assert accept_event_frames(mask, 0.5, refractory) == greedy_event_frames(
+            mask, 0.5, refractory
+        )
 
     def test_monotone_under_mask_inclusion(self):
         rng = np.random.default_rng(1)
