@@ -55,6 +55,6 @@ gap = max(
     for a, b in zip(fixed, floating)
 )
 print(f"fixed vs float accumulators: max posterior gap {gap:.2e} over 200 frames "
-      "(contract: <= 0.05; tiny here because float32 sums this small are exact)")
+      "(contract: <= 0.05; tiny here because float64 sums of 8-bit products are exact)")
 print(f"posterior rows sum to one: "
       f"{all(abs(p.keyword_posteriors.sum() + p.filler_posterior - 1) < 1e-5 for p in fixed)}")

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .decoder import DecoderConfig, StreamingDecoder
-from .encoder import ModelKind, forward_vector
+from .encoder import ModelKind, forward_vector, stack_frames
 from .frontend import SAMPLE_RATE_HZ, AudioChunk, FrontendConfig, FrontendStream
 from .quantize import AccumMode
 from . import speaker as speaker_mod
@@ -153,7 +153,8 @@ class DetectorStream:
         self._decoder = StreamingDecoder(decoder_config,
                                          first_frame_index=model.num_stacked_frames - 1)
         self._mode = mode
-        self._stack = []  # trailing num_stacked_frames feature rows
+        # the last num_stacked_frames - 1 feature rows, the next stack's history
+        self._tail = np.zeros((0, frontend_config.num_channels))
         self.features = [] if keep_features else None
 
     @property
@@ -166,19 +167,16 @@ class DetectorStream:
 
     def push(self, samples):
         """Feed PCM; return [(feature_frame_index, KeywordHypothesis)]."""
-        rows = []
-        for frame in self._frontend.push(samples):
-            if self.features is not None:
-                self.features.append(frame)
-            self._stack.append(frame.channels)
-            if len(self._stack) > self._model.num_stacked_frames:
-                self._stack.pop(0)
-            if len(self._stack) < self._model.num_stacked_frames:
-                continue
-            vec = np.concatenate(self._stack)
-            probs = forward_vector(self._model, vec, self._mode)
-            rows.append(probs[: self._model.num_units])
-        return self._decoder.push_many(np.reshape(rows, (-1, self._model.num_units)))
+        frames = self._frontend.push(samples)
+        if not frames:
+            return []
+        if self.features is not None:
+            self.features.extend(frames)
+        rows = np.concatenate((self._tail, [f.channels for f in frames]))
+        self._tail = rows[max(0, len(rows) - self._model.num_stacked_frames + 1) :].copy()
+        stacked = stack_frames(rows, self._model.num_stacked_frames)
+        probs = forward_vector(self._model, stacked, self._mode)
+        return self._decoder.push_many(probs[:, : self._model.num_units])
 
 
 class CascadePhase(Enum):

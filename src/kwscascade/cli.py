@@ -317,7 +317,6 @@ def cmd_evaluate(args):
         stage2_threshold=args.stage2_threshold,
         refractory_ms=cfg.get("eval.refractory_ms", 1000.0),
         hit_window_ms=cfg.get("eval.hit_window_ms", 750.0),
-        parallelism=args.parallelism,
     )
     sys.stdout.write(table.render_csv() + "\n")
     sys.stderr.write(table.render_text() + "\n")
@@ -406,8 +405,6 @@ def build_parser():
     p.add_argument("--thresholds", required=True,
                    help="comma-separated ascending stage-1 thresholds")
     p.add_argument("--stage2-threshold", type=float, default=0.5)
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="streams scored concurrently; output is identical at any degree")
     p.add_argument("--config", help="config file (key = value)")
     p.set_defaults(func=cmd_evaluate)
 

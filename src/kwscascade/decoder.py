@@ -287,6 +287,9 @@ class StreamingDecoder:
         index of the first new row in them, and the new rows' scores.
         """
         cfg = self._config
+        if not np.isfinite(rows).all():
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+            raise ValueError(f"frame {self._first + self._seen + bad} has a non-finite posterior")
         window = cfg.score_window_frames
         first = len(self._history)
         smoothed, self._sums = _smooth_rows(

@@ -44,6 +44,7 @@ from .quantize import (
     quantize_bias,
     quantized_matvec,
     requantize_fixed,
+    requantize_multiplier,
 )
 
 MAGIC = b"KWSQ"
@@ -218,14 +219,21 @@ def load_model(data):
         raise ModelParseError("name field is not valid utf-8", offset - name_len)
     layers = []
     for i in range(n_layers):
+        header = offset
         raw, offset = _take(data, offset, _LAYER_HEADER.size, f"layer {i} header")
         in_dim, out_dim, act, in_min, in_max, w_min, w_max = _LAYER_HEADER.unpack(raw)
         try:
             activation = Activation(act)
         except ValueError:
-            raise ModelParseError(f"unknown activation code {act}", offset - _LAYER_HEADER.size)
+            raise ModelParseError(f"unknown activation code {act}", header)
         if not np.all(np.isfinite([in_min, in_max, w_min, w_max])):
-            raise ModelParseError(f"layer {i} has a non-finite range", offset - _LAYER_HEADER.size)
+            raise ModelParseError(f"layer {i} has a non-finite range", header)
+        in_params = QuantParams(in_min, in_max)
+        # FIXED inference requantizes into this layer with a rounding shift
+        # that must stay inside int64 (see requantize_multiplier)
+        if layers and not 1 <= requantize_multiplier(layers[-1].combined_scale, in_params)[1] <= 62:
+            raise ModelParseError(f"layer {i} input range is out of scale with layer {i - 1}",
+                                  header)
         raw, offset = _take(data, offset, in_dim * out_dim, f"layer {i} weights")
         weights = QuantizedTensor(
             np.frombuffer(raw, dtype=np.uint8).reshape(out_dim, in_dim).copy(),
@@ -233,30 +241,38 @@ def load_model(data):
         )
         raw, offset = _take(data, offset, 4 * out_dim, f"layer {i} bias")
         bias_q = np.frombuffer(raw, dtype="<i4").astype(np.int32)
-        layers.append(EncoderLayer(weights, bias_q, QuantParams(in_min, in_max), activation))
+        # worst case over uint8 inputs must fit the 32-bit accumulator
+        bound = np.abs(bias_q.astype(np.int64)) + 255 * np.abs(
+            weights.data.astype(np.int64) - weights.params.zero_point).sum(axis=1)
+        if np.any(bound > np.iinfo(np.int32).max):
+            raise ModelParseError(f"layer {i} can overflow the 32-bit accumulator",
+                                  offset - 4 * out_dim)
+        layers.append(EncoderLayer(weights, bias_q, in_params, activation))
     if offset != len(data):
         raise ModelParseError(f"{len(data) - offset} trailing bytes", offset)
     return EncoderModel(layers, channels, stacked, units, kind, name)
 
 
 def _softmax(logits):
-    z = logits - logits.max()
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward_vector(model, features, mode=AccumMode.FIXED):
-    """Run one stacked feature vector through the layer chain.
+    """Run one stacked feature vector [D], or a stack of them [N, D].
 
     Returns softmax probabilities for acoustic models and the raw final
-    activations for embedding models. The FIXED path stays in integers
-    between layers (32-bit accumulate, Q31 requantize); the FLOAT path
-    uses float32 accumulators with the same quantized operands.
+    activations for embedding models, one row per input row. The FIXED
+    path stays in integers between layers (32-bit accumulate, Q31
+    requantize); the FLOAT path accumulates the same quantized operands
+    exactly in float64. Every step is exact or works row by row, so row k
+    of a stacked call equals the one-row call bit for bit.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != (model.input_dim,):
+    if features.ndim not in (1, 2) or features.shape[-1] != model.input_dim:
         raise DimensionError(
-            f"input shape {features.shape} != model input dim ({model.input_dim},)"
+            f"input shape {features.shape} is not ({model.input_dim},) or (N, {model.input_dim})"
         )
     x_q = quantize(features, model.layers[0].input_params)
     for k, layer in enumerate(model.layers):
@@ -314,12 +330,11 @@ def encoder_forward(frames, model, mode=AccumMode.FIXED):
         raise DimensionError(
             f"{feats.shape[1]} channels != model num_channels {model.num_channels}"
         )
-    stacked = stack_frames(feats, model.num_stacked_frames)
-    out = []
-    for row, idx in zip(stacked, indices[model.num_stacked_frames - 1 :]):
-        probs = forward_vector(model, row, mode)
-        out.append(PosteriorFrame(probs[: model.num_units], float(probs[model.num_units]), idx))
-    return out
+    probs = forward_vector(model, stack_frames(feats, model.num_stacked_frames), mode)
+    return [
+        PosteriorFrame(row[: model.num_units], float(row[model.num_units]), idx)
+        for row, idx in zip(probs, indices[model.num_stacked_frames - 1 :])
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ Conventions, fixed here and relied on by the composition-law guarantees:
   "stage-1 threshold 0" literally equal to the stage-2-alone row.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +22,6 @@ from .quantize import AccumMode
 
 DEFAULT_REFRACTORY_MS = 1000.0
 DEFAULT_HIT_WINDOW_MS = 750.0
-
-
-def _score_streams(detector, streams, parallelism):
-    """Per-stream scores, in corpus order regardless of parallelism."""
-    if parallelism <= 1 or len(streams) <= 1:
-        return [detector.frame_scores(s) for s in streams]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(detector.frame_scores, streams))
 
 
 class CorpusError(ValueError):
@@ -211,19 +202,17 @@ def _event_count_from_mask(mask, refractory_frames):
 def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
                   refractory_ms=DEFAULT_REFRACTORY_MS,
                   hit_window_ms=DEFAULT_HIT_WINDOW_MS,
-                  speaker_verification=False,
-                  parallelism=1):
+                  speaker_verification=False):
     """Cascade operating points as a function of the stage-1 threshold.
 
     One row per stage-1 threshold, preceded by a stage-1-disabled row
     showing stage 2 alone. When ``speaker_verification`` is set, the
     cascade mask is additionally gated by each planted event's
-    ground-truth verification outcome (corpus-provided). Streams may be
-    scored on ``parallelism`` threads; results merge in corpus order, so
-    the table is identical at any degree.
+    ground-truth verification outcome (corpus-provided). Each stream is
+    scored once per stage, in corpus order.
     """
-    neg_s1 = _score_streams(stage1, corpus.negatives, parallelism)
-    neg_s2 = _score_streams(stage2, corpus.negatives, parallelism)
+    neg_s1 = [stage1.frame_scores(s) for s in corpus.negatives]
+    neg_s2 = [stage2.frame_scores(s) for s in corpus.negatives]
     neg = []
     for stream, s1, s2 in zip(corpus.negatives, neg_s1, neg_s2):
         count = min(len(s1), len(s2))
@@ -235,8 +224,8 @@ def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
         refr = int(round(refractory_ms / stage1.hop_ms(stream)))
         neg.append((s1[:count], s2[:count], gate, refr))
     pos_streams = [p.stream for p in corpus.positives]
-    pos_s1 = _score_streams(stage1, pos_streams, parallelism)
-    pos_s2 = _score_streams(stage2, pos_streams, parallelism)
+    pos_s1 = [stage1.frame_scores(s) for s in pos_streams]
+    pos_s2 = [stage2.frame_scores(s) for s in pos_streams]
     pos = []
     for example, s1, s2 in zip(corpus.positives, pos_s1, pos_s2):
         count = min(len(s1), len(s2))

@@ -237,18 +237,6 @@ def _log_mel_fixed(powers, config):
     return out
 
 
-def log_mel_spectrum(frame, config, frame_index=0):
-    """Log-mel energies of one windowed frame as a FeatureFrame."""
-    if len(frame) != config.fft_size:
-        raise ConfigError(f"frame length {len(frame)} != fft_size {config.fft_size}")
-    powers = power_spectra(np.asarray(frame)[None, :], config)
-    if config.arithmetic_mode is ArithmeticMode.FIXED_POINT:
-        channels = _log_mel_fixed(powers, config)[0]
-    else:
-        channels = _log_mel_float(powers, config)[0]
-    return FeatureFrame(channels, frame_index, frame_timestamp_ms(frame_index, config))
-
-
 class NoiseFloorTracker:
     """Running minimum-statistics noise floor, subtracted per frequency bin.
 
@@ -273,15 +261,6 @@ class NoiseFloorTracker:
 
     def reset(self):
         self._history.clear()
-
-
-def noise_suppress(power_frames, config):
-    """Apply the noise tracker to a batch of power spectra (identity when off)."""
-    power_frames = np.asarray(power_frames)
-    if not config.noise_suppression_enabled:
-        return power_frames
-    tracker = NoiseFloorTracker(power_frames.shape[-1], config.noise_window_frames)
-    return np.stack([tracker.process(p) for p in power_frames]) if len(power_frames) else power_frames
 
 
 class FrontendStream:

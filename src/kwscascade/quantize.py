@@ -108,48 +108,68 @@ class AccumMode(Enum):
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-def _check_matvec_shapes(weights, vector):
+def _check_matvec_shapes(weights, inputs):
     if weights.data.ndim != 2:
         raise DimensionError(f"weights must be 2-D, got shape {weights.shape}")
-    if vector.data.ndim != 1 or weights.shape[1] != vector.shape[0]:
+    if inputs.data.ndim not in (1, 2) or weights.shape[1] != inputs.shape[-1]:
         raise DimensionError(
-            f"cannot multiply weights {weights.shape} by input {vector.shape}"
+            f"cannot multiply weights {weights.shape} by input {inputs.shape}"
         )
 
 
-def fixed_accumulate(weights, vector, bias_q):
+def _offset(tensor, dtype):
+    return tensor.data.astype(dtype) - dtype(tensor.params.zero_point)
+
+
+def fixed_accumulate(weights, inputs, bias_q):
     """Zero-point-offset integer dot products plus bias, as int64.
 
-    The result is asserted to fit the 32-bit accumulator lane; this is the
-    quantity a DSP holds before the single rescale.
+    ``inputs`` is one [D] vector or a stack of rows [N, D]; the result is
+    [out] or [N, out]. It is asserted to fit the 32-bit accumulator lane;
+    this is the quantity a DSP holds before the single rescale.
     """
-    _check_matvec_shapes(weights, vector)
-    w = weights.data.astype(np.int64) - weights.params.zero_point
-    x = vector.data.astype(np.int64) - vector.params.zero_point
-    acc = w @ x + np.asarray(bias_q, dtype=np.int64)
+    _check_matvec_shapes(weights, inputs)
+    acc = _offset(inputs, np.int64) @ _offset(weights, np.int64).T
+    acc += np.asarray(bias_q, dtype=np.int64)
     if np.any(np.abs(acc) > _INT32_MAX):
         raise AccumulatorOverflowError("matvec accumulation exceeds 32 bits")
     return acc
 
 
-def quantized_matvec(weights, vector, bias_q, mode=AccumMode.FIXED):
-    """Dequantized weights @ input + bias, under either accumulator type.
+def quantized_matvec(weights, inputs, bias_q, mode=AccumMode.FIXED):
+    """Dequantized weights times one [D] input or each row of [N, D], plus bias.
 
     FIXED accumulates offset uint8 products in 32-bit integers and rescales
-    once at the end; FLOAT accumulates the same offset products in float32
-    with the combined scale folded in afterwards. Bias is added
-    post-accumulation in both paths (it is stored in the accumulator scale,
-    see quantize_bias).
+    once at the end; FLOAT accumulates the same offset products in float64
+    with the combined scale folded in afterwards. Each product is an
+    integer of at most 255**2, so a float64 sum over any loadable layer
+    (in_dim < 2**53 / 255**2) is exact: row k of a stacked call equals a
+    one-row call bit for bit, however the matrix product is blocked. Bias
+    is added post-accumulation in both paths (it is stored in the
+    accumulator scale, see quantize_bias).
     """
-    combined = weights.params.scale * vector.params.scale
+    combined = weights.params.scale * inputs.params.scale
     if mode is AccumMode.FIXED:
-        acc = fixed_accumulate(weights, vector, bias_q)
+        acc = fixed_accumulate(weights, inputs, bias_q)
         return acc.astype(np.float64) * combined
-    _check_matvec_shapes(weights, vector)
-    w = (weights.data.astype(np.float32) - np.float32(weights.params.zero_point))
-    x = (vector.data.astype(np.float32) - np.float32(vector.params.zero_point))
-    acc = w @ x
-    return acc.astype(np.float64) * combined + np.asarray(bias_q, dtype=np.float64) * combined
+    _check_matvec_shapes(weights, inputs)
+    acc = _offset(inputs, np.float64) @ _offset(weights, np.float64).T
+    return acc * combined + np.asarray(bias_q, dtype=np.float64) * combined
+
+
+def requantize_multiplier(combined_scale, out_params):
+    """combined_scale/out_scale as a Q31 mantissa m0 and a right shift.
+
+    The multiplier is m0 * 2**-shift. A 32-bit accumulator times m0, plus
+    the rounding term, stays inside int64 only for shifts in 1..62, which
+    load_model enforces.
+    """
+    mant, exp = math.frexp(combined_scale / out_params.scale)
+    m0 = round(mant * (1 << 31))
+    if m0 == 1 << 31:
+        m0 >>= 1
+        exp += 1
+    return m0, 31 - exp
 
 
 def requantize_fixed(acc, combined_scale, out_params):
@@ -159,12 +179,7 @@ def requantize_fixed(acc, combined_scale, out_params):
     mantissa and a shift, so the whole step is int64 multiply + rounding
     shift: no float enters the DSP path between layers.
     """
-    multiplier = combined_scale / out_params.scale
-    mant, exp = math.frexp(multiplier)
-    m0 = round(mant * (1 << 31))
-    if m0 == 1 << 31:
-        m0 >>= 1
-        exp += 1
+    m0, shift = requantize_multiplier(combined_scale, out_params)
     acc = np.asarray(acc, dtype=np.int64)
-    q = rshift_round(acc * m0, 31 - exp) + out_params.zero_point
+    q = rshift_round(acc * m0, shift) + out_params.zero_point
     return np.clip(q, 0, LEVELS).astype(np.uint8)

@@ -83,7 +83,7 @@ def embed(features, model, mode=AccumMode.FLOAT):
             f"segment of {feats.shape[0]} frames is shorter than the "
             f"{model.num_stacked_frames}-frame stack"
         )
-    outputs = np.stack([forward_vector(model, row, mode) for row in stacked])
+    outputs = forward_vector(model, stacked, mode)
     return SpeakerSignature(outputs.mean(axis=0), stacked.shape[0])
 
 

@@ -278,3 +278,41 @@ class TestPushSplits:
             assert abs(hyp.score - oracle.score) <= 1e-12
             if hyp.score >= threshold and not short:
                 assert hyp.alignment == tuple(a + lo + first for a in oracle.alignment)
+
+
+class TestNonFinitePosteriors:
+    CFG = DecoderConfig(2, smoothing_window_frames=5, score_window_frames=20)
+
+    @staticmethod
+    def stream(bad_value):
+        posteriors = np.full((300, 2), 0.2)
+        posteriors[100, 1] = bad_value
+        return posteriors
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_batch_names_the_first_bad_frame(self, bad_value):
+        with pytest.raises(ValueError, match="frame 100 "):
+            batch_frame_scores(self.stream(bad_value), self.CFG)
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_streaming_names_the_first_bad_frame(self, bad_value):
+        posteriors = self.stream(bad_value)
+        dec = StreamingDecoder(self.CFG, first_frame_index=7)
+        dec.push_many(posteriors[:90])
+        with pytest.raises(ValueError, match="frame 107 "):
+            dec.push_many(posteriors[90:120])
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_rejected_push_leaves_the_state_unchanged(self, bad_value):
+        rng = np.random.default_rng(3)
+        clean = rng.uniform(0, 1, size=(200, 2))
+        rejected = StreamingDecoder(self.CFG)
+        untouched = StreamingDecoder(self.CFG)
+        rejected.push_many(clean[:50])
+        untouched.push_many(clean[:50])
+        bad = clean[50:80].copy()
+        bad[12, 0] = bad_value
+        with pytest.raises(ValueError, match="frame 62 "):
+            rejected.push_many(bad)
+        after = [(f, h.score) for f, h in rejected.push_many(clean[50:])]
+        assert after == [(f, h.score) for f, h in untouched.push_many(clean[50:])]

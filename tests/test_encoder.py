@@ -1,8 +1,13 @@
 import struct
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kwscascade.cascade import DetectorStream
+from kwscascade.decoder import DecoderConfig, batch_frame_scores
 from kwscascade.encoder import (
     Activation,
     EncoderLayer,
@@ -17,6 +22,7 @@ from kwscascade.encoder import (
     serialize_model,
     stack_frames,
 )
+from kwscascade.frontend import ArithmeticMode, FrontendConfig, compute_features
 from kwscascade.quantize import (
     AccumMode,
     DimensionError,
@@ -24,6 +30,12 @@ from kwscascade.quantize import (
     compute_quant_params,
     quantize,
     quantize_bias,
+)
+from kwscascade.synthetic import (
+    make_random_embedding_model,
+    make_tone_acoustic_model,
+    synth_keyword_audio,
+    synth_noise,
 )
 
 
@@ -87,11 +99,10 @@ class TestSerialization:
 
     def test_truncation_reports_offset(self):
         data = serialize_model(random_acoustic_model(np.random.default_rng(3)))
-        with pytest.raises(ModelParseError) as err:
-            load_model(data[: len(data) - 10])
-        assert err.value.offset <= len(data) - 10
-        with pytest.raises(ModelParseError):
-            load_model(data[:10])
+        for end in range(len(data)):
+            with pytest.raises(ModelParseError) as err:
+                load_model(data[:end])
+            assert err.value.offset <= end
 
     def test_bad_magic_rejected(self):
         data = serialize_model(random_acoustic_model(np.random.default_rng(4)))
@@ -131,6 +142,42 @@ class TestSerialization:
             load_model(bytes(data))
         assert err.value.offset == layer
 
+    def test_overflowing_bias_rejected_at_bias(self):
+        # |b| + 255 * sum|w - z_w| must fit int32 for every row
+        model = random_acoustic_model(np.random.default_rng(96))
+        data = bytearray(serialize_model(model))
+        bias_at = len(data) - 4 * model.layers[-1].out_dim
+        struct.pack_into("<i", data, bias_at, -(2**31))
+        with pytest.raises(ModelParseError, match="32-bit accumulator") as err:
+            load_model(bytes(data))
+        assert err.value.offset == bias_at
+
+    def test_requantize_shift_out_of_range_rejected(self):
+        model = random_acoustic_model(np.random.default_rng(95))
+        data = bytearray(serialize_model(model))
+        first = model.layers[0]
+        second = 18 + 28 + first.in_dim * first.out_dim + 4 * first.out_dim  # layer 2 header
+        struct.pack_into("<f", data, second + 16, 7.4e20)  # input range max
+        with pytest.raises(ModelParseError, match="out of scale") as err:
+            load_model(bytes(data))
+        assert err.value.offset == second
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["acoustic", "embedding"]),
+           st.lists(st.integers(0, 2**31), min_size=1, max_size=8))
+    def test_bit_flipped_model_loads_and_runs_or_raises_value_error(self, kind, flips):
+        data = bytearray(FUZZ_MODELS[kind])
+        for bit in flips:
+            data[bit // 8 % len(data)] ^= 1 << (bit % 8)
+        try:
+            model = load_model(bytes(data))
+        except ValueError:
+            return
+        for mode in AccumMode:
+            for value in (0.0, 1e9, -1e9):
+                out = forward_vector(model, np.full(model.input_dim, value), mode)
+                assert np.all(np.isfinite(out))
+
     def test_invalid_utf8_name_is_parse_error(self):
         model = random_acoustic_model(np.random.default_rng(98))
         model.name = "abcd"
@@ -157,6 +204,22 @@ class TestSerialization:
         padded = pad_model_to_size(model, 2000)
         assert padded.byte_size == 2000
         assert serialize_model(load_model(serialize_model(padded))) == serialize_model(padded)
+
+
+FUZZ_MODELS = {
+    "acoustic": serialize_model(random_acoustic_model(np.random.default_rng(93), hidden=6)),
+    "embedding": serialize_model(make_random_embedding_model(
+        FrontendConfig(num_channels=4), dim=5, hidden=6)),
+}
+
+
+def saturated_float_model(in_dim=1024, out_dim=20):
+    """One linear layer whose offset products sum past 2**24 in every row."""
+    rng = np.random.default_rng(92)
+    unit = QuantParams(0.0, 1.0)  # zero point 0: offsets are the raw bytes
+    weights = quantize(rng.uniform(0.8, 1.0, (out_dim, in_dim)), unit)
+    layer = EncoderLayer(weights, np.zeros(out_dim, dtype=np.int32), unit, Activation.NONE)
+    return EncoderModel([layer], in_dim, 1, out_dim, ModelKind.EMBEDDING)
 
 
 class TestForward:
@@ -224,6 +287,38 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward_vector(model, np.zeros(7))
 
+    @pytest.mark.parametrize("mode", list(AccumMode))
+    def test_stacked_rows_equal_one_row_calls(self, mode):
+        rng = np.random.default_rng(16)
+        frontend = FrontendConfig()
+        models = [random_acoustic_model(rng, stacked=s) for s in (1, 2, 3)] + [
+            make_tone_acoustic_model(frontend, 3, stacked_frames=2),
+            make_random_embedding_model(frontend),
+        ]
+        for model in models:
+            rows = rng.uniform(-40, 40, size=(37, model.input_dim))
+            stacked = forward_vector(model, rows, mode)
+            one_by_one = np.stack([forward_vector(model, row, mode) for row in rows])
+            assert stacked.tobytes() == one_by_one.tobytes()
+            assert forward_vector(model, rows[:0], mode).shape == (0, stacked.shape[1])
+
+    def test_saturated_1024_wide_float_layer_is_exact(self):
+        # offset products near 255**2 summed over 1024 inputs pass 2**24,
+        # where a float32 accumulator would round differently per blocking
+        model = saturated_float_model()
+        rows = np.random.default_rng(17).uniform(0.8, 1.2, size=(64, 1024))
+        flt = forward_vector(model, rows, AccumMode.FLOAT)
+        one_by_one = np.stack([forward_vector(model, row, AccumMode.FLOAT) for row in rows])
+        assert flt.tobytes() == one_by_one.tobytes()
+        # zero bias: the exact float sum times the scale is the integer path
+        assert flt.tobytes() == forward_vector(model, rows, AccumMode.FIXED).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3, 16), (4, 15), (4, 17), ()])
+    def test_input_must_be_one_row_or_a_stack(self, shape):
+        model = random_acoustic_model(np.random.default_rng(18))
+        with pytest.raises(DimensionError):
+            forward_vector(model, np.zeros(shape))
+
     def test_model_shareable_across_threads(self):
         # one loaded model, many threads: identical results to serial runs
         from concurrent.futures import ThreadPoolExecutor
@@ -240,6 +335,42 @@ class TestForward:
             assert np.array_equal(a, b)
 
 
+DETECTOR_SETUPS = {
+    "fixed": (FrontendConfig(arithmetic_mode=ArithmeticMode.FIXED_POINT), AccumMode.FIXED),
+    "float": (FrontendConfig(), AccumMode.FLOAT),
+    "float-tracker": (FrontendConfig(noise_suppression_enabled=True, noise_window_frames=20),
+                      AccumMode.FLOAT),
+}
+DETECTOR_DECODER = DecoderConfig(3, smoothing_window_frames=7, score_window_frames=30)
+
+
+@lru_cache(maxsize=None)
+def tone_model(frontend, stacked):
+    return make_tone_acoustic_model(frontend, 3, stacked_frames=stacked)
+
+
+@lru_cache(maxsize=None)
+def detector_clip():
+    """About 0.9 s: noise, a short tone keyword, noise."""
+    rng = np.random.default_rng(19)
+    keyword, _ = synth_keyword_audio(FrontendConfig(), 3, unit_ms=60)
+    return np.concatenate([synth_noise(3000, rng), keyword, synth_noise(2000, rng)])
+
+
+@st.composite
+def detector_splits(draw):
+    """Push boundaries over the clip: one sample per push, the whole clip,
+    or random push sizes."""
+    total = len(detector_clip())
+    kind = draw(st.sampled_from(["samples", "whole", "random"]))
+    if kind == "samples":
+        return list(range(total + 1))
+    if kind == "whole":
+        return [0, total]
+    sizes = draw(st.lists(st.integers(1, 4000), max_size=30))
+    return [0, *(c for c in np.cumsum(sizes).tolist() if c < total), total]
+
+
 class TestStacking:
     def test_stack_order_oldest_first(self):
         frames = np.arange(12, dtype=np.float64).reshape(4, 3)
@@ -250,6 +381,24 @@ class TestStacking:
 
     def test_too_few_frames_yield_empty(self):
         assert stack_frames(np.zeros((2, 3)), 4).shape == (0, 12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(DETECTOR_SETUPS)), st.integers(1, 3), detector_splits())
+    def test_detector_splits_equal_whole_clip_and_batch(self, setup, stacked, cuts):
+        frontend, mode = DETECTOR_SETUPS[setup]
+        model = tone_model(frontend, stacked)
+        clip = detector_clip()
+        whole = DetectorStream(frontend, model, DETECTOR_DECODER, mode).push(clip)
+        det = DetectorStream(frontend, model, DETECTOR_DECODER, mode)
+        split = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            split.extend(det.push(clip[lo:hi]))
+        assert [(f, h.score) for f, h in split] == [(f, h.score) for f, h in whole]
+        posteriors = encoder_forward(compute_features(clip, frontend), model, mode)
+        batch = batch_frame_scores(
+            np.array([p.keyword_posteriors for p in posteriors]), DETECTOR_DECODER)
+        assert [f for f, _ in whole] == list(range(stacked - 1, stacked - 1 + len(batch)))
+        assert np.array_equal([h.score for _, h in whole], batch)
 
 
 class TestDescription:

@@ -289,12 +289,6 @@ class TestCascadeTable:
             assert row_on.cascade_fa_per_hr <= row_off.cascade_fa_per_hr
             assert row_on.cascade_frr >= row_off.cascade_frr
 
-    def test_parallelism_does_not_change_the_table(self, corpus, scorers):
-        s1, s2 = scorers
-        serial = cascade_table(s1, s2, corpus, [0.4, 0.6], 0.5, parallelism=1)
-        threaded = cascade_table(s1, s2, corpus, [0.4, 0.6], 0.5, parallelism=4)
-        assert serial.render_csv() == threaded.render_csv()
-
 
 class TestGroundTruthAgreement:
     def test_measured_far_equals_planted_counts(self):

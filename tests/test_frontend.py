@@ -10,10 +10,8 @@ from kwscascade.frontend import (
     NoiseFloorTracker,
     compute_features,
     frame_audio,
-    log_mel_spectrum,
     mel_center_frequencies,
     mel_filterbank,
-    noise_suppress,
     num_frames_for,
     power_spectra,
 )
@@ -106,16 +104,14 @@ class TestFraming:
 
 class TestLogMel:
     def test_all_zero_frame_hits_log_floor(self):
-        frame = np.zeros(512)
-        out = log_mel_spectrum(frame, FLOAT)
+        (out,) = compute_features(np.zeros(400, dtype=np.int16), FLOAT)
         assert np.allclose(out.channels, np.log(FLOAT.log_floor))
 
     def test_sine_at_channel_center_wins_that_channel(self):
         centers = mel_center_frequencies(FLOAT)
         for ch in (4, 12, 20, 28):
             tone = synth_tone(centers[ch], 400, amplitude=8000.0)
-            frames = frame_audio(tone, FLOAT)
-            out = log_mel_spectrum(frames[0], FLOAT)
+            (out,) = compute_features(tone, FLOAT)
             assert int(np.argmax(out.channels)) == ch
             oracle = dft_filterbank_oracle(tone, FLOAT)
             assert int(np.argmax(oracle)) == ch
@@ -181,26 +177,34 @@ class TestFixedPointPath:
         assert powers.dtype == np.int64
 
 
+def track(spectra, window_frames):
+    """Noise-tracker output for each row of a batch of power spectra."""
+    tracker = NoiseFloorTracker(spectra.shape[1], window_frames)
+    return np.stack([tracker.process(p) for p in spectra])
+
+
 class TestNoiseSuppression:
     def test_disabled_is_identity(self):
-        spectra = np.abs(np.random.default_rng(0).normal(size=(20, 257))) + 1.0
-        out = noise_suppress(spectra, FLOAT)
-        assert np.array_equal(out, spectra)
+        # with the tracker off, features are the log-mel of the raw spectra
+        cfg = FrontendConfig(noise_window_frames=5)
+        noise = speech_like_noise(4000, seed=2)
+        powers = power_spectra(frame_audio(noise, cfg), cfg)
+        plain = np.log(np.maximum(powers @ mel_filterbank(cfg).T, cfg.log_floor))
+        out = np.stack([f.channels for f in compute_features(noise, cfg)])
+        assert np.array_equal(out, plain)
 
     def test_constant_spectrum_converges_to_zero(self):
-        cfg = FrontendConfig(noise_suppression_enabled=True, noise_window_frames=50)
         spectra = np.full((80, 257), 100.0)
-        out = noise_suppress(spectra, cfg)
+        out = track(spectra, 50)
         # min includes the current frame, so a stationary floor zeroes out
         # well inside the warm-up window
-        assert np.all(out[cfg.noise_window_frames :] <= 0.01 * 100.0)
+        assert np.all(out[50:] <= 0.01 * 100.0)
 
     def test_tone_burst_retains_above_noise_power(self):
-        cfg = FrontendConfig(noise_suppression_enabled=True, noise_window_frames=50)
         spectra = np.full((60, 257), 10.0)
         tone_bin, tone_power = 100, 500.0
         spectra[30:40, tone_bin] += tone_power
-        out = noise_suppress(spectra, cfg)
+        out = track(spectra, 50)
         retained = out[30:40, tone_bin]
         assert np.all(retained >= 0.9 * tone_power)
 
