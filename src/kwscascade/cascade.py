@@ -20,7 +20,7 @@ import numpy as np
 
 from .decoder import DecoderConfig, StreamingDecoder
 from .encoder import ModelKind, forward_vector, stack_frames
-from .frontend import SAMPLE_RATE_HZ, AudioChunk, FrontendConfig, FrontendStream
+from .frontend import SAMPLE_RATE_HZ, AudioChunk, ConfigError, FrontendConfig, FrontendStream
 from .quantize import AccumMode
 from . import speaker as speaker_mod
 
@@ -226,7 +226,11 @@ class CascadeConfig:
     refractory_ms: int = 1000
     stage1_mode: AccumMode = AccumMode.FIXED
     stage2_mode: AccumMode = AccumMode.FLOAT
-    speaker_threshold: float = 0.6
+
+    def __post_init__(self):
+        for name in ("stage2_window_ms", "refractory_ms"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class _Stage2Job:

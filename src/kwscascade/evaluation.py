@@ -12,6 +12,7 @@ Conventions, fixed here and relied on by the composition-law guarantees:
   "stage-1 threshold 0" literally equal to the stage-2-alone row.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,7 @@ def sweep_operating_points(detector, corpus, thresholds,
                            refractory_ms=DEFAULT_REFRACTORY_MS,
                            hit_window_ms=DEFAULT_HIT_WINDOW_MS):
     """(threshold, FA/hr, FRR) per threshold, scoring each stream once."""
+    _check_window_ms(refractory_ms=refractory_ms, hit_window_ms=hit_window_ms)
     thresholds = list(thresholds)
     if sorted(thresholds) != thresholds:
         raise ValueError("thresholds must be sorted ascending")
@@ -199,6 +201,31 @@ def _event_count_from_mask(mask, refractory_frames):
     return len(accept_event_frames(mask, 0.5, refractory_frames))
 
 
+def _paired_scores(stage1, stage2, stream):
+    """Both stages' scores on the frames they share, and the stage-1 slice.
+
+    A scorer's first score is its own first decodable frame (frame S-1 for
+    a PipelineScorer stacking S frames), so list positions of two stages
+    need not name the same frame. Their first timestamps give the offset;
+    the stages must share one frame hop.
+    """
+    s1, s2 = stage1.frame_scores(stream), stage2.frame_scores(stream)
+    hop = stage1.hop_ms(stream)
+    shift = (stage2.frame_timestamps_ms(stream, 1)[0]
+             - stage1.frame_timestamps_ms(stream, 1)[0]) / hop
+    if stage2.hop_ms(stream) != hop or shift != int(shift):
+        raise ValueError("the two stages do not score on one frame clock")
+    lo1, lo2 = max(int(shift), 0), max(-int(shift), 0)
+    count = max(min(len(s1) - lo1, len(s2) - lo2), 0)
+    return s1[lo1 : lo1 + count], s2[lo2 : lo2 + count], slice(lo1, lo1 + count)
+
+
+def _check_window_ms(**values):
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
                   refractory_ms=DEFAULT_REFRACTORY_MS,
                   hit_window_ms=DEFAULT_HIT_WINDOW_MS,
@@ -206,38 +233,31 @@ def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
     """Cascade operating points as a function of the stage-1 threshold.
 
     One row per stage-1 threshold, preceded by a stage-1-disabled row
-    showing stage 2 alone. When ``speaker_verification`` is set, the
-    cascade mask is additionally gated by each planted event's
+    showing stage 2 alone. The stages are compared on the frames both
+    score, matched by frame timestamp. When ``speaker_verification`` is
+    set, the cascade mask is additionally gated by each planted event's
     ground-truth verification outcome (corpus-provided). Each stream is
     scored once per stage, in corpus order.
     """
-    neg_s1 = [stage1.frame_scores(s) for s in corpus.negatives]
-    neg_s2 = [stage2.frame_scores(s) for s in corpus.negatives]
+    _check_window_ms(refractory_ms=refractory_ms, hit_window_ms=hit_window_ms)
+
+    def gate(stream, frames):
+        if not speaker_verification:
+            return np.ones(frames.stop - frames.start, dtype=bool)
+        return _speaker_gate_mask(stream, frames.stop, corpus.profile_direction,
+                                  corpus.speaker_threshold)[frames]
+
     neg = []
-    for stream, s1, s2 in zip(corpus.negatives, neg_s1, neg_s2):
-        count = min(len(s1), len(s2))
-        gate = (
-            _speaker_gate_mask(stream, count, corpus.profile_direction, corpus.speaker_threshold)
-            if speaker_verification
-            else np.ones(count, dtype=bool)
-        )
+    for stream in corpus.negatives:
+        s1, s2, frames = _paired_scores(stage1, stage2, stream)
         refr = int(round(refractory_ms / stage1.hop_ms(stream)))
-        neg.append((s1[:count], s2[:count], gate, refr))
-    pos_streams = [p.stream for p in corpus.positives]
-    pos_s1 = [stage1.frame_scores(s) for s in pos_streams]
-    pos_s2 = [stage2.frame_scores(s) for s in pos_streams]
+        neg.append((s1, s2, gate(stream, frames), refr))
     pos = []
-    for example, s1, s2 in zip(corpus.positives, pos_s1, pos_s2):
-        count = min(len(s1), len(s2))
-        ts = stage1.frame_timestamps_ms(example.stream, count)
+    for example in corpus.positives:
+        s1, s2, frames = _paired_scores(stage1, stage2, example.stream)
+        ts = stage1.frame_timestamps_ms(example.stream, frames.stop)[frames]
         window = np.abs(ts - example.keyword_end_ms) <= hit_window_ms
-        gate = (
-            _speaker_gate_mask(example.stream, count, corpus.profile_direction,
-                               corpus.speaker_threshold)
-            if speaker_verification
-            else np.ones(count, dtype=bool)
-        )
-        pos.append((s1[:count], s2[:count], gate, window))
+        pos.append((s1, s2, gate(example.stream, frames), window))
     total_hours = sum(s.duration_hours for s in corpus.negatives)
     if total_hours <= 0:
         raise CorpusError("negative corpus has zero duration")

@@ -117,24 +117,26 @@ def power_spectrum_fixed(samples):
     return re[:half] ** 2 + im[:half] ** 2
 
 
-def fixed_ln(value):
-    """Natural log of a positive integer, returned in Q``LOG_FRACT_BITS``.
+def fixed_ln(values):
+    """Natural log of positive integers, returned in Q``LOG_FRACT_BITS``.
 
-    Integer-only: the fractional log2 bits come from the classic
-    square-and-compare recurrence on a Q31 mantissa, then one table
-    multiply by ln(2).
+    Takes a scalar or an int64 array of any shape, returns int64 of that
+    shape, exact for every positive int64. Integer-only: the MSB by binary
+    search on shifts, the fractional log2 bits by square-and-compare on a
+    Q31 mantissa in uint64 (its square fits), then one multiply by ln(2).
     """
-    v = int(value)
-    if v <= 0:
-        raise ValueError("fixed_ln requires a positive integer")
-    msb = v.bit_length() - 1
-    x = v << (31 - msb) if msb <= 31 else v >> (msb - 31)
-    frac = 0
+    v = np.asarray(values, dtype=np.int64)
+    if v.size and v.min() <= 0:
+        raise ValueError("fixed_ln requires positive integers")
+    msb, rest = 0, v
+    for shift in (32, 16, 8, 4, 2, 1):
+        step = (rest >> shift > 0) * shift
+        msb, rest = msb + step, rest >> step
+    x = ((v << np.maximum(31 - msb, 0)) >> np.maximum(msb - 31, 0)).astype(np.uint64)
+    frac = np.uint64(0)
     for _ in range(LOG_FRACT_BITS):
-        x = (x * x) >> 31
-        frac <<= 1
-        if x >= (1 << 32):
-            x >>= 1
-            frac |= 1
-    log2_q = (msb << LOG_FRACT_BITS) | frac
+        x = x * x >> np.uint64(31)
+        bit = x >> np.uint64(32)  # 1 when the square reached 2.0
+        x, frac = x >> bit, frac << np.uint64(1) | bit
+    log2_q = (msb << LOG_FRACT_BITS) | frac.astype(np.int64)
     return (log2_q * LN2_Q16) >> LOG_FRACT_BITS

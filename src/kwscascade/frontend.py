@@ -7,11 +7,13 @@ across runs and platforms. An optional minimum-statistics noise tracker
 sits between the power spectrum and the mel filterbank.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fixedpoint as fxp
 
@@ -79,8 +81,10 @@ class FrontendConfig:
                 f"mel range [{self.mel_low_hz}, {self.mel_high_hz}] must satisfy "
                 f"0 < low < high <= {SAMPLE_RATE_HZ // 2}"
             )
-        if self.log_floor <= 0:
-            raise ConfigError("log_floor must be positive")
+        if not 0 < self.log_floor < math.inf:
+            raise ConfigError(f"log_floor must be finite and positive, got {self.log_floor}")
+        if self.noise_window_frames < 1:
+            raise ConfigError(f"noise_window_frames must be >= 1, got {self.noise_window_frames}")
         if self.hop_ms <= 0 or self.frame_length_ms <= 0:
             raise ConfigError("frame_length_ms and hop_ms must be positive")
 
@@ -225,42 +229,37 @@ def _fixed_log_offset_q16(config):
 
 
 def _log_mel_fixed(powers, config):
-    fb_q = _mel_filterbank_q15(config)
-    energies = powers @ fb_q.T
-    offset = _fixed_log_offset_q16(config)
-    out = np.empty(energies.shape, dtype=np.float64)
-    for t in range(energies.shape[0]):
-        for c in range(energies.shape[1]):
-            e = max(int(energies[t, c]), _FIXED_POWER_FLOOR)
-            # int -> float conversion by an exact power-of-two factor
-            out[t, c] = (fxp.fixed_ln(e) + offset) * 2.0 ** (-fxp.LOG_FRACT_BITS)
-    return out
+    energies = np.maximum(powers @ _mel_filterbank_q15(config).T, _FIXED_POWER_FLOOR)
+    # int -> float conversion by an exact power-of-two factor
+    return (fxp.fixed_ln(energies) + _fixed_log_offset_q16(config)) * 2.0 ** (-fxp.LOG_FRACT_BITS)
 
 
 class NoiseFloorTracker:
     """Running minimum-statistics noise floor, subtracted per frequency bin.
 
-    Keeps the last ``window_frames`` power spectra (current frame included)
-    and subtracts their per-bin minimum, clamping at zero. The estimate is
-    exact integer arithmetic when fed integer spectra.
+    Each output row has the per-bin minimum of the last ``window_frames``
+    power spectra (its own row included) subtracted, clamped at zero. The
+    tracker carries the last ``window_frames - 1`` rows between calls; at
+    stream start the first row stands in for the missing history, which
+    leaves every warm-up minimum unchanged. Integer spectra stay exact
+    integers.
     """
 
-    def __init__(self, num_bins, window_frames=100):
+    def __init__(self, window_frames=100):
         self._window_frames = window_frames
-        self._history = []
-        self._num_bins = num_bins
+        self._tail = None
 
-    def process(self, power):
-        power = np.asarray(power)
-        self._history.append(power.copy())
-        if len(self._history) > self._window_frames:
-            self._history.pop(0)
-        floor = np.min(self._history, axis=0)
-        out = power - floor
-        return np.maximum(out, 0)
-
-    def reset(self):
-        self._history.clear()
+    def process(self, powers):
+        """Suppress a [frames, bins] block of power spectra, frames >= 1."""
+        powers = np.asarray(powers)
+        if self._tail is None:
+            self._tail = np.repeat(powers[:1], self._window_frames - 1, axis=0)
+        history = np.concatenate([self._tail, powers])
+        floor = sliding_window_view(history, self._window_frames, axis=0).min(axis=-1)
+        # a copy, so the carried rows do not keep this push's history alive
+        self._tail = history[len(history) - len(self._tail):].copy()
+        out = powers - floor
+        return np.maximum(out, 0, out=out)
 
 
 class FrontendStream:
@@ -274,11 +273,8 @@ class FrontendStream:
         self._config = config
         self._residual = np.zeros(0, dtype=np.int16)
         self._next_frame = 0
-        self._tracker = (
-            NoiseFloorTracker(config.fft_size // 2 + 1, config.noise_window_frames)
-            if config.noise_suppression_enabled
-            else None
-        )
+        self._tracker = (NoiseFloorTracker(config.noise_window_frames)
+                         if config.noise_suppression_enabled else None)
 
     @property
     def config(self):
@@ -296,7 +292,7 @@ class FrontendStream:
         self._residual = buf[count * cfg.hop_samples :]
         powers = power_spectra(frames, cfg)
         if self._tracker is not None:
-            powers = np.stack([self._tracker.process(p) for p in powers])
+            powers = self._tracker.process(powers)
         if cfg.arithmetic_mode is ArithmeticMode.FIXED_POINT:
             logmels = _log_mel_fixed(powers, cfg)
         else:

@@ -16,6 +16,7 @@ from kwscascade.cascade import (
 )
 from kwscascade.decoder import DecoderConfig
 from kwscascade.encoder import pad_model_to_size
+from kwscascade.frontend import ConfigError
 from kwscascade.synthetic import (
     make_tone_acoustic_model,
     synth_keyword_audio,
@@ -133,6 +134,14 @@ class TestMemoryBudget:
         over = pad_model_to_size(make_tone_acoustic_model(frontend_config, 3), 13313)
         with pytest.raises(BudgetViolationError):
             enforce_budget(MemoryBudget(), over, stage=1)
+
+
+class TestCascadeConfig:
+    def test_negative_windows_rejected(self):
+        for field_name in ("stage2_window_ms", "refractory_ms"):
+            with pytest.raises(ConfigError, match=field_name):
+                CascadeConfig(**{field_name: -1})
+            CascadeConfig(**{field_name: 0})
 
 
 class TestCascade:

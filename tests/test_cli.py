@@ -13,6 +13,7 @@ from kwscascade.encoder import pad_model_to_size, serialize_model
 from kwscascade.synthetic import (
     make_random_embedding_model,
     make_tone_acoustic_model,
+    generate_audio_corpus,
     synth_keyword_audio,
 )
 
@@ -82,6 +83,13 @@ def keyword_wav(tmp_path_factory):
     path = tmp_path_factory.mktemp("audio") / "keyword.wav"
     audio_io.write_wav(str(path), samples)
     return str(path), end_ms
+
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    return generate_audio_corpus(21, str(root), num_positives=2, num_negatives=1,
+                                 negative_seconds=4.0)
 
 
 class TestQuantizeModel:
@@ -223,6 +231,21 @@ class TestRunCascade:
         assert out == ""
         assert "overflow the 32-bit accumulator" in err
 
+    def test_negative_stage2_window_exits_2(self, model_files, keyword_wav, tmp_path,
+                                            capsys):
+        # a negative window used to print a reject stamped before its trigger
+        config = tmp_path / "window.cfg"
+        config.write_text(DECODER_CONFIG + "cascade.stage2_window_ms = -1000\n")
+        wav, _ = keyword_wav
+        code, out, err = run_cli(
+            ["run-cascade", "--stage1", model_files["stage1"], "--stage2",
+             model_files["stage2"], "--input", wav, "--config", str(config)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "stage2_window_ms" in err
+
     def test_raw_pcm_on_stdin(self, model_files, tmp_path):
         cfg = k.FrontendConfig()
         samples, _ = synth_keyword_audio(cfg, 3, unit_ms=150)
@@ -309,6 +332,25 @@ class TestEvaluateAndGenCorpus:
             _, fa1, frr1, fac, frrc = line.split(",")
             assert float(fac) <= float(fa1)
             assert float(frrc) >= float(frr1)
+
+    @pytest.mark.parametrize("line, name", [
+        ("eval.refractory_ms = inf", "refractory_ms"),  # was an OverflowError, exit 1
+        ("eval.hit_window_ms = nan", "hit_window_ms"),  # was a 100 % FRR table, exit 0
+        ("frontend.log_floor = nan", "log_floor"),  # was a 100 % FRR table, exit 0
+    ])
+    def test_bad_config_value_exits_2(self, model_files, small_manifest, tmp_path, capsys,
+                                      line, name):
+        config = tmp_path / "eval.cfg"
+        config.write_text(DECODER_CONFIG + line + "\n")
+        code, out, err = run_cli(
+            ["evaluate", "--manifest", small_manifest, "--stage1", model_files["stage1"],
+             "--stage2", model_files["stage2"], "--thresholds", "0.3",
+             "--stage2-threshold", "0.4", "--config", str(config)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert name in err
 
     def test_descending_thresholds_rejected(self, model_files, tmp_path, capsys):
         code, _, err = run_cli(

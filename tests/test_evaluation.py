@@ -290,6 +290,62 @@ class TestCascadeTable:
             assert row_on.cascade_frr >= row_off.cascade_frr
 
 
+class OffsetScorer(FixedScorer):
+    """Scores that start at frame ``first``, as a PipelineScorer's do at S-1."""
+
+    def __init__(self, first, hop=10):
+        super().__init__(hop)
+        self.first = first
+
+    def frame_scores(self, stream):
+        return super().frame_scores(stream)[self.first:]
+
+    def frame_timestamps_ms(self, stream, count):
+        return (np.arange(count) + self.first + 1) * self._hop
+
+
+class TestStagePairing:
+    def test_stages_are_paired_by_frame_not_by_list_position(self):
+        # one spike at frame 50 in both stages; stage 2's scores start a
+        # frame later, so by position its spike sits at index 49
+        negative = spike_stream(3000, [50])
+        positive = PositiveExample(spike_stream(300, [150]), keyword_end_ms=1510)
+        corpus = SyntheticCorpus([negative], [positive], 1)
+        table = cascade_table(OffsetScorer(0), OffsetScorer(1), corpus, [0.5],
+                              stage2_threshold=0.5)
+        row = table.rows[1]
+        assert row.stage1_fa_per_hr * negative.duration_hours == pytest.approx(1)
+        assert row.cascade_fa_per_hr * negative.duration_hours == pytest.approx(1)
+        assert row.cascade_frr == 0.0
+
+    def test_last_shared_frame_is_compared(self):
+        # both stages end on frame 2999; pairing by position dropped stage 1's
+        negative = spike_stream(3000, [2999])
+        corpus = SyntheticCorpus(
+            [negative], [PositiveExample(spike_stream(300, [150]), keyword_end_ms=1510)], 1)
+        table = cascade_table(OffsetScorer(0), OffsetScorer(1), corpus, [0.5], 0.5)
+        assert table.rows[1].cascade_fa_per_hr * negative.duration_hours == pytest.approx(1)
+
+    def test_stages_on_different_frame_clocks_rejected(self):
+        corpus = SyntheticCorpus(
+            [spike_stream(100, [])], [PositiveExample(spike_stream(100, [50]), 510)], 1)
+        with pytest.raises(ValueError, match="frame clock"):
+            cascade_table(FixedScorer(10), FixedScorer(20), corpus, [0.5], 0.5)
+
+
+class TestWindowBounds:
+    @pytest.mark.parametrize("name", ["refractory_ms", "hit_window_ms"])
+    @pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
+    def test_non_finite_or_negative_windows_rejected(self, name, value):
+        corpus = SyntheticCorpus(
+            [spike_stream(100, [])],
+            [PositiveExample(spike_stream(100, [50]), keyword_end_ms=510)], 1)
+        with pytest.raises(ValueError, match=name):
+            cascade_table(FixedScorer(), FixedScorer(), corpus, [0.5], 0.5, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            sweep_operating_points(FixedScorer(), corpus, [0.5], **{name: value})
+
+
 class TestGroundTruthAgreement:
     def test_measured_far_equals_planted_counts(self):
         corpus = generate_posterior_corpus(seed=11, negative_streams=2,

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kwscascade.fixedpoint import (
+    LN2_Q16,
     TWIDDLE_FRACT_BITS,
     LOG_FRACT_BITS,
     FixedPointOverflowError,
@@ -13,6 +17,32 @@ from kwscascade.fixedpoint import (
     quantize_fract,
     rshift_round,
 )
+
+
+def fixed_ln_reference(value):
+    """Scalar oracle: the same recurrence on one Python int."""
+    v = int(value)
+    if v <= 0:
+        raise ValueError("fixed_ln requires a positive integer")
+    msb = v.bit_length() - 1
+    x = v << (31 - msb) if msb <= 31 else v >> (msb - 31)
+    frac = 0
+    for _ in range(LOG_FRACT_BITS):
+        x = (x * x) >> 31
+        frac <<= 1
+        if x >= (1 << 32):
+            x >>= 1
+            frac |= 1
+    log2_q = (msb << LOG_FRACT_BITS) | frac
+    return (log2_q * LN2_Q16) >> LOG_FRACT_BITS
+
+
+INT64_MAX = 2**63 - 1
+# powers of two and their neighbours below, where an inexact MSB would slip
+EDGE_VALUES = [1 << k for k in range(63)] + [(1 << k) - 1 for k in range(1, 64)]
+POSITIVE_INT64 = st.one_of(st.integers(1, INT64_MAX), st.sampled_from(EDGE_VALUES),
+                           st.integers(1, 1 << 20))
+SHAPES = st.sampled_from([(), (0,), (32,), (7, 32), (0, 32), (3, 0)])
 
 
 class TestRounding:
@@ -98,3 +128,27 @@ class TestFixedLn:
         values = [1, 2, 3, 10, 100, 12345, 2**20, 2**40]
         outs = [fixed_ln(v) for v in values]
         assert outs == sorted(outs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SHAPES.flatmap(lambda shape: arrays(np.int64, shape, elements=POSITIVE_INT64)))
+    def test_array_equals_scalar_reference_elementwise(self, values):
+        out = fixed_ln(values)
+        assert out.shape == values.shape
+        assert out.dtype == np.int64
+        expected = [fixed_ln_reference(v) for v in values.ravel().tolist()]
+        assert out.ravel().tolist() == expected
+
+    def test_every_power_of_two_edge_matches_reference(self):
+        values = np.array(EDGE_VALUES, dtype=np.int64)
+        assert fixed_ln(values).tolist() == [fixed_ln_reference(v) for v in EDGE_VALUES]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(np.int64, st.sampled_from([(1,), (32,), (4, 8)]), elements=POSITIVE_INT64),
+        st.integers(0, 31),
+        st.integers(-INT64_MAX - 1, 0),
+    )
+    def test_non_positive_anywhere_raises(self, values, where, bad):
+        values.flat[where % values.size] = bad
+        with pytest.raises(ValueError):
+            fixed_ln(values)

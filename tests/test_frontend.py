@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwscascade.frontend import (
     ArithmeticMode,
@@ -63,6 +65,15 @@ class TestConfig:
     def test_mel_range_checked(self):
         with pytest.raises(ConfigError):
             FrontendConfig(mel_low_hz=5000.0, mel_high_hz=400.0)
+
+    def test_log_floor_must_be_finite_and_positive(self):
+        for floor in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="log_floor"):
+                FrontendConfig(log_floor=floor)
+
+    def test_noise_window_must_hold_a_frame(self):
+        with pytest.raises(ConfigError, match="noise_window_frames"):
+            FrontendConfig(noise_suppression_enabled=True, noise_window_frames=0)
 
     def test_channel_bounds(self):
         with pytest.raises(ConfigError):
@@ -177,10 +188,34 @@ class TestFixedPointPath:
         assert powers.dtype == np.int64
 
 
-def track(spectra, window_frames):
-    """Noise-tracker output for each row of a batch of power spectra."""
-    tracker = NoiseFloorTracker(spectra.shape[1], window_frames)
-    return np.stack([tracker.process(p) for p in spectra])
+def tracker_reference(spectra, window_frames):
+    """Per-frame oracle: subtract the minimum of the last W rows seen so far."""
+    out = []
+    for t in range(len(spectra)):
+        floor = spectra[max(0, t - window_frames + 1) : t + 1].min(axis=0)
+        out.append(np.maximum(spectra[t] - floor, 0))
+    return np.array(out)
+
+
+def track(spectra, window_frames, bounds=None):
+    """Noise-tracker output for a [frames, bins] block, pushed in pieces."""
+    tracker = NoiseFloorTracker(window_frames)
+    bounds = bounds or [(0, len(spectra))]
+    return np.concatenate([tracker.process(spectra[lo:hi]) for lo, hi in bounds])
+
+
+@st.composite
+def chunk_bounds(draw, n):
+    """(start, stop) pieces covering range(n): whole, one each, or random cuts."""
+    kind = draw(st.sampled_from(["whole", "one_each", "random"]))
+    if kind == "whole" or n < 2:
+        cuts = []
+    elif kind == "one_each":
+        cuts = list(range(1, n))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=30)))
+    edges = [0, *cuts, n]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 class TestNoiseSuppression:
@@ -209,12 +244,30 @@ class TestNoiseSuppression:
         assert np.all(retained >= 0.9 * tone_power)
 
     def test_tracker_handles_integer_spectra_exactly(self):
-        tracker = NoiseFloorTracker(4, window_frames=3)
-        out1 = tracker.process(np.array([5, 5, 5, 5], dtype=np.int64))
-        out2 = tracker.process(np.array([7, 5, 9, 5], dtype=np.int64))
-        assert np.array_equal(out1, np.zeros(4, dtype=np.int64))
-        assert np.array_equal(out2, np.array([2, 0, 4, 0]))
-        assert out2.dtype == np.int64
+        spectra = np.array([[5, 5, 5, 5], [7, 5, 9, 5]], dtype=np.int64)
+        for bounds in ([(0, 2)], [(0, 1), (1, 2)]):
+            out = track(spectra, 3, bounds)
+            assert np.array_equal(out, np.array([[0, 0, 0, 0], [2, 0, 4, 0]]))
+            assert out.dtype == np.int64
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 100]), st.booleans())
+    def test_blocks_equal_per_frame_reference(self, data, window_frames, integer):
+        frames = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        spectra = rng.integers(0, 50, size=(frames, 6))
+        spectra = spectra if integer else spectra * 0.37
+        out = track(spectra, window_frames, data.draw(chunk_bounds(frames)))
+        expected = tracker_reference(spectra, window_frames)
+        assert out.dtype == spectra.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_carried_rows_do_not_keep_the_block_alive(self):
+        tracker = NoiseFloorTracker(3)
+        block = np.ones((200, 257))
+        tracker.process(block)
+        assert tracker._tail.shape == (2, 257)
+        assert tracker._tail.base is None
 
 
 class TestNoiseSuppressionInPipeline:
@@ -252,17 +305,58 @@ class TestNoiseSuppressionInPipeline:
         assert not np.allclose(plain_feats, supp_feats)
 
 
+_STREAM_CLIP = np.concatenate([
+    speech_like_noise(1800, seed=9),
+    np.zeros(900, dtype=np.int16),  # a silent stretch pulls the noise floor down
+    speech_like_noise(1300, seed=10, rms=12000.0),
+])
+
+
+def _push_in_pieces(samples, cfg, bounds):
+    stream = FrontendStream(cfg)
+    return [f for lo, hi in bounds for f in stream.push(samples[lo:hi])]
+
+
 class TestStreaming:
+    # FLOAT features agree across chunkings to rounding only: the mel
+    # projection is a BLAS product whose rounding depends on how many rows
+    # a push holds (gemv for one frame, gemm for several). Everything before
+    # it is exact per row; TestNoiseSuppression checks the tracker on float
+    # spectra bit for bit.
+    FLOAT_ATOL = 1e-12
+
     def test_chunked_push_equals_one_shot(self):
         noise = speech_like_noise(6400, seed=9)
-        whole = np.stack([f.channels for f in compute_features(noise, FLOAT)])
-        stream = FrontendStream(FLOAT)
-        collected = []
-        for start in range(0, len(noise), 233):
-            collected.extend(stream.push(noise[start : start + 233]))
-        chunked = np.stack([f.channels for f in collected])
-        assert chunked.shape == whole.shape
-        assert np.allclose(chunked, whole)
+        bounds = [(lo, lo + 233) for lo in range(0, len(noise), 233)]
+        for cfg in (FIXED, FLOAT):
+            whole = np.stack([f.channels for f in compute_features(noise, cfg)])
+            chunked = np.stack([f.channels for f in _push_in_pieces(noise, cfg, bounds)])
+            assert chunked.shape == whole.shape
+            if cfg is FIXED:
+                assert np.array_equal(chunked, whole)
+            else:
+                assert np.allclose(chunked, whole, rtol=0, atol=self.FLOAT_ATOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        chunk_bounds(len(_STREAM_CLIP)),
+        st.sampled_from([ArithmeticMode.FLOAT, ArithmeticMode.FIXED_POINT]),
+        st.sampled_from([None, 1, 2, 3, 4, 5, 100]),
+    )
+    def test_any_chunking_equals_one_push(self, bounds, mode, window_frames):
+        cfg = FrontendConfig(arithmetic_mode=mode,
+                             noise_suppression_enabled=window_frames is not None,
+                             noise_window_frames=window_frames or 100)
+        chunked = _push_in_pieces(_STREAM_CLIP, cfg, bounds)
+        whole = compute_features(_STREAM_CLIP, cfg)
+        assert [(f.frame_index, f.timestamp_ms) for f in chunked] == [
+            (f.frame_index, f.timestamp_ms) for f in whole]
+        a = np.stack([f.channels for f in chunked])
+        b = np.stack([f.channels for f in whole])
+        if mode is ArithmeticMode.FIXED_POINT:
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.allclose(a, b, rtol=0, atol=self.FLOAT_ATOL)
 
     def test_frame_indices_continue_across_pushes(self):
         stream = FrontendStream(FLOAT)
