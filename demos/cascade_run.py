@@ -36,16 +36,24 @@ audio = np.concatenate([synth_noise(16000, rng), keyword, synth_noise(24000, rng
 planted_end = 1000 + end_ms
 print(f"\nstreaming {len(audio) / 16000:.1f} s of audio; keyword ends at {planted_end} ms")
 
+
+
+def show(event):
+    scores = ", ".join(
+        f"{name}={value:.3f}"
+        for name, value in (("s1", event.stage1_score), ("s2", event.stage2_score))
+        if value is not None
+    )
+    print(f"  {event.timestamp_ms:6d} ms  {event.kind.value:15s}  {scores}")
+    if event.alignment_ms:
+        print(f"            unit firing times: {list(event.alignment_ms)} ms")
+
+
 for start in range(0, len(audio), 1600):  # 100 ms chunks, as a mic would deliver
     for event in cascade.push_audio(audio[start : start + 1600]):
-        scores = ", ".join(
-            f"{name}={value:.3f}"
-            for name, value in (("s1", event.stage1_score), ("s2", event.stage2_score))
-            if value is not None
-        )
-        print(f"  {event.timestamp_ms:6d} ms  {event.kind.value:15s}  {scores}")
-        if event.alignment_ms:
-            print(f"            unit firing times: {list(event.alignment_ms)} ms")
+        show(event)
+for event in cascade.finish():  # end of stream: decide a stage-2 job still running
+    show(event)
 
 print(f"\nwake count: {cascade.wake_count}; state history: "
       f"{[phase.value for phase in cascade.state_history]}")

@@ -1,16 +1,16 @@
 """Two-stage cascade: ring-buffered stage-1 detection gating a stage-2 pass.
 
 Stage 1 runs continuously over streamed PCM. On trigger it snapshots the
-audio ring buffer, hands the snapshot plus the following stream to a fresh
-stage-2 detector, and waits for that detector to accept or give up (after
-one further second of audio by default). An optional speaker check runs on
-the stage-2 alignment segment.
+audio ring buffer up to the trigger frame, hands the snapshot plus the
+following stream to a fresh stage-2 detector, and waits for that detector
+to accept or give up (one second of audio after the trigger by default).
+An optional speaker check runs on the stage-2 alignment segment.
 
 The two stages interleave cooperatively inside push_audio: each push does
 this chunk's worth of stage-2 work first, then stage-1's, so stage-1 never
-stalls on stage-2 and every decision is a pure function of the sample
-clock. The one exception to the per-chunk work bound is the trigger push
-itself, which runs stage-2 over the (bounded, <= 2 s) snapshot.
+stalls on stage-2. Every decision is a pure function of the sample clock,
+whatever the chunking. The one exception to the per-chunk work bound is
+the trigger push itself, which runs stage-2 over the (<= 2 s) snapshot.
 """
 
 from dataclasses import dataclass, field
@@ -234,12 +234,11 @@ class CascadeConfig:
 
 
 class _Stage2Job:
-    def __init__(self, detector, base_sample, snapshot_samples, extra_budget_samples,
-                 trigger_score):
+    def __init__(self, detector, base_sample, trigger_sample, deadline_sample, trigger_score):
         self.detector = detector
         self.base_sample = base_sample  # absolute sample index of snapshot start
-        self.snapshot_samples = snapshot_samples
-        self.extra_remaining = extra_budget_samples
+        self.trigger_sample = trigger_sample
+        self.deadline_sample = deadline_sample
         self.trigger_score = trigger_score
 
 
@@ -292,52 +291,62 @@ class Cascade:
     def push_audio(self, chunk):
         """Append a chunk, run both stages cooperatively, return new events."""
         samples = chunk.samples if isinstance(chunk, AudioChunk) else np.asarray(chunk, dtype=np.int16)
+        first = self._ring.total_written  # absolute sample index of samples[0]
         events = []
-        self._ring.write(samples)
-        # stage-2 first, so its (earlier) decisions gate this chunk's triggers
+        # stage-2 first, so its (earlier) decisions gate this chunk's triggers;
+        # a job still running after the whole chunk gates all of them
         if self._stage2_job is not None:
-            events.extend(self._feed_stage2(samples, is_snapshot=False))
+            events.extend(self._feed_stage2(samples, first))
+        cut = 0  # samples[:cut] are in the ring
         for frame_index, hyp in self._stage1.push(samples):
-            if not hyp.score >= self.config.stage1_decoder.threshold:
+            trigger = self._frame_end_sample(frame_index)
+            if (not hyp.score >= self.config.stage1_decoder.threshold
+                    or self._phase is not CascadePhase.LISTENING
+                    or trigger < self._suppress_until_sample):
                 continue
-            if self._phase is not CascadePhase.LISTENING:
-                continue
-            end_sample = self._frame_end_sample(frame_index)
-            if end_sample < self._suppress_until_sample:
-                continue
+            self._ring.write(samples[cut : trigger - first])
+            cut = trigger - first
             ts = self._frame_end_ms(frame_index)
             events.append(CascadeEvent(EventKind.STAGE1_TRIGGER, ts, stage1_score=hyp.score))
             self.wake_count += 1
             self._set_phase(CascadePhase.STAGE2_RUNNING)
+            # the snapshot ends at the trigger frame and starts on stage 1's frame grid
             snap = self._ring.snapshot()
+            snap = snap[(len(snap) - trigger) % self.config.frontend.hop_samples :]
             detector = self._new_detector(
                 self._stage2_model, self.config.stage2_decoder, self.config.stage2_mode,
                 keep_features=True,
             )
             self._stage2_job = _Stage2Job(
                 detector,
-                base_sample=self._ring.total_written - len(snap),
-                snapshot_samples=len(snap),
-                extra_budget_samples=self.config.stage2_window_ms * SAMPLE_RATE_HZ // 1000,
+                base_sample=trigger - len(snap),
+                trigger_sample=trigger,
+                deadline_sample=trigger + self.config.stage2_window_ms * SAMPLE_RATE_HZ // 1000,
                 trigger_score=hyp.score,
             )
-            events.extend(self._feed_stage2(snap, is_snapshot=True))
+            events.extend(self._feed_stage2(snap, trigger - len(snap)))
+            if self._stage2_job is not None:
+                events.extend(self._feed_stage2(samples[cut:], trigger))
+        self._ring.write(samples[cut:])
         return events
 
-    def _feed_stage2(self, samples, is_snapshot):
+    def finish(self):
+        """End of stream: decide a running stage-2 job as a reject at the last sample."""
+        if self._stage2_job is None:
+            return []
+        self._stage2_job.deadline_sample = self._ring.total_written
+        return self._conclude_stage2(accepted=False)
+
+    def _feed_stage2(self, samples, first_sample):
+        """Run the job over samples starting at absolute first_sample, up to its deadline."""
         job = self._stage2_job
-        events = []
-        if not is_snapshot:
-            take = min(len(samples), job.extra_remaining)
-            job.extra_remaining -= take
-            samples = samples[:take]
+        samples = samples[: job.deadline_sample - first_sample]
         for frame_index, hyp in job.detector.push(samples):
             if hyp.score >= job.detector.decoder_config.threshold:
-                events.extend(self._conclude_stage2(accepted=True, hyp=hyp, frame=frame_index))
-                return events
-        if not is_snapshot and job.extra_remaining <= 0:
-            events.extend(self._conclude_stage2(accepted=False))
-        return events
+                return self._conclude_stage2(accepted=True, hyp=hyp, frame=frame_index)
+        if first_sample + len(samples) >= job.deadline_sample:
+            return self._conclude_stage2(accepted=False)
+        return []
 
     def _conclude_stage2(self, accepted, hyp=None, frame=None):
         job = self._stage2_job
@@ -361,22 +370,15 @@ class Cascade:
                 self._set_phase(CascadePhase.AWAITING_VERIFICATION)
                 events.append(self._verify_speaker(job, hyp, ts))
         else:
-            # Give-up time: one stage-2 window of stream after the snapshot.
-            decision_sample = (
-                job.base_sample
-                + job.snapshot_samples
-                + self.config.stage2_window_ms * SAMPLE_RATE_HZ // 1000
-            )
-            decision_sample = min(decision_sample, self._ring.total_written)
+            decision_sample = job.deadline_sample
             ts = round(decision_sample * 1000 / SAMPLE_RATE_HZ)
             events.append(
                 CascadeEvent(EventKind.STAGE2_REJECT, ts, stage1_score=job.trigger_score)
             )
         self._stage2_job = None
-        # Anchor the refractory at the stream position where the decision was
-        # made, not at its (possibly buffered, in-the-past) audio timestamp;
-        # otherwise the still-buffered keyword immediately re-triggers.
-        anchor = max(decision_sample, self._ring.total_written)
+        # Anchor the refractory where the decision was made: a snapshot accept
+        # is stamped at its audio time, but is decided at the trigger.
+        anchor = max(decision_sample, job.trigger_sample)
         self._suppress_until_sample = (
             anchor + self.config.refractory_ms * SAMPLE_RATE_HZ // 1000
         )

@@ -96,21 +96,16 @@ def load_config_file(path):
     return values
 
 
+def _given(cfg, prefix, names):
+    """The keys the config file sets under prefix; the rest keep their defaults."""
+    return {name: cfg[f"{prefix}.{name}"] for name in names if f"{prefix}.{name}" in cfg}
+
+
 def _frontend_from(cfg):
-    kwargs = {}
-    mapping = {
-        "frontend.frame_length_ms": "frame_length_ms",
-        "frontend.hop_ms": "hop_ms",
-        "frontend.num_channels": "num_channels",
-        "frontend.fft_size": "fft_size",
-        "frontend.mel_low_hz": "mel_low_hz",
-        "frontend.mel_high_hz": "mel_high_hz",
-        "frontend.log_floor": "log_floor",
-        "frontend.noise_suppression": "noise_suppression_enabled",
-    }
-    for key, attr in mapping.items():
-        if key in cfg:
-            kwargs[attr] = cfg[key]
+    kwargs = _given(cfg, "frontend", ("frame_length_ms", "hop_ms", "num_channels", "fft_size",
+                                      "mel_low_hz", "mel_high_hz", "log_floor"))
+    if "frontend.noise_suppression" in cfg:
+        kwargs["noise_suppression_enabled"] = cfg["frontend.noise_suppression"]
     if "frontend.arithmetic_mode" in cfg:
         mode = cfg["frontend.arithmetic_mode"]
         try:
@@ -120,25 +115,14 @@ def _frontend_from(cfg):
     return FrontendConfig(**kwargs)
 
 
-def _decoder_from(cfg, prefix, num_units, default_threshold=0.5):
-    def get(name, fallback):
-        return cfg.get(f"{prefix}.{name}", fallback)
-
-    return DecoderConfig(
-        num_units=get("num_units", num_units),
-        smoothing_window_frames=get("smoothing_window_frames", 30),
-        score_window_frames=get("score_window_frames", 100),
-        threshold=get("threshold", default_threshold),
-    )
+def _decoder_from(cfg, prefix, num_units):
+    return DecoderConfig(**{"num_units": num_units, **_given(cfg, prefix, (
+        "num_units", "smoothing_window_frames", "score_window_frames", "threshold"))})
 
 
 def _budget_from(cfg):
-    kwargs = {}
-    for key in ("total_bytes", "program_bytes", "tables_bytes", "buffer_bytes",
-                "model_budget_bytes"):
-        if f"budget.{key}" in cfg:
-            kwargs[key] = cfg[f"budget.{key}"]
-    return MemoryBudget(**kwargs)
+    return MemoryBudget(**_given(cfg, "budget", (
+        "total_bytes", "program_bytes", "tables_bytes", "buffer_bytes", "model_budget_bytes")))
 
 
 def _read_model(path):
@@ -220,9 +204,7 @@ def cmd_run_cascade(args):
         stage1_decoder=_decoder_from(cfg, "stage1", stage1.num_units),
         stage2_decoder=_decoder_from(cfg, "stage2", stage2.num_units),
         budget=_budget_from(cfg),
-        buffer_capacity_samples=cfg.get("cascade.buffer_capacity_samples", 32000),
-        stage2_window_ms=cfg.get("cascade.stage2_window_ms", 1000),
-        refractory_ms=cfg.get("cascade.refractory_ms", 1000),
+        **_given(cfg, "cascade", ("buffer_capacity_samples", "stage2_window_ms", "refractory_ms")),
     )
     speaker_model = _read_model(args.speaker_model) if args.speaker_model else None
     profile = None
@@ -237,6 +219,8 @@ def cmd_run_cascade(args):
     for start in range(0, len(chunk.samples), step):
         for event in cascade.push_audio(chunk.samples[start : start + step]):
             _emit(event.to_dict())
+    for event in cascade.finish():
+        _emit(event.to_dict())
     return EXIT_OK
 
 
@@ -315,8 +299,7 @@ def cmd_evaluate(args):
     table = cascade_table(
         stage1, stage2, corpus, thresholds,
         stage2_threshold=args.stage2_threshold,
-        refractory_ms=cfg.get("eval.refractory_ms", 1000.0),
-        hit_window_ms=cfg.get("eval.hit_window_ms", 750.0),
+        **_given(cfg, "eval", ("refractory_ms", "hit_window_ms")),
     )
     sys.stdout.write(table.render_csv() + "\n")
     sys.stderr.write(table.render_text() + "\n")

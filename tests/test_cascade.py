@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kwscascade as k
 from kwscascade.cascade import (
@@ -18,6 +22,7 @@ from kwscascade.decoder import DecoderConfig
 from kwscascade.encoder import pad_model_to_size
 from kwscascade.frontend import ConfigError
 from kwscascade.synthetic import (
+    make_random_embedding_model,
     make_tone_acoustic_model,
     synth_keyword_audio,
     synth_noise,
@@ -25,13 +30,14 @@ from kwscascade.synthetic import (
 from kwscascade import speaker
 
 
-def make_cascade_config(frontend_config, threshold1=0.3, threshold2=0.4):
+def make_cascade_config(frontend_config, threshold1=0.3, threshold2=0.4, **windows):
     return CascadeConfig(
         frontend=frontend_config,
         stage1_decoder=DecoderConfig(3, smoothing_window_frames=10,
                                      score_window_frames=100, threshold=threshold1),
         stage2_decoder=DecoderConfig(3, smoothing_window_frames=10,
                                      score_window_frames=100, threshold=threshold2),
+        **windows,
     )
 
 
@@ -193,8 +199,59 @@ class TestCascade:
         kinds = [e.kind for e in events]
         assert kinds == [EventKind.STAGE1_TRIGGER, EventKind.STAGE2_REJECT]
         trigger, reject = events
-        # decision arrives once one extra second has streamed past the snapshot
-        assert reject.timestamp_ms <= trigger.timestamp_ms + 1100
+        # the deadline is one stage-2 window of audio after the trigger
+        assert reject.timestamp_ms == trigger.timestamp_ms + cascade.config.stage2_window_ms
+
+    def test_zero_stage2_window_rejects_at_trigger(self, frontend_config, tone_stage1_model,
+                                                   tone_stage2_model, keyword_audio):
+        samples, _ = keyword_audio
+        config = make_cascade_config(frontend_config, threshold2=1.01)
+        config.stage2_window_ms = 0
+        cascade = Cascade(config, tone_stage1_model, tone_stage2_model)
+        events = []
+        for start in range(0, len(samples), 1600):
+            events.extend(cascade.push_audio(samples[start : start + 1600]))
+        kinds = [e.kind for e in events]
+        assert kinds[:2] == [EventKind.STAGE1_TRIGGER, EventKind.STAGE2_REJECT]
+        assert events[1].timestamp_ms == events[0].timestamp_ms
+
+    def test_stage2_frames_stay_on_stage1_grid(self, frontend_config, tone_stage1_model,
+                                               tone_stage2_model):
+        # past 2 s the ring is full, and a snapshot ending at the trigger
+        # frame would start half a hop off stage 1's frame grid
+        rng = np.random.default_rng(4)
+        kw, _ = synth_keyword_audio(frontend_config, 3, unit_ms=150)
+        audio = np.concatenate([synth_noise(40000, rng), kw])
+        cascade = Cascade(make_cascade_config(frontend_config),
+                          tone_stage1_model, tone_stage2_model)
+        events = []
+        for start in range(0, len(audio), 2560):
+            events.extend(cascade.push_audio(audio[start : start + 2560]))
+        (accept,) = [e for e in events if e.kind is EventKind.STAGE2_ACCEPT]
+        stamps = [accept.timestamp_ms, *accept.alignment_ms, events[0].timestamp_ms]
+        assert stamps[0] > 2000
+        assert all((ms - frontend_config.frame_length_ms) % frontend_config.hop_ms == 0
+                   for ms in stamps)
+
+    def test_finish_decides_a_running_job(self, frontend_config, tone_stage1_model,
+                                          tone_stage2_model):
+        # a keyword with 200 ms of trailing silence ends the stream before
+        # the stage-2 deadline; stage 2 never accepts
+        samples, _ = synth_keyword_audio(frontend_config, 3, unit_ms=150,
+                                         trail_silence_ms=200)
+        cascade = Cascade(make_cascade_config(frontend_config, threshold2=1.01),
+                          tone_stage1_model, tone_stage2_model)
+        events = []
+        for start in range(0, len(samples), 1600):
+            events.extend(cascade.push_audio(samples[start : start + 1600]))
+        assert [e.kind for e in events] == [EventKind.STAGE1_TRIGGER]
+        assert cascade.phase is CascadePhase.STAGE2_RUNNING
+        (reject,) = cascade.finish()
+        assert reject.kind is EventKind.STAGE2_REJECT
+        assert reject.timestamp_ms == round(len(samples) * 1000 / 16000)
+        assert reject.stage1_score == events[0].stage1_score
+        assert cascade.phase is CascadePhase.LISTENING
+        assert cascade.finish() == []
 
     def test_wake_count_equals_triggers(self, frontend_config, tone_stage1_model,
                                         tone_stage2_model, keyword_audio):
@@ -330,3 +387,96 @@ class TestSpeakerIntegration:
         kinds = [e.kind for e in events]
         assert EventKind.SPEAKER_REJECT in kinds
         assert CascadePhase.AWAITING_VERIFICATION in cascade.state_history
+
+
+def _clock_clip():
+    """Two keywords 0.5 s apart in quiet noise, the stream ending 0.2 s after the second."""
+    rng = np.random.default_rng(21)
+    kw, _ = synth_keyword_audio(k.FrontendConfig(), 3, unit_ms=150,
+                                lead_silence_ms=100, trail_silence_ms=100)
+    return np.concatenate([synth_noise(3200, rng), kw, synth_noise(4800, rng), kw,
+                           synth_noise(1600, rng)])
+
+
+_CLOCK_CLIP = _clock_clip()
+
+
+@functools.lru_cache(maxsize=None)
+def _clock_cascade_parts(tracker):
+    frontend = k.FrontendConfig(arithmetic_mode=k.ArithmeticMode.FIXED_POINT,
+                                noise_suppression_enabled=tracker)
+    embedding = make_random_embedding_model(frontend, dim=64)
+    stranger = speaker.SpeakerSignature(np.random.default_rng(13).normal(size=64), 1)
+    return (frontend, make_tone_acoustic_model(frontend, 3),
+            make_tone_acoustic_model(frontend, 3, stacked_frames=2), embedding,
+            speaker.enroll([stranger], threshold=0.8))
+
+
+def _clock_events(tracker, muted, with_speaker, bounds):
+    """Events of the whole clip pushed in pieces, finish() included."""
+    frontend, stage1, stage2, embedding, profile = _clock_cascade_parts(tracker)
+    # muted: stage 2 never accepts, so short windows give deadline rejects,
+    # re-triggers once the refractory ends, and a job running at the end
+    windows = dict(stage2_window_ms=300, refractory_ms=200) if muted else {}
+    config = make_cascade_config(frontend, threshold2=1.01 if muted else 0.4, **windows)
+    cascade = Cascade(config, stage1, stage2, *((embedding, profile) if with_speaker else ()))
+    events = []
+    for lo, hi in bounds:
+        events.extend(cascade.push_audio(_CLOCK_CLIP[lo:hi]))
+    return events + cascade.finish()
+
+
+@functools.lru_cache(maxsize=None)
+def _clock_reference(tracker, muted, with_speaker):
+    n = len(_CLOCK_CLIP)
+    return _clock_events(tracker, muted, with_speaker,
+                         [(lo, min(lo + 2560, n)) for lo in range(0, n, 2560)])
+
+
+@st.composite
+def clip_bounds(draw, n):
+    """(start, stop) pieces covering range(n) at random cuts."""
+    edges = [0, *sorted(draw(st.sets(st.integers(1, n - 1), max_size=30))), n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+_ONE_SAMPLE_EACH = [(i, i + 1) for i in range(len(_CLOCK_CLIP))]
+_WHOLE_CLIP = [(0, len(_CLOCK_CLIP))]
+
+
+class TestSampleClock:
+    """Every decision is a function of the sample clock, not of the chunking.
+
+    FIXED_POINT frontend only: FLOAT features are not the same bytes for a
+    one-row and a many-row push (the float mel projection rounds
+    differently), so FLOAT events could differ in a score's last bits.
+    """
+
+    def test_clip_exercises_every_decision_path(self):
+        # an accept from the stream after its trigger, one from the snapshot
+        # before it, deadline rejects, and a job that finish() decides
+        events = _clock_reference(False, False, True)
+        pairs = [(a.timestamp_ms, b.timestamp_ms) for a, b in zip(events, events[1:])
+                 if (a.kind, b.kind) == (EventKind.STAGE1_TRIGGER, EventKind.STAGE2_ACCEPT)]
+        assert len(pairs) == 2 and pairs[0][1] > pairs[0][0] and pairs[1][1] < pairs[1][0]
+        assert EventKind.SPEAKER_REJECT in [e.kind for e in events]
+        muted = _clock_reference(False, True, False)
+        rejects = [e.timestamp_ms for e in muted if e.kind is EventKind.STAGE2_REJECT]
+        triggers = [e.timestamp_ms for e in muted if e.kind is EventKind.STAGE1_TRIGGER]
+        assert len(rejects) == len(triggers) >= 3
+        assert rejects[:-1] == [t + 300 for t in triggers[:-1]]
+        assert rejects[-1] == round(len(_CLOCK_CLIP) * 1000 / 16000) < triggers[-1] + 300
+
+    @pytest.mark.parametrize("tracker", [False, True])
+    @settings(max_examples=5, deadline=None)
+    @given(bounds=clip_bounds(len(_CLOCK_CLIP)), muted=st.booleans(),
+           with_speaker=st.booleans())
+    @example(bounds=_ONE_SAMPLE_EACH, muted=False, with_speaker=True)
+    @example(bounds=_ONE_SAMPLE_EACH, muted=True, with_speaker=False)
+    @example(bounds=_WHOLE_CLIP, muted=False, with_speaker=False)
+    @example(bounds=_WHOLE_CLIP, muted=True, with_speaker=True)
+    def test_any_chunking_gives_the_same_events(self, tracker, bounds, muted, with_speaker):
+        events = _clock_events(tracker, muted, with_speaker, bounds)
+        reference = _clock_reference(tracker, muted, with_speaker)
+        assert [e.to_dict() for e in events] == [e.to_dict() for e in reference]
+        assert events == reference

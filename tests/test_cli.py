@@ -246,6 +246,26 @@ class TestRunCascade:
         assert out == ""
         assert "stage2_window_ms" in err
 
+    def test_end_of_stream_decides_running_job(self, model_files, tmp_path, capsys):
+        # 200 ms of silence after the keyword ends the stream inside the
+        # stage-2 window, and a muted stage 2 never accepts
+        samples, _ = synth_keyword_audio(k.FrontendConfig(), 3, unit_ms=150,
+                                         trail_silence_ms=200)
+        wav = tmp_path / "short_tail.wav"
+        audio_io.write_wav(str(wav), samples)
+        config = tmp_path / "muted.cfg"
+        config.write_text(DECODER_CONFIG.replace("stage2.threshold = 0.4",
+                                                 "stage2.threshold = 1.01"))
+        code, out, _ = run_cli(
+            ["run-cascade", "--stage1", model_files["stage1"], "--stage2",
+             model_files["stage2"], "--input", str(wav), "--config", str(config)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        events = [json.loads(line) for line in out.strip().splitlines()]
+        assert [e["event"] for e in events] == ["stage1_trigger", "stage2_reject"]
+        assert events[-1]["timestamp_ms"] == len(samples) * 1000 // 16000
+
     def test_raw_pcm_on_stdin(self, model_files, tmp_path):
         cfg = k.FrontendConfig()
         samples, _ = synth_keyword_audio(cfg, 3, unit_ms=150)
