@@ -21,7 +21,7 @@ import numpy as np
 from .decoder import DecoderConfig, StreamingDecoder
 from .encoder import ModelKind, forward_vector, stack_frames
 from .frontend import SAMPLE_RATE_HZ, AudioChunk, ConfigError, FrontendConfig, FrontendStream
-from .quantize import AccumMode
+from .quantize import AccumMode, DimensionError
 from . import speaker as speaker_mod
 
 
@@ -252,6 +252,13 @@ class Cascade:
         self.config = config
         self.stage1_report = enforce_budget(config.budget, stage1_model, stage=1)
         self.stage2_report = enforce_budget(config.budget, stage2_model, stage=2)
+        if speaker_model is not None and speaker_model.kind is not ModelKind.EMBEDDING:
+            raise DimensionError("the speaker model is not an embedding model")
+        if speaker_model is not None and speaker_profile is not None:
+            dim = len(speaker_profile.signature.vector)
+            if dim != speaker_model.num_units:
+                raise DimensionError(f"profile dim {dim} != speaker model "
+                                     f"num_units {speaker_model.num_units}")
         self._stage1_model = stage1_model
         self._stage2_model = stage2_model
         self._speaker_model = speaker_model

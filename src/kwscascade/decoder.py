@@ -160,7 +160,10 @@ def _score_window(smoothed):
     return KeywordHypothesis(min(score, 1.0), tuple(alignment), total - 1)
 
 
-_CHUNK_ROWS = 65536  # bounds batch_frame_scores' temporaries
+# Bounds batch_frame_scores' temporaries: about 3.4 MB for 3 units and a
+# 50-frame window. At 65536 rows they came to 13.5 MB, enough that glibc
+# could hand them back to the OS after each call and fault them in again.
+_CHUNK_ROWS = 16384
 
 
 def batch_frame_scores(posteriors, config):

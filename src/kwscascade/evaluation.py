@@ -7,8 +7,10 @@ Conventions, fixed here and relied on by the composition-law guarantees:
 * FRR counts a positive as hit when ANY accept frame falls within the hit
   window of the labelled keyword end - no deduplication, so gating a mask
   can only turn hits into misses;
-* the cascade accept mask is the pointwise intersection of the stage
-  masks (and the speaker gate when enabled), which makes
+* the cascade columns sweep the stage-1 threshold over a gated score:
+  the stage-1 score where stage 2 (and the speaker gate when enabled)
+  accepts, NaN elsewhere. No threshold accepts NaN, so the cascade
+  accepts the pointwise intersection of the stage masks, which makes
   "stage-1 threshold 0" literally equal to the stage-2-alone row.
 """
 
@@ -99,6 +101,30 @@ def accept_event_frames(scores, threshold, refractory_frames):
     return events
 
 
+def _operating_points(corpus, negatives, positives, thresholds, **named):
+    """(threshold, FA/hr, FRR) per threshold: the one FA/FRR counter.
+
+    ``negatives`` pairs each negative stream's scores with its refractory
+    in frames, ``positives`` each positive's scores with its hit-window
+    mask. No threshold accepts a NaN score. ``named`` gives by name every
+    threshold the scores were swept or gated with; none may be NaN.
+    """
+    for name, value in named.items():
+        if np.isnan(value).any():
+            raise ValueError(f"{name} must not be NaN")
+    total_hours = sum(s.duration_hours for s in corpus.negatives)
+    if total_hours <= 0:
+        raise CorpusError("negative corpus has zero duration")
+    if not positives:
+        raise CorpusError("positive corpus is empty")
+    points = []
+    for theta in thresholds:
+        fa = sum(len(accept_event_frames(s, theta, r)) for s, r in negatives) / total_hours
+        misses = sum(1 for s, w in positives if not np.any((s >= theta) & w))
+        points.append((theta, fa, misses / len(positives)))
+    return points
+
+
 def sweep_operating_points(detector, corpus, thresholds,
                            refractory_ms=DEFAULT_REFRACTORY_MS,
                            hit_window_ms=DEFAULT_HIT_WINDOW_MS):
@@ -107,26 +133,15 @@ def sweep_operating_points(detector, corpus, thresholds,
     thresholds = list(thresholds)
     if sorted(thresholds) != thresholds:
         raise ValueError("thresholds must be sorted ascending")
-    neg_scores = [detector.frame_scores(s) for s in corpus.negatives]
-    neg_refr = [int(round(refractory_ms / detector.hop_ms(s))) for s in corpus.negatives]
-    total_hours = sum(s.duration_hours for s in corpus.negatives)
-    if total_hours <= 0:
-        raise CorpusError("negative corpus has zero duration")
-    pos_scores = []
+    negatives = [(detector.frame_scores(s), int(round(refractory_ms / detector.hop_ms(s))))
+                 for s in corpus.negatives]
+    positives = []
     for pos in corpus.positives:
         scores = detector.frame_scores(pos.stream)
         ts = detector.frame_timestamps_ms(pos.stream, len(scores))
-        pos_scores.append((scores, np.abs(ts - pos.keyword_end_ms) <= hit_window_ms))
-    if not pos_scores:
-        raise CorpusError("positive corpus is empty")
-    points = []
-    for theta in thresholds:
-        fa = sum(
-            len(accept_event_frames(s, theta, r)) for s, r in zip(neg_scores, neg_refr)
-        ) / total_hours
-        misses = sum(1 for s, w in pos_scores if not np.any((s >= theta) & w))
-        points.append((theta, fa, misses / len(pos_scores)))
-    return points
+        positives.append((scores, np.abs(ts - pos.keyword_end_ms) <= hit_window_ms))
+    return _operating_points(corpus, negatives, positives, thresholds,
+                             threshold=thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +212,16 @@ def _speaker_gate_mask(stream, count, profile_direction, speaker_threshold):
     return mask
 
 
-def _event_count_from_mask(mask, refractory_frames):
-    return len(accept_event_frames(mask, 0.5, refractory_frames))
+def _paired_scores(stage1, stage2, stream, stage2_threshold, corpus, speaker_verification):
+    """Stage-1 scores and the gated stage-1 score on the frames both stages share.
 
-
-def _paired_scores(stage1, stage2, stream):
-    """Both stages' scores on the frames they share, and the stage-1 slice.
-
-    A scorer's first score is its own first decodable frame (frame S-1 for
-    a PipelineScorer stacking S frames), so list positions of two stages
-    need not name the same frame. Their first timestamps give the offset;
-    the stages must share one frame hop.
+    The gated score is the stage-1 score where stage 2 (and the speaker
+    gate, when on) accepts, NaN elsewhere, so a stage-1 threshold on it
+    accepts exactly the cascade's frames. A scorer's first score is its
+    own first decodable frame (frame S-1 for a PipelineScorer stacking S
+    frames), so list positions of two stages need not name the same
+    frame. Their first timestamps give the offset; the stages must share
+    one frame hop. Returns the stage-1 slice too.
     """
     s1, s2 = stage1.frame_scores(stream), stage2.frame_scores(stream)
     hop = stage1.hop_ms(stream)
@@ -217,7 +231,13 @@ def _paired_scores(stage1, stage2, stream):
         raise ValueError("the two stages do not score on one frame clock")
     lo1, lo2 = max(int(shift), 0), max(-int(shift), 0)
     count = max(min(len(s1) - lo1, len(s2) - lo2), 0)
-    return s1[lo1 : lo1 + count], s2[lo2 : lo2 + count], slice(lo1, lo1 + count)
+    frames = slice(lo1, lo1 + count)
+    s1 = s1[frames]
+    accept = s2[lo2 : lo2 + count] >= stage2_threshold
+    if speaker_verification:
+        accept &= _speaker_gate_mask(stream, frames.stop, corpus.profile_direction,
+                                     corpus.speaker_threshold)[frames]
+    return s1, np.where(accept, s1, np.nan), frames
 
 
 def _check_window_ms(**values):
@@ -240,50 +260,28 @@ def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
     scored once per stage, in corpus order.
     """
     _check_window_ms(refractory_ms=refractory_ms, hit_window_ms=hit_window_ms)
-
-    def gate(stream, frames):
-        if not speaker_verification:
-            return np.ones(frames.stop - frames.start, dtype=bool)
-        return _speaker_gate_mask(stream, frames.stop, corpus.profile_direction,
-                                  corpus.speaker_threshold)[frames]
-
-    neg = []
+    stage1_neg, cascade_neg, stage1_pos, cascade_pos = [], [], [], []
     for stream in corpus.negatives:
-        s1, s2, frames = _paired_scores(stage1, stage2, stream)
+        s1, gated, _ = _paired_scores(stage1, stage2, stream, stage2_threshold,
+                                      corpus, speaker_verification)
         refr = int(round(refractory_ms / stage1.hop_ms(stream)))
-        neg.append((s1, s2, gate(stream, frames), refr))
-    pos = []
+        stage1_neg.append((s1, refr))
+        cascade_neg.append((gated, refr))
     for example in corpus.positives:
-        s1, s2, frames = _paired_scores(stage1, stage2, example.stream)
+        s1, gated, frames = _paired_scores(stage1, stage2, example.stream, stage2_threshold,
+                                           corpus, speaker_verification)
         ts = stage1.frame_timestamps_ms(example.stream, frames.stop)[frames]
         window = np.abs(ts - example.keyword_end_ms) <= hit_window_ms
-        pos.append((s1, s2, gate(example.stream, frames), window))
-    total_hours = sum(s.duration_hours for s in corpus.negatives)
-    if total_hours <= 0:
-        raise CorpusError("negative corpus has zero duration")
-    if not pos:
-        raise CorpusError("positive corpus is empty")
-
-    def stats(theta1):
-        fa1 = fa_c = 0
-        miss1 = miss_c = 0
-        for s1, s2, gate, refr in neg:
-            m1 = s1 >= theta1
-            mc = m1 & (s2 >= stage2_threshold) & gate
-            fa1 += _event_count_from_mask(m1, refr)
-            fa_c += _event_count_from_mask(mc, refr)
-        for s1, s2, gate, window in pos:
-            m1 = s1 >= theta1
-            mc = m1 & (s2 >= stage2_threshold) & gate
-            miss1 += 0 if np.any(m1 & window) else 1
-            miss_c += 0 if np.any(mc & window) else 1
-        return (fa1 / total_hours, miss1 / len(pos), fa_c / total_hours, miss_c / len(pos))
-
-    rows = []
-    fa1, frr1, fac, frrc = stats(0.0)  # threshold 0 accepts every frame
-    rows.append(OperatingPointRow(None, None, None, fac, frrc))
-    for theta1 in stage1_thresholds:
-        fa1, frr1, fac, frrc = stats(theta1)
+        stage1_pos.append((s1, window))
+        cascade_pos.append((gated, window))
+    named = dict(stage1_threshold=stage1_thresholds, stage2_threshold=stage2_threshold)
+    stage1_points = _operating_points(corpus, stage1_neg, stage1_pos, stage1_thresholds,
+                                      **named)
+    # threshold 0 accepts every gated frame (scores are >= 0): the stage-2-alone row
+    (_, fa, frr), *cascade_points = _operating_points(
+        corpus, cascade_neg, cascade_pos, [0.0, *stage1_thresholds], **named)
+    rows = [OperatingPointRow(None, None, None, fa, frr)]
+    for (theta1, fa1, frr1), (_, fac, frrc) in zip(stage1_points, cascade_points):
         rows.append(OperatingPointRow(theta1, fa1, frr1, fac, frrc))
     return CascadeTable(rows, stage2_threshold, speaker_verification)
 

@@ -144,5 +144,7 @@ def load_profile(data):
     if len(data) != need:
         raise ValueError(f"profile file is {len(data)} bytes, expected {need}")
     vec = np.frombuffer(data[head : head + 4 * dim], dtype="<f4").astype(np.float64)
+    if not np.any(vec):
+        raise ValueError("profile vector is zero; a profile is unit length")
     (threshold,) = struct.unpack("<f", data[head + 4 * dim :])
     return SpeakerProfile(SpeakerSignature(vec, 0), n_enroll, float(threshold))

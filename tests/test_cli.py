@@ -266,6 +266,35 @@ class TestRunCascade:
         assert [e["event"] for e in events] == ["stage1_trigger", "stage2_reject"]
         assert events[-1]["timestamp_ms"] == len(samples) * 1000 // 16000
 
+    @pytest.mark.parametrize("case, message", [
+        ("short_profile", "num_units"),
+        ("zero_profile", "zero"),
+        ("acoustic_model", "not an embedding model"),
+    ])
+    def test_mismatched_speaker_pair_exits_2_before_any_audio(self, model_files, tmp_path,
+                                                              capsys, case, message):
+        # each ran silence to exit 0 and failed only at the first stage-2 accept
+        from kwscascade import speaker
+
+        rng = np.random.default_rng(4)
+        vector = {"short_profile": rng.normal(size=32), "zero_profile": np.zeros(64),
+                  "acoustic_model": rng.normal(size=64)}[case]
+        profile = tmp_path / "profile.kwsv"
+        profile.write_bytes(speaker.serialize_profile(
+            speaker.SpeakerProfile(speaker.SpeakerSignature(vector, 1), 1, 0.6)))
+        wav = tmp_path / "silence.wav"
+        audio_io.write_wav(str(wav), np.zeros(32000, dtype=np.int16))
+        model = model_files["stage2" if case == "acoustic_model" else "embedding"]
+        code, out, err = run_cli(
+            ["run-cascade", "--stage1", model_files["stage1"], "--stage2",
+             model_files["stage2"], "--input", str(wav), "--speaker-model", model,
+             "--speaker-profile", str(profile)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
     def test_raw_pcm_on_stdin(self, model_files, tmp_path):
         cfg = k.FrontendConfig()
         samples, _ = synth_keyword_audio(cfg, 3, unit_ms=150)
@@ -366,6 +395,26 @@ class TestEvaluateAndGenCorpus:
             ["evaluate", "--manifest", small_manifest, "--stage1", model_files["stage1"],
              "--stage2", model_files["stage2"], "--thresholds", "0.3",
              "--stage2-threshold", "0.4", "--config", str(config)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert name in err
+
+    @pytest.mark.parametrize("thresholds, stage2_threshold, name", [
+        ("nan", "0.4", "stage1_threshold"),
+        ("nan,0.3", "0.4", "stage1_threshold"),  # NaN passed the ascending check
+        ("0.3", "nan", "stage2_threshold"),
+    ])
+    def test_nan_threshold_exits_2(self, model_files, small_manifest, tmp_path, capsys,
+                                   thresholds, stage2_threshold, name):
+        # each printed a 100 % FRR table and exited 0
+        config = tmp_path / "eval.cfg"
+        config.write_text(DECODER_CONFIG)
+        code, out, err = run_cli(
+            ["evaluate", "--manifest", small_manifest, "--stage1", model_files["stage1"],
+             "--stage2", model_files["stage2"], "--thresholds", thresholds,
+             "--stage2-threshold", stage2_threshold, "--config", str(config)],
             capsys,
         )
         assert code == EXIT_USAGE

@@ -13,6 +13,7 @@ from kwscascade.evaluation import (
 )
 from kwscascade.cascade import CascadeEvent, EventKind
 from kwscascade.synthetic import (
+    PlantedEvent,
     PositiveExample,
     SyntheticCorpus,
     SyntheticStream,
@@ -24,11 +25,12 @@ from kwscascade.synthetic import (
 class FixedScorer:
     """Detector stub exposing a precomputed per-frame score array."""
 
-    def __init__(self, hop=10):
+    def __init__(self, hop=10, view="scores"):
         self._hop = hop
+        self.view = view
 
     def frame_scores(self, stream):
-        return np.asarray(stream.views["scores"], dtype=np.float64)
+        return np.asarray(stream.views[self.view], dtype=np.float64)
 
     def hop_ms(self, stream):
         return self._hop
@@ -293,8 +295,8 @@ class TestCascadeTable:
 class OffsetScorer(FixedScorer):
     """Scores that start at frame ``first``, as a PipelineScorer's do at S-1."""
 
-    def __init__(self, first, hop=10):
-        super().__init__(hop)
+    def __init__(self, first, hop=10, view="scores"):
+        super().__init__(hop, view)
         self.first = first
 
     def frame_scores(self, stream):
@@ -331,6 +333,152 @@ class TestStagePairing:
             [spike_stream(100, [])], [PositiveExample(spike_stream(100, [50]), 510)], 1)
         with pytest.raises(ValueError, match="frame clock"):
             cascade_table(FixedScorer(10), FixedScorer(20), corpus, [0.5], 0.5)
+
+
+def mask_product_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
+                       refractory_ms, hit_window_ms, speaker_verification):
+    """Cascade table rows as tuples, from the product of per-frame accept masks.
+
+    Per stage-1 threshold: m1 = s1 >= theta1 and mc = m1 & (s2 >= theta2) &
+    gate, on the frames both stages score (matched by timestamp). The
+    speaker gate is indexed by stage-1 score position, as cascade_table's is.
+    """
+    def paired(stream):
+        s1, s2 = stage1.frame_scores(stream), stage2.frame_scores(stream)
+        ts1 = stage1.frame_timestamps_ms(stream, len(s1))
+        _, i1, i2 = np.intersect1d(ts1, stage2.frame_timestamps_ms(stream, len(s2)),
+                                   return_indices=True)
+        gate = np.full(len(s1), not speaker_verification)
+        if speaker_verification:
+            for event in stream.events:
+                if event.signature is not None:
+                    sig = event.signature / np.linalg.norm(event.signature)
+                    cosine = float(np.dot(sig, corpus.profile_direction))
+                    gate[event.start_frame : event.end_frame + 1] = (
+                        cosine >= corpus.speaker_threshold)
+        return s1[i1], s2[i2], gate[i1], ts1[i1]
+
+    neg, pos = [], []
+    for stream in corpus.negatives:
+        s1, s2, gate, _ = paired(stream)
+        neg.append((s1, s2, gate, int(round(refractory_ms / stage1.hop_ms(stream)))))
+    for example in corpus.positives:
+        s1, s2, gate, ts = paired(example.stream)
+        pos.append((s1, s2, gate, np.abs(ts - example.keyword_end_ms) <= hit_window_ms))
+    hours = sum(s.duration_hours for s in corpus.negatives)
+
+    def stats(theta1):
+        fa1 = fa_c = miss1 = miss_c = 0
+        for s1, s2, gate, refr in neg:
+            m1 = s1 >= theta1
+            mc = m1 & (s2 >= stage2_threshold) & gate
+            fa1 += len(greedy_event_frames(m1, 0.5, refr))
+            fa_c += len(greedy_event_frames(mc, 0.5, refr))
+        for s1, s2, gate, window in pos:
+            m1 = s1 >= theta1
+            mc = m1 & (s2 >= stage2_threshold) & gate
+            miss1 += 0 if np.any(m1 & window) else 1
+            miss_c += 0 if np.any(mc & window) else 1
+        return fa1 / hours, miss1 / len(pos), fa_c / hours, miss_c / len(pos)
+
+    rows = [(None, None, None, *stats(0.0)[2:])]
+    return rows + [(theta1, *stats(theta1)) for theta1 in stage1_thresholds]
+
+
+def table_tuples(table):
+    return [(r.stage1_threshold, r.stage1_fa_per_hr, r.stage1_frr,
+             r.cascade_fa_per_hr, r.cascade_frr) for r in table.rows]
+
+
+SCORE_GRID = np.array([0.0, 1.01, -0.3] + [round(0.1 * k, 1) for k in range(1, 13)])
+# thresholds on the score grid put scores exactly on a threshold
+THRESHOLDS = st.one_of(st.sampled_from([-np.inf, 0.0, 1.01, np.inf]),
+                       st.sampled_from(list(SCORE_GRID)), st.floats(-0.5, 1.5))
+# cosines 1, 0, 0.71 and -1 against the profile direction (1, 0)
+SIGNATURES = [None, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]),
+              np.array([-2.0, 0.0])]
+PLANTED = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 10),
+                             st.sampled_from(SIGNATURES)), max_size=3)
+
+
+@st.composite
+def score_streams(draw, min_frames=0):
+    # one byte string gives both stages' scores, as indices into SCORE_GRID
+    raw = draw(st.binary(min_size=2 * min_frames, max_size=60))
+    scores = SCORE_GRID[np.frombuffer(raw, dtype=np.uint8) % len(SCORE_GRID)]
+    n = len(scores) // 2
+    events = [PlantedEvent("impostor", start, start + length, 0.0, 0.0, signature=sig)
+              for start, length, sig in draw(PLANTED)]
+    return SyntheticStream({"scores": scores[:n], "scores2": scores[n : 2 * n]}, 10, events)
+
+
+NEGATIVES = st.tuples(score_streams(min_frames=1), st.lists(score_streams(), max_size=2))
+POSITIVES = st.lists(st.tuples(score_streams(), st.integers(0, 500)), min_size=1, max_size=4)
+# offset 50 leaves the two stages no frame in common
+OFFSETS = st.one_of(st.integers(0, 3), st.just(50))
+
+
+@st.composite
+def cascade_cases(draw):
+    first, rest = draw(NEGATIVES)
+    positives = [PositiveExample(stream, end_ms) for stream, end_ms in draw(POSITIVES)]
+    corpus = SyntheticCorpus([first, *rest], positives, 1,
+                             profile_direction=np.array([1.0, 0.0]), speaker_threshold=0.6)
+    return dict(
+        stage1=OffsetScorer(draw(OFFSETS)),
+        stage2=OffsetScorer(draw(OFFSETS), view="scores2"),
+        corpus=corpus,
+        stage1_thresholds=draw(st.lists(THRESHOLDS, max_size=5)),
+        stage2_threshold=draw(THRESHOLDS),
+        refractory_ms=draw(st.integers(0, 60)),
+        hit_window_ms=draw(st.integers(0, 200)),
+        speaker_verification=draw(st.booleans()),
+    )
+
+
+class TestMaskProductOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(cascade_cases())
+    def test_rows_equal_the_mask_product(self, case):
+        assert table_tuples(cascade_table(**case)) == mask_product_table(**case)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cascade_cases())
+    def test_stage1_columns_equal_the_sweep_with_one_scorer(self, case):
+        case["stage2"] = case["stage1"]
+        case["stage1_thresholds"] = sorted(case["stage1_thresholds"])
+        rows = table_tuples(cascade_table(**case))[1:]
+        sweep = sweep_operating_points(case["stage1"], case["corpus"],
+                                       case["stage1_thresholds"], case["refractory_ms"],
+                                       case["hit_window_ms"])
+        assert [row[:3] for row in rows] == sweep
+
+
+class TestNanThresholds:
+    def _corpus(self):
+        return SyntheticCorpus([spike_stream(100, [20])],
+                               [PositiveExample(spike_stream(100, [50]), 510)], 1)
+
+    @pytest.mark.parametrize("stage1_thresholds, stage2_threshold, name", [
+        ([float("nan")], 0.5, "stage1_threshold"),
+        ([float("nan"), 0.3], 0.5, "stage1_threshold"),
+        ([0.3], float("nan"), "stage2_threshold"),
+    ])
+    def test_cascade_table_names_the_nan_threshold(self, stage1_thresholds,
+                                                   stage2_threshold, name):
+        with pytest.raises(ValueError, match=name):
+            cascade_table(FixedScorer(), FixedScorer(), self._corpus(), stage1_thresholds,
+                          stage2_threshold)
+
+    def test_sweep_rejects_a_nan_threshold(self):
+        with pytest.raises(ValueError, match="NaN"):
+            sweep_operating_points(FixedScorer(), self._corpus(), [float("nan"), 0.3])
+
+    def test_infinite_thresholds_mute_a_stage(self):
+        table = cascade_table(FixedScorer(), FixedScorer(), self._corpus(),
+                              [-np.inf, np.inf], np.inf)
+        assert table_tuples(table)[1:] == [(-np.inf, 3600.0, 0.0, 0.0, 1.0),
+                                           (np.inf, 0.0, 1.0, 0.0, 1.0)]
 
 
 class TestWindowBounds:
