@@ -78,10 +78,10 @@ def read_features(fileobj):
         raise ValueError(f"unsupported feature stream version {version}")
     if channels == 0:
         raise ValueError("feature stream has 0 channels")
-    data = np.frombuffer(fileobj.read(), dtype="<f4").astype(np.float64)
+    data = np.frombuffer(fileobj.read(), dtype="<f4")
     if data.size % channels:
         raise ValueError("feature stream data is not a whole number of frames")
-    return data.reshape(-1, channels), channels, hop_ms
+    return _finite_frames(data.reshape(-1, channels), "feature stream"), channels, hop_ms
 
 
 def write_posteriors(fileobj, posteriors, num_units):
@@ -102,7 +102,7 @@ def read_posteriors(fileobj):
     version, num_units = struct.unpack("<II", head[4:])
     if version != STREAM_VERSION:
         raise ValueError(f"unsupported posterior stream version {version}")
-    data = np.frombuffer(fileobj.read(), dtype="<f4").astype(np.float64)
+    data = np.frombuffer(fileobj.read(), dtype="<f4")
     if data.size % (num_units + 1):
         raise ValueError("posterior stream data is not a whole number of frames")
     return _finite_frames(data.reshape(-1, num_units + 1), "posterior stream"), num_units
@@ -127,11 +127,14 @@ def read_posteriors_csv(fileobj):
 
 
 def _finite_frames(data, what):
-    """``data`` [T, C], or ValueError naming its first frame with a NaN or inf."""
+    """``data`` [T, C] as float64, or ValueError naming its first frame with a NaN or inf.
+
+    Checked before the cast, which warns on a signalling NaN.
+    """
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if len(bad):
         raise ValueError(f"{what} frame {bad[0]} is not finite")
-    return data
+    return data.astype(np.float64, copy=False)
 
 
 def read_manifest(path):

@@ -20,7 +20,8 @@ import numpy as np
 
 from .decoder import DecoderConfig, StreamingDecoder
 from .encoder import ModelKind, forward_vector, stack_frames
-from .frontend import SAMPLE_RATE_HZ, AudioChunk, ConfigError, FrontendConfig, FrontendStream
+from .frontend import (SAMPLE_RATE_HZ, AudioChunk, ConfigError, FrontendConfig, FrontendStream,
+                       frame_end_sample, samples_to_ms)
 from .quantize import AccumMode, DimensionError
 from . import speaker as speaker_mod
 
@@ -286,15 +287,6 @@ class Cascade:
             self._phase = phase
             self.state_history.append(phase)
 
-    def _frame_end_sample(self, frame_index):
-        cfg = self.config.frontend
-        return frame_index * cfg.hop_samples + cfg.frame_samples
-
-    def _frame_end_ms(self, frame_index, base_sample=0):
-        return round(
-            (base_sample + self._frame_end_sample(frame_index)) * 1000 / SAMPLE_RATE_HZ
-        )
-
     def push_audio(self, chunk):
         """Append a chunk, run both stages cooperatively, return new events."""
         samples = chunk.samples if isinstance(chunk, AudioChunk) else np.asarray(chunk, dtype=np.int16)
@@ -306,14 +298,14 @@ class Cascade:
             events.extend(self._feed_stage2(samples, first))
         cut = 0  # samples[:cut] are in the ring
         for frame_index, hyp in self._stage1.push(samples):
-            trigger = self._frame_end_sample(frame_index)
+            trigger = frame_end_sample(frame_index, self.config.frontend)
             if (not hyp.score >= self.config.stage1_decoder.threshold
                     or self._phase is not CascadePhase.LISTENING
                     or trigger < self._suppress_until_sample):
                 continue
             self._ring.write(samples[cut : trigger - first])
             cut = trigger - first
-            ts = self._frame_end_ms(frame_index)
+            ts = samples_to_ms(trigger)
             events.append(CascadeEvent(EventKind.STAGE1_TRIGGER, ts, stage1_score=hyp.score))
             self.wake_count += 1
             self._set_phase(CascadePhase.STAGE2_RUNNING)
@@ -357,31 +349,21 @@ class Cascade:
 
     def _conclude_stage2(self, accepted, hyp=None, frame=None):
         job = self._stage2_job
-        events = []
+        frontend = self.config.frontend
         if accepted:
-            ts = self._frame_end_ms(frame, base_sample=job.base_sample)
-            alignment_ms = tuple(
-                self._frame_end_ms(a, base_sample=job.base_sample) for a in hyp.alignment
-            )
-            events.append(
-                CascadeEvent(
-                    EventKind.STAGE2_ACCEPT,
-                    ts,
-                    stage1_score=job.trigger_score,
-                    stage2_score=hyp.score,
-                    alignment_ms=alignment_ms,
-                )
-            )
-            decision_sample = job.base_sample + self._frame_end_sample(frame)
+            decision_sample = job.base_sample + frame_end_sample(frame, frontend)
+            ts = samples_to_ms(decision_sample)
+            alignment_ms = tuple(samples_to_ms(job.base_sample + frame_end_sample(a, frontend))
+                                 for a in hyp.alignment)
+            events = [CascadeEvent(EventKind.STAGE2_ACCEPT, ts, stage1_score=job.trigger_score,
+                                   stage2_score=hyp.score, alignment_ms=alignment_ms)]
             if self._speaker_profile is not None and self._speaker_model is not None:
                 self._set_phase(CascadePhase.AWAITING_VERIFICATION)
                 events.append(self._verify_speaker(job, hyp, ts))
         else:
             decision_sample = job.deadline_sample
-            ts = round(decision_sample * 1000 / SAMPLE_RATE_HZ)
-            events.append(
-                CascadeEvent(EventKind.STAGE2_REJECT, ts, stage1_score=job.trigger_score)
-            )
+            events = [CascadeEvent(EventKind.STAGE2_REJECT, samples_to_ms(decision_sample),
+                                   stage1_score=job.trigger_score)]
         self._stage2_job = None
         # Anchor the refractory where the decision was made: a snapshot accept
         # is stamped at its audio time, but is decided at the trigger.
@@ -394,7 +376,7 @@ class Cascade:
 
     def _verify_speaker(self, job, hyp, ts):
         first, last = hyp.alignment[0], hyp.alignment[-1]
-        segment = [f for f in job.detector.features if first <= f.frame_index <= last]
+        segment = job.detector.features[first : last + 1]
         signature = speaker_mod.embed(segment, self._speaker_model)
         result = speaker_mod.verify(signature, self._speaker_profile)
         kind = EventKind.SPEAKER_ACCEPT if result.accepted else EventKind.SPEAKER_REJECT

@@ -236,7 +236,7 @@ def _segment_signature(wav_path, stage2_model, embedding_model, frontend, decode
         raise CliError(f"{wav_path}: too short to score")
     _, best = max(hits, key=lambda item: item[1].score)
     first, last = best.alignment[0], best.alignment[-1]
-    segment = [f for f in det.features if first <= f.frame_index <= last]
+    segment = det.features[first : last + 1]
     return speaker.embed(segment, embedding_model), best
 
 

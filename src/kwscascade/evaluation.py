@@ -2,6 +2,12 @@
 
 Conventions, fixed here and relied on by the composition-law guarantees:
 
+* every score array is indexed by stream frame from frame 0, on one frame
+  clock for both stages (``frontend.frame_end_sample`` for audio); a
+  scorer's score is NaN before its first decodable frame (frame S-1 for a
+  PipelineScorer stacking S frames), and the speaker gate and hit windows
+  read the same index. The stage-1 columns count all of stage 1's frames,
+  so they equal ``sweep_operating_points`` on the stage-1 scorer;
 * FA/hr counts threshold crossings deduplicated by a refractory period
   (greedy earliest-first, so the count is monotone in the accept mask);
 * FRR counts a positive as hit when ANY accept frame falls within the hit
@@ -21,6 +27,7 @@ import numpy as np
 
 from .cascade import DetectorStream, EventKind
 from .decoder import batch_frame_scores
+from .frontend import frame_timestamp_ms, num_frames_for
 from .quantize import AccumMode
 
 DEFAULT_REFRACTORY_MS = 1000.0
@@ -49,7 +56,12 @@ class DecoderScorer:
 
 
 class PipelineScorer:
-    """Scores raw audio streams through frontend + encoder + decoder."""
+    """Scores raw audio streams through frontend + encoder + decoder.
+
+    Score k is stream frame k's. The first S-1 frames of a model stacking S
+    frames have no score of their own and are NaN, which no threshold
+    accepts.
+    """
 
     def __init__(self, frontend_config, model, decoder_config,
                  mode=AccumMode.FIXED, view="audio"):
@@ -60,19 +72,18 @@ class PipelineScorer:
         self.view = view
 
     def frame_scores(self, stream):
-        samples = stream.views[self.view] if hasattr(stream, "views") else stream
+        samples = stream.views[self.view]
         det = DetectorStream(self.frontend_config, self.model, self.config, self.mode)
-        # the decoder numbers frames consecutively, so hit k is frame first + k
-        return np.array([hyp.score for _, hyp in det.push(samples)])
+        scores = np.full(num_frames_for(len(samples), self.frontend_config), np.nan)
+        for frame, hyp in det.push(samples):
+            scores[frame] = hyp.score
+        return scores
 
     def hop_ms(self, stream):
         return self.frontend_config.hop_ms
 
     def frame_timestamps_ms(self, stream, count):
-        cfg = self.frontend_config
-        start = self.model.num_stacked_frames - 1
-        idx = np.arange(count) + start
-        return idx * cfg.hop_ms + cfg.frame_length_ms
+        return frame_timestamp_ms(np.arange(count), self.frontend_config)
 
 
 def accept_event_frames(scores, threshold, refractory_frames):
@@ -101,26 +112,42 @@ def accept_event_frames(scores, threshold, refractory_frames):
     return events
 
 
-def _operating_points(corpus, negatives, positives, thresholds, **named):
-    """(threshold, FA/hr, FRR) per threshold: the one FA/FRR counter.
+def _check_inputs(refractory_ms, hit_window_ms, **thresholds):
+    """ValueError for a negative or non-finite window, or a NaN threshold.
 
-    ``negatives`` pairs each negative stream's scores with its refractory
-    in frames, ``positives`` each positive's scores with its hit-window
-    mask. No threshold accepts a NaN score. ``named`` gives by name every
-    threshold the scores were swept or gated with; none may be NaN.
+    Runs before any stream is scored. ``thresholds`` gives by name every
+    threshold a table sweeps or gates with.
     """
-    for name, value in named.items():
+    for name, value in dict(refractory_ms=refractory_ms, hit_window_ms=hit_window_ms).items():
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    for name, value in thresholds.items():
         if np.isnan(value).any():
             raise ValueError(f"{name} must not be NaN")
+
+
+def _operating_points(scorer, corpus, negatives, positives, thresholds,
+                      refractory_ms, hit_window_ms):
+    """(threshold, FA/hr, FRR) per threshold: the one FA/FRR counter.
+
+    ``negatives`` and ``positives`` hold one score array per stream of
+    ``corpus``, in corpus order, indexed by stream frame on ``scorer``'s
+    clock. No threshold accepts a NaN score. The refractory in frames and
+    each positive's hit-window mask are taken from that clock.
+    """
     total_hours = sum(s.duration_hours for s in corpus.negatives)
     if total_hours <= 0:
         raise CorpusError("negative corpus has zero duration")
     if not positives:
         raise CorpusError("positive corpus is empty")
+    refractory = [int(round(refractory_ms / scorer.hop_ms(s))) for s in corpus.negatives]
+    windows = [np.abs(scorer.frame_timestamps_ms(p.stream, len(s)) - p.keyword_end_ms)
+               <= hit_window_ms for p, s in zip(corpus.positives, positives)]
     points = []
     for theta in thresholds:
-        fa = sum(len(accept_event_frames(s, theta, r)) for s, r in negatives) / total_hours
-        misses = sum(1 for s, w in positives if not np.any((s >= theta) & w))
+        fa = sum(len(accept_event_frames(s, theta, r))
+                 for s, r in zip(negatives, refractory)) / total_hours
+        misses = sum(1 for s, w in zip(positives, windows) if not np.any((s >= theta) & w))
         points.append((theta, fa, misses / len(positives)))
     return points
 
@@ -129,19 +156,14 @@ def sweep_operating_points(detector, corpus, thresholds,
                            refractory_ms=DEFAULT_REFRACTORY_MS,
                            hit_window_ms=DEFAULT_HIT_WINDOW_MS):
     """(threshold, FA/hr, FRR) per threshold, scoring each stream once."""
-    _check_window_ms(refractory_ms=refractory_ms, hit_window_ms=hit_window_ms)
     thresholds = list(thresholds)
+    _check_inputs(refractory_ms, hit_window_ms, threshold=thresholds)
     if sorted(thresholds) != thresholds:
         raise ValueError("thresholds must be sorted ascending")
-    negatives = [(detector.frame_scores(s), int(round(refractory_ms / detector.hop_ms(s))))
-                 for s in corpus.negatives]
-    positives = []
-    for pos in corpus.positives:
-        scores = detector.frame_scores(pos.stream)
-        ts = detector.frame_timestamps_ms(pos.stream, len(scores))
-        positives.append((scores, np.abs(ts - pos.keyword_end_ms) <= hit_window_ms))
-    return _operating_points(corpus, negatives, positives, thresholds,
-                             threshold=thresholds)
+    negatives = [detector.frame_scores(s) for s in corpus.negatives]
+    positives = [detector.frame_scores(p.stream) for p in corpus.positives]
+    return _operating_points(detector, corpus, negatives, positives, thresholds,
+                             refractory_ms, hit_window_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -213,37 +235,23 @@ def _speaker_gate_mask(stream, count, profile_direction, speaker_threshold):
 
 
 def _paired_scores(stage1, stage2, stream, stage2_threshold, corpus, speaker_verification):
-    """Stage-1 scores and the gated stage-1 score on the frames both stages share.
+    """Stage-1 scores and the gated stage-1 score, both indexed by stream frame.
 
     The gated score is the stage-1 score where stage 2 (and the speaker
     gate, when on) accepts, NaN elsewhere, so a stage-1 threshold on it
-    accepts exactly the cascade's frames. A scorer's first score is its
-    own first decodable frame (frame S-1 for a PipelineScorer stacking S
-    frames), so list positions of two stages need not name the same
-    frame. Their first timestamps give the offset; the stages must share
-    one frame hop. Returns the stage-1 slice too.
+    accepts exactly the cascade's frames. The stages must score the same
+    frames on one frame clock.
     """
     s1, s2 = stage1.frame_scores(stream), stage2.frame_scores(stream)
-    hop = stage1.hop_ms(stream)
-    shift = (stage2.frame_timestamps_ms(stream, 1)[0]
-             - stage1.frame_timestamps_ms(stream, 1)[0]) / hop
-    if stage2.hop_ms(stream) != hop or shift != int(shift):
+    if (len(s1) != len(s2) or stage1.hop_ms(stream) != stage2.hop_ms(stream)
+            or stage1.frame_timestamps_ms(stream, 1)[0]
+            != stage2.frame_timestamps_ms(stream, 1)[0]):
         raise ValueError("the two stages do not score on one frame clock")
-    lo1, lo2 = max(int(shift), 0), max(-int(shift), 0)
-    count = max(min(len(s1) - lo1, len(s2) - lo2), 0)
-    frames = slice(lo1, lo1 + count)
-    s1 = s1[frames]
-    accept = s2[lo2 : lo2 + count] >= stage2_threshold
+    accept = s2 >= stage2_threshold
     if speaker_verification:
-        accept &= _speaker_gate_mask(stream, frames.stop, corpus.profile_direction,
-                                     corpus.speaker_threshold)[frames]
-    return s1, np.where(accept, s1, np.nan), frames
-
-
-def _check_window_ms(**values):
-    for name, value in values.items():
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        accept &= _speaker_gate_mask(stream, len(s1), corpus.profile_direction,
+                                     corpus.speaker_threshold)
+    return s1, np.where(accept, s1, np.nan)
 
 
 def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
@@ -253,33 +261,26 @@ def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
     """Cascade operating points as a function of the stage-1 threshold.
 
     One row per stage-1 threshold, preceded by a stage-1-disabled row
-    showing stage 2 alone. The stages are compared on the frames both
-    score, matched by frame timestamp. When ``speaker_verification`` is
-    set, the cascade mask is additionally gated by each planted event's
-    ground-truth verification outcome (corpus-provided). Each stream is
-    scored once per stage, in corpus order.
+    showing stage 2 alone. Both stages score every frame of a stream on
+    one frame clock. When ``speaker_verification`` is set, the cascade
+    mask is additionally gated by each planted event's ground-truth
+    verification outcome (corpus-provided). Each stream is scored once per
+    stage, in corpus order.
     """
-    _check_window_ms(refractory_ms=refractory_ms, hit_window_ms=hit_window_ms)
-    stage1_neg, cascade_neg, stage1_pos, cascade_pos = [], [], [], []
-    for stream in corpus.negatives:
-        s1, gated, _ = _paired_scores(stage1, stage2, stream, stage2_threshold,
-                                      corpus, speaker_verification)
-        refr = int(round(refractory_ms / stage1.hop_ms(stream)))
-        stage1_neg.append((s1, refr))
-        cascade_neg.append((gated, refr))
-    for example in corpus.positives:
-        s1, gated, frames = _paired_scores(stage1, stage2, example.stream, stage2_threshold,
-                                           corpus, speaker_verification)
-        ts = stage1.frame_timestamps_ms(example.stream, frames.stop)[frames]
-        window = np.abs(ts - example.keyword_end_ms) <= hit_window_ms
-        stage1_pos.append((s1, window))
-        cascade_pos.append((gated, window))
-    named = dict(stage1_threshold=stage1_thresholds, stage2_threshold=stage2_threshold)
-    stage1_points = _operating_points(corpus, stage1_neg, stage1_pos, stage1_thresholds,
-                                      **named)
+    _check_inputs(refractory_ms, hit_window_ms, stage1_threshold=stage1_thresholds,
+                  stage2_threshold=stage2_threshold)
+    negatives = [_paired_scores(stage1, stage2, stream, stage2_threshold, corpus,
+                                speaker_verification) for stream in corpus.negatives]
+    positives = [_paired_scores(stage1, stage2, example.stream, stage2_threshold, corpus,
+                                speaker_verification) for example in corpus.positives]
+    windows = dict(refractory_ms=refractory_ms, hit_window_ms=hit_window_ms)
+    stage1_points = _operating_points(stage1, corpus, [s1 for s1, _ in negatives],
+                                      [s1 for s1, _ in positives], stage1_thresholds,
+                                      **windows)
     # threshold 0 accepts every gated frame (scores are >= 0): the stage-2-alone row
     (_, fa, frr), *cascade_points = _operating_points(
-        corpus, cascade_neg, cascade_pos, [0.0, *stage1_thresholds], **named)
+        stage1, corpus, [gated for _, gated in negatives], [gated for _, gated in positives],
+        [0.0, *stage1_thresholds], **windows)
     rows = [OperatingPointRow(None, None, None, fa, frr)]
     for (theta1, fa1, frr1), (_, fac, frrc) in zip(stage1_points, cascade_points):
         rows.append(OperatingPointRow(theta1, fa1, frr1, fac, frrc))

@@ -106,10 +106,27 @@ class FeatureFrame:
     timestamp_ms: int
 
 
+def frame_end_sample(frame_index, config):
+    """The sample just past frame ``frame_index`` (an int or an int array).
+
+    This is the stream's one frame clock: frame k covers samples
+    [k * hop, k * hop + frame), and every per-frame array is indexed by k.
+    """
+    return frame_index * config.hop_samples + config.frame_samples
+
+
+def samples_to_ms(num_samples):
+    """A sample position (an int or an int array) in whole milliseconds.
+
+    Rounds half to even, as ``round`` does, in exact integer arithmetic.
+    """
+    ms, rest = divmod(num_samples * 1000, SAMPLE_RATE_HZ)
+    return ms + ((2 * rest > SAMPLE_RATE_HZ) | ((2 * rest == SAMPLE_RATE_HZ) & (ms % 2 == 1)))
+
+
 def frame_timestamp_ms(frame_index, config):
-    """End time of a frame in integer milliseconds."""
-    end_sample = frame_index * config.hop_samples + config.frame_samples
-    return round(end_sample * 1000 / SAMPLE_RATE_HZ)
+    """End time of a frame (an int or an int array) in integer milliseconds."""
+    return samples_to_ms(frame_end_sample(frame_index, config))
 
 
 def num_frames_for(num_samples, config):

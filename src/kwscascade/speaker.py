@@ -143,7 +143,11 @@ def load_profile(data):
     need = head + 4 * dim + 4
     if len(data) != need:
         raise ValueError(f"profile file is {len(data)} bytes, expected {need}")
-    vec = np.frombuffer(data[head : head + 4 * dim], dtype="<f4").astype(np.float64)
+    vec = np.frombuffer(data[head : head + 4 * dim], dtype="<f4")
+    # checked before the cast, which warns on a signalling NaN
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("profile vector is not finite")
+    vec = vec.astype(np.float64)
     if not np.any(vec):
         raise ValueError("profile vector is zero; a profile is unit length")
     (threshold,) = struct.unpack("<f", data[head + 4 * dim :])

@@ -27,7 +27,7 @@ from .encoder import (
     EncoderModel,
     ModelKind,
 )
-from .frontend import FrontendConfig, mel_center_frequencies, SAMPLE_RATE_HZ
+from .frontend import FrontendConfig, mel_center_frequencies, samples_to_ms, SAMPLE_RATE_HZ
 from .quantize import QuantParams, compute_quant_params, quantize, quantize_bias
 
 
@@ -314,7 +314,7 @@ def synth_keyword_audio(config, num_units, unit_ms=150, amplitude=8000.0,
     keyword_end_samples = sum(len(p) for p in parts)
     parts.append(np.zeros(trail_silence_ms * SAMPLE_RATE_HZ // 1000, dtype=np.int16))
     samples = np.concatenate(parts)
-    return samples, round(keyword_end_samples * 1000 / SAMPLE_RATE_HZ)
+    return samples, samples_to_ms(keyword_end_samples)
 
 
 def synth_noise(num_samples, rng, rms=60.0):

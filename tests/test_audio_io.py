@@ -3,9 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kwscascade as k
-from kwscascade import audio_io
+from kwscascade import audio_io, speaker
 from kwscascade.frontend import ConfigError
 from kwscascade.synthetic import speech_like_noise
 
@@ -67,6 +69,18 @@ class TestFeatureStream:
         with pytest.raises(ValueError, match="0 channels"):
             audio_io.read_features(io.BytesIO(head + b"\x00" * 8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, bad):
+        cfg = k.FrontendConfig(num_channels=4)
+        frames = [k.FeatureFrame(np.full(4, 1.5), i, 0) for i in range(300)]
+        frames[100].channels[2] = bad
+        frames[200].channels[0] = bad
+        buf = io.BytesIO()
+        audio_io.write_features(buf, frames, cfg)
+        buf.seek(0)
+        with pytest.raises(ValueError, match="frame 100 "):
+            audio_io.read_features(buf)
+
 
 class TestPosteriorStream:
     def test_round_trip(self):
@@ -105,6 +119,89 @@ class TestPosteriorStream:
         text = io.StringIO(f"u1,u2,filler\n0.5,0.25,0.25\n0.1,{bad},0.7\n0.1,0.2,{bad}\n")
         with pytest.raises(ValueError, match="frame 1 "):
             audio_io.read_posteriors_csv(text)
+
+
+def _feature_file():
+    cfg = k.FrontendConfig(num_channels=8)
+    buf = io.BytesIO()
+    audio_io.write_features(buf, k.compute_features(speech_like_noise(1200, seed=3), cfg), cfg)
+    return buf.getvalue()
+
+
+def _posterior_file():
+    buf = io.BytesIO()
+    audio_io.write_posteriors(buf, np.random.default_rng(4).uniform(0, 1, (12, 4)), 3)
+    return buf.getvalue()
+
+
+def _profile_file():
+    signature = speaker.SpeakerSignature(np.random.default_rng(5).normal(size=16), 10)
+    return speaker.serialize_profile(speaker.enroll([signature], 0.6))
+
+
+def _read_features(data):
+    frames, _, _ = audio_io.read_features(io.BytesIO(data))
+    return frames
+
+
+def _read_posteriors(data):
+    return audio_io.read_posteriors(io.BytesIO(data))[0]
+
+
+def _load_profile(data):
+    profile = speaker.load_profile(data)
+    assert -1.0 <= profile.threshold <= 1.0
+    return profile.signature.vector
+
+
+# each reader, a valid file, and what it loads as one array
+READERS = {
+    "read_features": (_read_features, _feature_file()),
+    "read_posteriors": (_read_posteriors, _posterior_file()),
+    "load_profile": (_load_profile, _profile_file()),
+}
+
+
+class TestCorruptFiles:
+    """A damaged file either loads finite values or raises ValueError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(READERS)),
+           st.lists(st.integers(0, 2**31), min_size=1, max_size=8))
+    def test_bit_flipped_file_loads_finite_or_raises_value_error(self, reader, flips):
+        read, valid = READERS[reader]
+        data = bytearray(valid)
+        for bit in flips:
+            data[bit // 8 % len(data)] ^= 1 << (bit % 8)
+        try:
+            values = read(bytes(data))
+        except ValueError:
+            return
+        assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_every_truncation_loads_finite_or_raises_value_error(self, reader):
+        read, valid = READERS[reader]
+        for end in range(len(valid)):
+            try:
+                values = read(valid[:end])
+            except ValueError:
+                continue
+            assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_every_exponent_byte_set_to_nan_is_rejected(self, reader):
+        # a little-endian float32 whose top byte is 0xFF and whose next byte
+        # has bit 7 set has an all-ones exponent: -inf or a NaN (a signalling
+        # one when the quiet bit is clear), whatever the other bits hold
+        read, valid = READERS[reader]
+        start = {"read_features": 16, "read_posteriors": 12, "load_profile": 14}[reader]
+        for at in range(start + 3, len(valid), 4):
+            data = bytearray(valid)
+            data[at] = 0xFF
+            data[at - 1] |= 0x80
+            with pytest.raises(ValueError):
+                read(bytes(data))
 
 
 class TestManifest:

@@ -3,22 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kwscascade.cascade import DetectorStream
+from kwscascade.decoder import DecoderConfig
 from kwscascade.evaluation import (
     CorpusError,
     DecoderScorer,
+    PipelineScorer,
     accept_event_frames,
     cascade_table,
     power_proxy,
     sweep_operating_points,
 )
 from kwscascade.cascade import CascadeEvent, EventKind
+from kwscascade.frontend import FrontendConfig, frame_timestamp_ms, num_frames_for
+from kwscascade.quantize import AccumMode
 from kwscascade.synthetic import (
+    AudioStream,
     PlantedEvent,
     PositiveExample,
     SyntheticCorpus,
     SyntheticStream,
     generate_posterior_corpus,
+    make_tone_acoustic_model,
     oracle_decoder_config,
+    synth_keyword_audio,
+    synth_noise,
 )
 
 
@@ -293,23 +302,22 @@ class TestCascadeTable:
 
 
 class OffsetScorer(FixedScorer):
-    """Scores that start at frame ``first``, as a PipelineScorer's do at S-1."""
+    """Scores NaN before frame ``first``, as a PipelineScorer's are before S-1."""
 
     def __init__(self, first, hop=10, view="scores"):
         super().__init__(hop, view)
         self.first = first
 
     def frame_scores(self, stream):
-        return super().frame_scores(stream)[self.first:]
-
-    def frame_timestamps_ms(self, stream, count):
-        return (np.arange(count) + self.first + 1) * self._hop
+        scores = super().frame_scores(stream).copy()
+        scores[: self.first] = np.nan
+        return scores
 
 
 class TestStagePairing:
     def test_stages_are_paired_by_frame_not_by_list_position(self):
-        # one spike at frame 50 in both stages; stage 2's scores start a
-        # frame later, so by position its spike sits at index 49
+        # one spike at frame 50 in both stages; stage 2 has no score at
+        # frame 0, and its spike must still meet stage 1's
         negative = spike_stream(3000, [50])
         positive = PositiveExample(spike_stream(300, [150]), keyword_end_ms=1510)
         corpus = SyntheticCorpus([negative], [positive], 1)
@@ -321,7 +329,7 @@ class TestStagePairing:
         assert row.cascade_frr == 0.0
 
     def test_last_shared_frame_is_compared(self):
-        # both stages end on frame 2999; pairing by position dropped stage 1's
+        # both stages end on frame 2999, and it is compared
         negative = spike_stream(3000, [2999])
         corpus = SyntheticCorpus(
             [negative], [PositiveExample(spike_stream(300, [150]), keyword_end_ms=1510)], 1)
@@ -341,7 +349,7 @@ def mask_product_table(stage1, stage2, corpus, stage1_thresholds, stage2_thresho
 
     Per stage-1 threshold: m1 = s1 >= theta1 and mc = m1 & (s2 >= theta2) &
     gate, on the frames both stages score (matched by timestamp). The
-    speaker gate is indexed by stage-1 score position, as cascade_table's is.
+    speaker gate is indexed by stream frame.
     """
     def paired(stream):
         s1, s2 = stage1.frame_scores(stream), stage2.frame_scores(stream)
@@ -445,13 +453,20 @@ class TestMaskProductOracle:
     @settings(max_examples=50, deadline=None)
     @given(cascade_cases())
     def test_stage1_columns_equal_the_sweep_with_one_scorer(self, case):
-        case["stage2"] = case["stage1"]
+        # stage 2 is drawn on its own, offset included
         case["stage1_thresholds"] = sorted(case["stage1_thresholds"])
         rows = table_tuples(cascade_table(**case))[1:]
         sweep = sweep_operating_points(case["stage1"], case["corpus"],
                                        case["stage1_thresholds"], case["refractory_ms"],
                                        case["hit_window_ms"])
         assert [row[:3] for row in rows] == sweep
+
+
+class RaisingScorer(FixedScorer):
+    """A scorer that must not be reached."""
+
+    def frame_scores(self, stream):
+        raise AssertionError("a stream was scored before the inputs were checked")
 
 
 class TestNanThresholds:
@@ -466,19 +481,77 @@ class TestNanThresholds:
     ])
     def test_cascade_table_names_the_nan_threshold(self, stage1_thresholds,
                                                    stage2_threshold, name):
+        # checked before any stream is scored
         with pytest.raises(ValueError, match=name):
-            cascade_table(FixedScorer(), FixedScorer(), self._corpus(), stage1_thresholds,
+            cascade_table(RaisingScorer(), RaisingScorer(), self._corpus(), stage1_thresholds,
                           stage2_threshold)
 
     def test_sweep_rejects_a_nan_threshold(self):
         with pytest.raises(ValueError, match="NaN"):
-            sweep_operating_points(FixedScorer(), self._corpus(), [float("nan"), 0.3])
+            sweep_operating_points(RaisingScorer(), self._corpus(), [float("nan"), 0.3])
 
     def test_infinite_thresholds_mute_a_stage(self):
         table = cascade_table(FixedScorer(), FixedScorer(), self._corpus(),
                               [-np.inf, np.inf], np.inf)
         assert table_tuples(table)[1:] == [(-np.inf, 3600.0, 0.0, 0.0, 1.0),
                                            (np.inf, 0.0, 1.0, 0.0, 1.0)]
+
+
+FRONTEND = FrontendConfig()
+TONE_DECODER = DecoderConfig(3, smoothing_window_frames=10, threshold=0.3)
+
+
+class TestPipelineScorer:
+    @pytest.mark.parametrize("stacked", [1, 2, 5])
+    @pytest.mark.parametrize("num_samples", [None, 400, 400 + 3 * 160])
+    def test_nan_before_frame_s_minus_1_then_the_detector_scores(self, stacked, num_samples):
+        model = make_tone_acoustic_model(FRONTEND, 3, stacked_frames=stacked)
+        samples = synth_keyword_audio(FRONTEND, 3)[0][:num_samples]
+        scores = PipelineScorer(FRONTEND, model, TONE_DECODER).frame_scores(
+            AudioStream({"audio": samples}))
+        hits = DetectorStream(FRONTEND, model, TONE_DECODER, AccumMode.FIXED).push(samples)
+        assert len(scores) == num_frames_for(len(samples), FRONTEND)
+        assert np.isnan(scores[: stacked - 1]).all()
+        assert [frame for frame, _ in hits] == list(range(stacked - 1, len(scores)))
+        decoded = np.array([hyp.score for _, hyp in hits], dtype=np.float64)
+        assert scores[stacked - 1 :].tobytes() == decoded.tobytes()
+
+    @pytest.mark.parametrize("frontend", [FRONTEND, FrontendConfig(frame_length_ms=30,
+                                                                   hop_ms=15)])
+    def test_timestamps_are_the_frontend_clock(self, frontend):
+        scorer = PipelineScorer(frontend, make_tone_acoustic_model(frontend, 3, 4),
+                                TONE_DECODER)
+        stream = AudioStream({"audio": np.zeros(4000, dtype=np.int16)})
+        assert scorer.frame_timestamps_ms(stream, 7).tolist() == [
+            frame_timestamp_ms(k, frontend) for k in range(7)]
+
+
+class TestSpeakerGateByFrame:
+    @pytest.mark.parametrize("stacked", [1, 2, 11])
+    def test_cascade_frr_does_not_depend_on_the_stage1_stack(self, stacked):
+        # A verifying speaker event covers four frames from stage 2's first
+        # accept, and the hit window is 5 frames each side of that frame. A
+        # stage 1 stacking S frames has no score before frame S-1; the gate
+        # must still be read at the frames it names, so the keyword is hit
+        # whatever S is.
+        samples = synth_keyword_audio(FRONTEND, 3)[0]
+        stage2_model = make_tone_acoustic_model(FRONTEND, 3, stacked_frames=2)
+        first = next(frame for frame, hyp in DetectorStream(
+            FRONTEND, stage2_model, TONE_DECODER, AccumMode.FLOAT).push(samples)
+            if hyp.score >= 0.4)
+        event = PlantedEvent("keyword", first, first + 3, 0.0, 0.0,
+                             signature=np.array([1.0, 0.0]))
+        corpus = SyntheticCorpus(
+            [AudioStream({"audio": synth_noise(16000, np.random.default_rng(0))})],
+            [PositiveExample(AudioStream({"audio": samples}, [event]),
+                             frame_timestamp_ms(first, FRONTEND))],
+            3, profile_direction=np.array([1.0, 0.0]), speaker_threshold=0.6)
+        stage1 = PipelineScorer(FRONTEND, make_tone_acoustic_model(FRONTEND, 3, stacked),
+                                TONE_DECODER)
+        stage2 = PipelineScorer(FRONTEND, stage2_model, TONE_DECODER, AccumMode.FLOAT)
+        table = cascade_table(stage1, stage2, corpus, [0.0], 0.4, hit_window_ms=50,
+                              speaker_verification=True)
+        assert [row.cascade_frr for row in table.rows] == [0.0, 0.0]
 
 
 class TestWindowBounds:
@@ -489,9 +562,9 @@ class TestWindowBounds:
             [spike_stream(100, [])],
             [PositiveExample(spike_stream(100, [50]), keyword_end_ms=510)], 1)
         with pytest.raises(ValueError, match=name):
-            cascade_table(FixedScorer(), FixedScorer(), corpus, [0.5], 0.5, **{name: value})
+            cascade_table(RaisingScorer(), RaisingScorer(), corpus, [0.5], 0.5, **{name: value})
         with pytest.raises(ValueError, match=name):
-            sweep_operating_points(FixedScorer(), corpus, [0.5], **{name: value})
+            sweep_operating_points(RaisingScorer(), corpus, [0.5], **{name: value})
 
 
 class TestGroundTruthAgreement:

@@ -12,10 +12,13 @@ from kwscascade.frontend import (
     NoiseFloorTracker,
     compute_features,
     frame_audio,
+    frame_end_sample,
+    frame_timestamp_ms,
     mel_center_frequencies,
     mel_filterbank,
     num_frames_for,
     power_spectra,
+    samples_to_ms,
 )
 from kwscascade.synthetic import speech_like_noise, synth_tone
 
@@ -111,6 +114,23 @@ class TestFraming:
     def test_frames_zero_padded_to_fft_size(self):
         frames = frame_audio(np.full(400, 1000, dtype=np.int16), FLOAT)
         assert np.all(frames[0, 400:] == 0.0)
+
+
+class TestFrameClock:
+    def test_frame_k_ends_at_k_hops_plus_one_frame(self):
+        cfg = FrontendConfig(frame_length_ms=30, hop_ms=15)
+        ends = frame_end_sample(np.arange(4), cfg)
+        assert ends.tolist() == [480, 720, 960, 1200]
+        assert [frame_end_sample(k, cfg) for k in range(4)] == ends.tolist()
+        assert frame_timestamp_ms(np.arange(4), cfg).tolist() == [30, 45, 60, 75]
+
+    def test_samples_to_ms_rounds_as_round_does(self):
+        # 8 samples is half a millisecond: ties go to the even millisecond
+        positions = list(range(0, 4000)) + [2**40 + 8, 2**40 + 24, 10**15 + 8]
+        expected = [round(n * 1000 / 16000) for n in positions]
+        assert [samples_to_ms(n) for n in positions] == expected
+        assert all(type(samples_to_ms(n)) is int for n in positions)
+        assert samples_to_ms(np.array(positions, dtype=np.int64)).tolist() == expected
 
 
 class TestLogMel:
