@@ -1,11 +1,4 @@
-"""File formats: WAV in, raw PCM in, feature and posterior streams.
-
-Feature stream layout (little-endian):
-    0   4  magic b"KWSF"
-    4   4  version u32 (currently 1)
-    8   4  num_channels u32
-    12  4  hop_ms u32
-    16  *  frame-major float32 channel data
+"""File formats: WAV in, raw PCM in, posterior streams.
 
 Posterior stream layout (little-endian):
     0   4  magic b"KWSY"
@@ -22,7 +15,6 @@ import numpy as np
 
 from .frontend import SAMPLE_RATE_HZ, AudioChunk, ConfigError
 
-FEATURE_MAGIC = b"KWSF"
 POSTERIOR_MAGIC = b"KWSY"
 STREAM_VERSION = 1
 
@@ -58,30 +50,6 @@ def read_raw_pcm(stream=None):
     if len(raw) % 2:
         raise ValueError(f"raw PCM has an odd byte count ({len(raw)}); samples are 16-bit")
     return AudioChunk(np.frombuffer(raw, dtype="<i2").astype(np.int16))
-
-
-def write_features(fileobj, frames, config):
-    """Write FeatureFrames in the self-describing float32 stream format."""
-    fileobj.write(FEATURE_MAGIC)
-    fileobj.write(struct.pack("<III", STREAM_VERSION, config.num_channels, config.hop_ms))
-    for frame in frames:
-        fileobj.write(np.asarray(frame.channels, dtype="<f4").tobytes())
-
-
-def read_features(fileobj):
-    """Read a feature stream; returns (array [T, C], num_channels, hop_ms)."""
-    head = fileobj.read(16)
-    if len(head) < 16 or head[:4] != FEATURE_MAGIC:
-        raise ValueError("not a feature stream (bad magic)")
-    version, channels, hop_ms = struct.unpack("<III", head[4:])
-    if version != STREAM_VERSION:
-        raise ValueError(f"unsupported feature stream version {version}")
-    if channels == 0:
-        raise ValueError("feature stream has 0 channels")
-    data = np.frombuffer(fileobj.read(), dtype="<f4")
-    if data.size % channels:
-        raise ValueError("feature stream data is not a whole number of frames")
-    return _finite_frames(data.reshape(-1, channels), "feature stream"), channels, hop_ms
 
 
 def write_posteriors(fileobj, posteriors, num_units):

@@ -21,7 +21,7 @@ import numpy as np
 from .decoder import DecoderConfig, StreamingDecoder
 from .encoder import ModelKind, forward_vector, stack_frames
 from .frontend import (SAMPLE_RATE_HZ, AudioChunk, ConfigError, FrontendConfig, FrontendStream,
-                       frame_end_sample, samples_to_ms)
+                       check_bounds, frame_end_sample, samples_to_ms, setting)
 from .quantize import AccumMode, DimensionError
 from . import speaker as speaker_mod
 
@@ -42,16 +42,17 @@ class BudgetViolationError(ValueError):
 class MemoryBudget:
     """DSP memory partition; all lines must fit in total_bytes."""
 
-    total_bytes: int = 131072
-    program_bytes: int = 25600
-    tables_bytes: int = 12288
-    buffer_bytes: int = 64000
-    model_budget_bytes: int = 13312
+    total_bytes: int = setting(131072)
+    program_bytes: int = setting(25600, ge=0)
+    tables_bytes: int = setting(12288, ge=0)
+    buffer_bytes: int = setting(64000, ge=0)
+    model_budget_bytes: int = setting(13312, ge=0)
 
     def __post_init__(self):
+        check_bounds(self)
         used = self.program_bytes + self.tables_bytes + self.buffer_bytes + self.model_budget_bytes
         if used > self.total_bytes:
-            raise ValueError(
+            raise ConfigError(
                 f"budget lines sum to {used} bytes, over the {self.total_bytes}-byte total"
             )
 
@@ -222,16 +223,14 @@ class CascadeConfig:
     stage1_decoder: DecoderConfig = field(default_factory=lambda: DecoderConfig(num_units=3))
     stage2_decoder: DecoderConfig = field(default_factory=lambda: DecoderConfig(num_units=3))
     budget: MemoryBudget = field(default_factory=MemoryBudget)
-    buffer_capacity_samples: int = 32000
-    stage2_window_ms: int = 1000
-    refractory_ms: int = 1000
+    buffer_capacity_samples: int = setting(32000, ge=1)
+    stage2_window_ms: int = setting(1000, ge=0)
+    refractory_ms: int = setting(1000, ge=0)
     stage1_mode: AccumMode = AccumMode.FIXED
     stage2_mode: AccumMode = AccumMode.FLOAT
 
     def __post_init__(self):
-        for name in ("stage2_window_ms", "refractory_ms"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_bounds(self)
 
 
 class _Stage2Job:

@@ -7,6 +7,7 @@ error, 3 memory budget violation.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,7 +28,7 @@ from .encoder import (
     serialize_model,
 )
 from .evaluation import PipelineScorer, cascade_table
-from .frontend import ArithmeticMode, ConfigError, FrontendConfig
+from .frontend import ConfigError, FrontendConfig
 from .quantize import AccumMode
 
 EXIT_OK = 0
@@ -35,38 +36,47 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# Every config-file key, its parser, and where it lands. Unknown keys are
-# hard errors so typos surface instead of silently using defaults.
-_CONFIG_KEYS = {
-    "frontend.frame_length_ms": int,
-    "frontend.hop_ms": int,
-    "frontend.num_channels": int,
-    "frontend.fft_size": int,
-    "frontend.mel_low_hz": float,
-    "frontend.mel_high_hz": float,
-    "frontend.log_floor": float,
-    "frontend.noise_suppression": lambda v: v.lower() in ("1", "true", "on", "yes"),
-    "frontend.arithmetic_mode": str,  # float | fixed_point
-    "stage1.num_units": int,
-    "stage1.smoothing_window_frames": int,
-    "stage1.score_window_frames": int,
-    "stage1.threshold": float,
-    "stage2.num_units": int,
-    "stage2.smoothing_window_frames": int,
-    "stage2.score_window_frames": int,
-    "stage2.threshold": float,
-    "cascade.stage2_window_ms": int,
-    "cascade.refractory_ms": int,
-    "cascade.buffer_capacity_samples": int,
-    "budget.total_bytes": int,
-    "budget.program_bytes": int,
-    "budget.tables_bytes": int,
-    "budget.buffer_bytes": int,
-    "budget.model_budget_bytes": int,
-    "speaker.threshold": float,
-    "eval.refractory_ms": float,
-    "eval.hit_window_ms": float,
+# The config file's sections. A section's keys are the fields its dataclass
+# declares as keys (see frontend.setting), and each key is parsed by its
+# field's type; the dataclass checks the values.
+SECTIONS = {
+    "frontend": FrontendConfig,
+    "stage1": DecoderConfig,
+    "stage2": DecoderConfig,
+    "cascade": CascadeConfig,
+    "budget": MemoryBudget,
 }
+
+
+_SWITCH = {"1": True, "true": True, "on": True, "yes": True,
+           "0": False, "false": False, "off": False, "no": False}
+
+
+def _switch(text):
+    try:
+        return _SWITCH[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1/true/on/yes or 0/false/off/no, got {text!r}") from None
+
+
+def _config_keys():
+    keys = {}
+    for section, cls in SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            key = f.metadata.get("key")
+            if key:
+                parse = _switch if f.type is bool else f.type
+                keys[f"{section}.{f.name if key is True else key}"] = (section, f.name, parse)
+    # cascade_table arguments, which it checks itself
+    keys["eval.refractory_ms"] = ("eval", "refractory_ms", float)
+    keys["eval.hit_window_ms"] = ("eval", "hit_window_ms", float)
+    return keys
+
+
+# Every config-file key -> (section, the field or argument it sets, parser).
+# Unknown keys are hard errors so typos surface instead of silently using
+# defaults.
+CONFIG_KEYS = _config_keys()
 
 
 class CliError(Exception):
@@ -76,8 +86,14 @@ class CliError(Exception):
 
 
 def load_config_file(path):
-    """Parse 'key = value' lines; unknown keys are errors."""
-    values = {}
+    """Parse 'key = value' lines into {section: {name: value}}; unknown keys are errors.
+
+    Every section is present, empty when the file sets none of its keys or
+    when there is no file (``path`` None).
+    """
+    values = {section: {} for section, _, _ in CONFIG_KEYS.values()}
+    if path is None:
+        return values
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -87,42 +103,14 @@ def load_config_file(path):
                 raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in CONFIG_KEYS:
                 raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+            section, name, parse = CONFIG_KEYS[key]
             try:
-                values[key] = _CONFIG_KEYS[key](value)
+                values[section][name] = parse(value)
             except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
-
-
-def _given(cfg, prefix, names):
-    """The keys the config file sets under prefix; the rest keep their defaults."""
-    return {name: cfg[f"{prefix}.{name}"] for name in names if f"{prefix}.{name}" in cfg}
-
-
-def _frontend_from(cfg):
-    kwargs = _given(cfg, "frontend", ("frame_length_ms", "hop_ms", "num_channels", "fft_size",
-                                      "mel_low_hz", "mel_high_hz", "log_floor"))
-    if "frontend.noise_suppression" in cfg:
-        kwargs["noise_suppression_enabled"] = cfg["frontend.noise_suppression"]
-    if "frontend.arithmetic_mode" in cfg:
-        mode = cfg["frontend.arithmetic_mode"]
-        try:
-            kwargs["arithmetic_mode"] = ArithmeticMode(mode)
-        except ValueError:
-            raise CliError(f"frontend.arithmetic_mode must be float or fixed_point, got {mode!r}")
-    return FrontendConfig(**kwargs)
-
-
-def _decoder_from(cfg, prefix, num_units):
-    return DecoderConfig(**{"num_units": num_units, **_given(cfg, prefix, (
-        "num_units", "smoothing_window_frames", "score_window_frames", "threshold"))})
-
-
-def _budget_from(cfg):
-    return MemoryBudget(**_given(cfg, "budget", (
-        "total_bytes", "program_bytes", "tables_bytes", "buffer_bytes", "model_budget_bytes")))
 
 
 def _read_model(path):
@@ -174,15 +162,14 @@ def cmd_quantize_model(args):
 
 
 def cmd_score(args):
-    cfg = load_config_file(args.config) if args.config else {}
+    cfg = load_config_file(args.config)
     if args.posteriors.endswith(".csv"):
         with open(args.posteriors) as fh:
             posteriors, num_units = audio_io.read_posteriors_csv(fh)
     else:
         with open(args.posteriors, "rb") as fh:
             posteriors, num_units = audio_io.read_posteriors(fh)
-    decoder_cfg = _decoder_from(cfg, "stage1", num_units)
-    dec = StreamingDecoder(decoder_cfg)
+    dec = StreamingDecoder(DecoderConfig(num_units, **cfg["stage1"]))
     sys.stdout.write("record,frame,score\n")
     hits = dec.push_many(posteriors[:, :num_units])
     for frame, hyp in hits:
@@ -195,16 +182,16 @@ def cmd_score(args):
 
 
 def cmd_run_cascade(args):
-    cfg = load_config_file(args.config) if args.config else {}
+    cfg = load_config_file(args.config)
     stage1 = _read_model(args.stage1)
     stage2 = _read_model(args.stage2)
-    frontend = _frontend_from(cfg)
+    frontend = FrontendConfig(**cfg["frontend"])
     cascade_cfg = CascadeConfig(
         frontend=frontend,
-        stage1_decoder=_decoder_from(cfg, "stage1", stage1.num_units),
-        stage2_decoder=_decoder_from(cfg, "stage2", stage2.num_units),
-        budget=_budget_from(cfg),
-        **_given(cfg, "cascade", ("buffer_capacity_samples", "stage2_window_ms", "refractory_ms")),
+        stage1_decoder=DecoderConfig(stage1.num_units, **cfg["stage1"]),
+        stage2_decoder=DecoderConfig(stage2.num_units, **cfg["stage2"]),
+        budget=MemoryBudget(**cfg["budget"]),
+        **cfg["cascade"],
     )
     speaker_model = _read_model(args.speaker_model) if args.speaker_model else None
     profile = None
@@ -241,36 +228,35 @@ def _segment_signature(wav_path, stage2_model, embedding_model, frontend, decode
 
 
 def cmd_enroll(args):
-    cfg = load_config_file(args.config) if args.config else {}
+    cfg = load_config_file(args.config)
     stage2 = _read_model(args.stage2)
     embedding = _read_model(args.embedding_model)
     if embedding.kind is not ModelKind.EMBEDDING:
         raise CliError(f"{args.embedding_model} is not an embedding model")
-    frontend = _frontend_from(cfg)
-    decoder_cfg = _decoder_from(cfg, "stage2", stage2.num_units)
+    frontend = FrontendConfig(**cfg["frontend"])
+    decoder_cfg = DecoderConfig(stage2.num_units, **cfg["stage2"])
     signatures = []
     for path in args.wavs:
         signature, _ = _segment_signature(path, stage2, embedding, frontend, decoder_cfg)
         signatures.append(signature)
-    threshold = cfg.get("speaker.threshold", args.threshold)
-    profile = speaker.enroll(signatures, threshold)
+    profile = speaker.enroll(signatures, args.threshold)
     with open(args.output, "wb") as fh:
         fh.write(speaker.serialize_profile(profile))
     _emit({
         "output": args.output,
         "dim": len(profile.signature.vector),
         "num_enrollment_utterances": profile.num_enrollment_utterances,
-        "threshold": threshold,
+        "threshold": args.threshold,
     })
     return EXIT_OK
 
 
 def cmd_verify(args):
-    cfg = load_config_file(args.config) if args.config else {}
+    cfg = load_config_file(args.config)
     stage2 = _read_model(args.stage2)
     embedding = _read_model(args.embedding_model)
-    frontend = _frontend_from(cfg)
-    decoder_cfg = _decoder_from(cfg, "stage2", stage2.num_units)
+    frontend = FrontendConfig(**cfg["frontend"])
+    decoder_cfg = DecoderConfig(stage2.num_units, **cfg["stage2"])
     with open(args.profile, "rb") as fh:
         profile = speaker.load_profile(fh.read())
     signature, _ = _segment_signature(args.wav, stage2, embedding, frontend, decoder_cfg)
@@ -280,18 +266,17 @@ def cmd_verify(args):
 
 
 def cmd_evaluate(args):
-    cfg = load_config_file(args.config) if args.config else {}
+    cfg = load_config_file(args.config)
     stage1_model = _read_model(args.stage1)
     stage2_model = _read_model(args.stage2)
-    frontend = _frontend_from(cfg)
-    budget = _budget_from(cfg)
-    enforce_budget(budget, stage1_model, stage=1)
+    frontend = FrontendConfig(**cfg["frontend"])
+    enforce_budget(MemoryBudget(**cfg["budget"]), stage1_model, stage=1)
     corpus = synthetic.load_audio_corpus(args.manifest, num_units=stage1_model.num_units)
     stage1 = PipelineScorer(frontend, stage1_model,
-                            _decoder_from(cfg, "stage1", stage1_model.num_units),
+                            DecoderConfig(stage1_model.num_units, **cfg["stage1"]),
                             AccumMode.FIXED)
     stage2 = PipelineScorer(frontend, stage2_model,
-                            _decoder_from(cfg, "stage2", stage2_model.num_units),
+                            DecoderConfig(stage2_model.num_units, **cfg["stage2"]),
                             AccumMode.FLOAT)
     thresholds = [float(v) for v in args.thresholds.split(",")]
     if sorted(thresholds) != thresholds:
@@ -299,7 +284,7 @@ def cmd_evaluate(args):
     table = cascade_table(
         stage1, stage2, corpus, thresholds,
         stage2_threshold=args.stage2_threshold,
-        **_given(cfg, "eval", ("refractory_ms", "hit_window_ms")),
+        **cfg["eval"],
     )
     sys.stdout.write(table.render_csv() + "\n")
     sys.stderr.write(table.render_text() + "\n")
@@ -325,7 +310,7 @@ def cmd_gen_corpus(args):
 
 
 def _config_epilog():
-    keys = "\n".join(f"  {key}" for key in _CONFIG_KEYS)
+    keys = "\n".join(f"  {key}" for key in CONFIG_KEYS)
     return "config file keys (key = value per line, unknown keys are errors):\n" + keys
 
 

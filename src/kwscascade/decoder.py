@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frontend import ConfigError, check_bounds, setting
+
 
 class InsufficientFramesError(ValueError):
     """Score window holds fewer frames than keyword units."""
@@ -35,21 +37,17 @@ class InsufficientFramesError(ValueError):
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    num_units: int
-    smoothing_window_frames: int = 30
-    score_window_frames: int = 100
-    threshold: float = 0.5
+    num_units: int = setting(key=False, ge=1)
+    smoothing_window_frames: int = setting(30, ge=1)
+    score_window_frames: int = setting(100)
+    # Thresholds above 1 are legal: they make the detector mute.
+    threshold: float = setting(0.5, ge=0.0)
 
     def __post_init__(self):
-        if self.num_units < 1:
-            raise ValueError("num_units must be >= 1")
-        if self.smoothing_window_frames < 1:
-            raise ValueError("smoothing window must be >= 1")
-        if self.score_window_frames < self.num_units:
-            raise ValueError("score window must hold at least num_units frames")
-        # Thresholds above 1 are legal: they make the detector mute.
-        if not self.threshold >= 0:
-            raise ValueError("threshold must be >= 0")
+        check_bounds(self)
+        if not self.score_window_frames >= self.num_units:
+            raise ConfigError(f"score_window_frames {self.score_window_frames} must hold at "
+                              f"least num_units {self.num_units} frames")
 
 
 class KeywordHypothesis:

@@ -8,7 +8,8 @@ sits between the power spectrum and the mel filterbank.
 """
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 
@@ -25,7 +26,33 @@ _FIXED_POWER_FLOOR = 1
 
 
 class ConfigError(ValueError):
-    """Invalid frontend configuration."""
+    """Invalid configuration."""
+
+
+_BOUND_SYMBOLS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+
+
+def setting(default=MISSING, *, key=True, **bounds):
+    """A config field with its bounds and its config-file key declared once.
+
+    ``bounds`` maps ``ge``/``gt``/``le``/``lt`` to the values the field is
+    compared with on its own; ``check_bounds`` applies them. ``key`` is True
+    when the field is a config-file key of the same name, a string when the
+    key has another name, and False when the field is library-only.
+    """
+    return field(default=default, metadata={"key": key, "bounds": bounds})
+
+
+def check_bounds(config):
+    """ConfigError naming the first field of ``config`` outside its declared bounds.
+
+    A NaN is outside every bound.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        for op, bound in f.metadata.get("bounds", {}).items():
+            if not getattr(operator, op)(value, bound):
+                raise ConfigError(f"{f.name} must be {_BOUND_SYMBOLS[op]} {bound}, got {value}")
 
 
 class ArithmeticMode(Enum):
@@ -56,37 +83,25 @@ class AudioChunk:
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    frame_length_ms: int = 25
-    hop_ms: int = 10
-    num_channels: int = 32
-    fft_size: int = 512
-    mel_low_hz: float = 125.0
-    mel_high_hz: float = 7500.0
-    log_floor: float = 1e-12
-    noise_suppression_enabled: bool = False
-    noise_window_frames: int = 100
-    arithmetic_mode: ArithmeticMode = ArithmeticMode.FLOAT
+    frame_length_ms: int = setting(25, ge=1)
+    hop_ms: int = setting(10, ge=1)
+    num_channels: int = setting(32, ge=1, le=128)
+    fft_size: int = setting(512)
+    mel_low_hz: float = setting(125.0, gt=0.0)
+    mel_high_hz: float = setting(7500.0, le=SAMPLE_RATE_HZ / 2)
+    log_floor: float = setting(1e-12, gt=0.0, lt=math.inf)
+    noise_suppression_enabled: bool = setting(False, key="noise_suppression")
+    noise_window_frames: int = setting(100, key=False, ge=1)
+    arithmetic_mode: ArithmeticMode = setting(ArithmeticMode.FLOAT)
 
     def __post_init__(self):
-        if not 1 <= self.num_channels <= 128:
-            raise ConfigError(f"num_channels must be in 1..128, got {self.num_channels}")
-        if self.fft_size & (self.fft_size - 1) or self.fft_size <= 0:
-            raise ConfigError(f"fft_size must be a power of two, got {self.fft_size}")
-        if self.fft_size < self.frame_samples:
-            raise ConfigError(
-                f"fft_size {self.fft_size} is shorter than the {self.frame_samples}-sample frame"
-            )
-        if not 0 < self.mel_low_hz < self.mel_high_hz <= SAMPLE_RATE_HZ / 2:
-            raise ConfigError(
-                f"mel range [{self.mel_low_hz}, {self.mel_high_hz}] must satisfy "
-                f"0 < low < high <= {SAMPLE_RATE_HZ // 2}"
-            )
-        if not 0 < self.log_floor < math.inf:
-            raise ConfigError(f"log_floor must be finite and positive, got {self.log_floor}")
-        if self.noise_window_frames < 1:
-            raise ConfigError(f"noise_window_frames must be >= 1, got {self.noise_window_frames}")
-        if self.hop_ms <= 0 or self.frame_length_ms <= 0:
-            raise ConfigError("frame_length_ms and hop_ms must be positive")
+        check_bounds(self)
+        if self.fft_size & (self.fft_size - 1) or self.fft_size < self.frame_samples:
+            raise ConfigError(f"fft_size must be a power of two >= the {self.frame_samples}-sample "
+                              f"frame, got {self.fft_size}")
+        if not self.mel_low_hz < self.mel_high_hz:
+            raise ConfigError(f"mel_low_hz {self.mel_low_hz} must be below mel_high_hz "
+                              f"{self.mel_high_hz}")
 
     @property
     def frame_samples(self):

@@ -1,12 +1,10 @@
 import io
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kwscascade as k
 from kwscascade import audio_io, speaker
 from kwscascade.frontend import ConfigError
 from kwscascade.synthetic import speech_like_noise
@@ -43,43 +41,6 @@ class TestRawPcm:
     def test_odd_trailing_byte_rejected(self):
         with pytest.raises(ValueError, match="odd byte count"):
             audio_io.read_raw_pcm(io.BytesIO(b"\x01\x00\x02"))
-
-
-class TestFeatureStream:
-    def test_header_and_round_trip(self):
-        cfg = k.FrontendConfig()
-        frames = k.compute_features(speech_like_noise(4000, seed=1), cfg)
-        buf = io.BytesIO()
-        audio_io.write_features(buf, frames, cfg)
-        raw = buf.getvalue()
-        assert raw[:4] == b"KWSF"
-        buf.seek(0)
-        data, channels, hop_ms = audio_io.read_features(buf)
-        assert channels == cfg.num_channels
-        assert hop_ms == cfg.hop_ms
-        original = np.stack([f.channels for f in frames])
-        assert np.allclose(data, original, atol=1e-5)  # float32 storage
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            audio_io.read_features(io.BytesIO(b"NOPE" + b"\x00" * 12))
-
-    def test_zero_channels_rejected(self):
-        head = b"KWSF" + struct.pack("<III", 1, 0, 10)
-        with pytest.raises(ValueError, match="0 channels"):
-            audio_io.read_features(io.BytesIO(head + b"\x00" * 8))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_frame_rejected(self, bad):
-        cfg = k.FrontendConfig(num_channels=4)
-        frames = [k.FeatureFrame(np.full(4, 1.5), i, 0) for i in range(300)]
-        frames[100].channels[2] = bad
-        frames[200].channels[0] = bad
-        buf = io.BytesIO()
-        audio_io.write_features(buf, frames, cfg)
-        buf.seek(0)
-        with pytest.raises(ValueError, match="frame 100 "):
-            audio_io.read_features(buf)
 
 
 class TestPosteriorStream:
@@ -121,17 +82,16 @@ class TestPosteriorStream:
             audio_io.read_posteriors_csv(text)
 
 
-def _feature_file():
-    cfg = k.FrontendConfig(num_channels=8)
-    buf = io.BytesIO()
-    audio_io.write_features(buf, k.compute_features(speech_like_noise(1200, seed=3), cfg), cfg)
-    return buf.getvalue()
-
-
 def _posterior_file():
     buf = io.BytesIO()
     audio_io.write_posteriors(buf, np.random.default_rng(4).uniform(0, 1, (12, 4)), 3)
     return buf.getvalue()
+
+
+def _posterior_csv_file():
+    rows = np.random.default_rng(6).uniform(0, 1, (12, 4))
+    lines = ["u1,u2,u3,filler"] + [",".join(f"{v:.6g}" for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _profile_file():
@@ -139,13 +99,12 @@ def _profile_file():
     return speaker.serialize_profile(speaker.enroll([signature], 0.6))
 
 
-def _read_features(data):
-    frames, _, _ = audio_io.read_features(io.BytesIO(data))
-    return frames
-
-
 def _read_posteriors(data):
     return audio_io.read_posteriors(io.BytesIO(data))[0]
+
+
+def _read_posteriors_csv(data):
+    return audio_io.read_posteriors_csv(io.StringIO(data.decode()))[0]
 
 
 def _load_profile(data):
@@ -156,10 +115,12 @@ def _load_profile(data):
 
 # each reader, a valid file, and what it loads as one array
 READERS = {
-    "read_features": (_read_features, _feature_file()),
     "read_posteriors": (_read_posteriors, _posterior_file()),
+    "read_posteriors_csv": (_read_posteriors_csv, _posterior_csv_file()),
     "load_profile": (_load_profile, _profile_file()),
 }
+# the binary readers, and the offset of their first float32
+FLOAT_STARTS = {"read_posteriors": 12, "load_profile": 14}
 
 
 class TestCorruptFiles:
@@ -189,14 +150,13 @@ class TestCorruptFiles:
                 continue
             assert np.all(np.isfinite(values))
 
-    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("reader", sorted(FLOAT_STARTS))
     def test_every_exponent_byte_set_to_nan_is_rejected(self, reader):
         # a little-endian float32 whose top byte is 0xFF and whose next byte
         # has bit 7 set has an all-ones exponent: -inf or a NaN (a signalling
         # one when the quiet bit is clear), whatever the other bits hold
         read, valid = READERS[reader]
-        start = {"read_features": 16, "read_posteriors": 12, "load_profile": 14}[reader]
-        for at in range(start + 3, len(valid), 4):
+        for at in range(FLOAT_STARTS[reader] + 3, len(valid), 4):
             data = bytearray(valid)
             data[at] = 0xFF
             data[at - 1] |= 0x80

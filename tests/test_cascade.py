@@ -97,6 +97,13 @@ class TestMemoryBudget:
         with pytest.raises(ValueError):
             MemoryBudget(model_budget_bytes=30000)
 
+    def test_negative_line_rejected(self):
+        # a negative line made room for an over-budget stage-1 model
+        for name in ("program_bytes", "tables_bytes", "buffer_bytes", "model_budget_bytes"):
+            with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+                MemoryBudget(**{name: -1})
+            MemoryBudget(**{name: 0})
+
     def test_small_model_passes_stage1(self, frontend_config):
         model = make_tone_acoustic_model(frontend_config, 3)
         report = enforce_budget(MemoryBudget(), model, stage=1)

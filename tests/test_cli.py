@@ -1,15 +1,20 @@
+import dataclasses
+import inspect
 import json
+import math
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kwscascade as k
-from kwscascade import audio_io
+from kwscascade import audio_io, cli
 from kwscascade.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from kwscascade.encoder import pad_model_to_size, serialize_model
+from kwscascade.evaluation import cascade_table
 from kwscascade.synthetic import (
     make_random_embedding_model,
     make_tone_acoustic_model,
@@ -468,3 +473,165 @@ class TestHelp:
             code, out, err = run_cli([sub, "--help"], capsys)
             assert code == 0
             assert sub in out or sub in err
+
+
+@pytest.fixture(scope="module")
+def silence_wav(tmp_path_factory):
+    path = tmp_path_factory.mktemp("audio") / "silence.wav"
+    audio_io.write_wav(str(path), np.zeros(1600, dtype=np.int16))
+    return str(path)
+
+
+def run_cascade_with(config_text, model_files, wav, tmp_path, capsys, stage1="stage1"):
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text)
+    return run_cli(
+        ["run-cascade", "--stage1", model_files[stage1], "--stage2", model_files["stage2"],
+         "--input", wav, "--config", str(config)],
+        capsys,
+    )
+
+
+def _field(key):
+    section, name, _ = cli.CONFIG_KEYS[key]
+    return {f.name: f for f in dataclasses.fields(cli.SECTIONS[section])}[name]
+
+
+def _build_section(key, values):
+    """The config object of the key's section, from the loaded file's values."""
+    section = cli.CONFIG_KEYS[key][0]
+    cls = cli.SECTIONS[section]
+    return cls(3, **values[section]) if cls is k.DecoderConfig else cls(**values[section])
+
+
+def _step(value, parse, direction):
+    """The next value of the key's type after ``value``, up (+1) or down (-1)."""
+    return value + direction if parse is int else math.nextafter(value, direction * math.inf)
+
+
+# every declared bound of every config-file key, read from the CLI's own table
+BOUND_CASES = [
+    pytest.param(key, op, bound, id=f"{key}-{op}")
+    for key, (section, _, _) in cli.CONFIG_KEYS.items() if section in cli.SECTIONS
+    for op, bound in _field(key).metadata["bounds"].items()
+]
+FLOAT_BOUNDED_KEYS = sorted({key for key, _, _ in (p.values for p in BOUND_CASES)
+                             if cli.CONFIG_KEYS[key][2] is float})
+
+
+class TestConfigBounds:
+    """Each declared bound, at the bound and one step outside it."""
+
+    def test_table_has_bounded_keys_of_every_section(self):
+        sections = {cli.CONFIG_KEYS[key][0] for key, _, _ in (p.values for p in BOUND_CASES)}
+        assert sections == set(cli.SECTIONS)
+        assert FLOAT_BOUNDED_KEYS
+
+    @pytest.mark.parametrize("key, op, bound", BOUND_CASES)
+    def test_value_at_the_bound_loads(self, tmp_path, key, op, bound):
+        _, name, parse = cli.CONFIG_KEYS[key]
+        # a strict bound excludes the bound itself: its nearest inside value loads
+        inward = 1 if op in ("ge", "gt") else -1
+        value = _step(bound, parse, inward) if op in ("gt", "lt") else bound
+        config = tmp_path / "at.cfg"
+        config.write_text(f"{key} = {value!r}\n")
+        built = _build_section(key, cli.load_config_file(str(config)))
+        assert getattr(built, name) == value
+
+    @pytest.mark.parametrize("key, op, bound", BOUND_CASES)
+    def test_value_outside_the_bound_exits_2(self, model_files, silence_wav, tmp_path,
+                                             capsys, key, op, bound):
+        _, name, parse = cli.CONFIG_KEYS[key]
+        outward = -1 if op in ("ge", "gt") else 1
+        value = bound if op in ("gt", "lt") else _step(bound, parse, outward)
+        code, out, err = run_cascade_with(f"{key} = {value!r}\n", model_files, silence_wav,
+                                          tmp_path, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"ConfigError: {name} must be" in err
+
+    @pytest.mark.parametrize("key", FLOAT_BOUNDED_KEYS)
+    def test_nan_exits_2(self, model_files, silence_wav, tmp_path, capsys, key):
+        code, out, err = run_cascade_with(f"{key} = nan\n", model_files, silence_wav,
+                                          tmp_path, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"ConfigError: {cli.CONFIG_KEYS[key][1]} must be" in err
+
+
+class TestConfigKeys:
+    def test_negative_budget_line_cannot_make_room_for_a_model(self, model_files, keyword_wav,
+                                                               tmp_path, capsys):
+        # the lines summed to the total, so this passed a 13313-byte stage 1, exit 0
+        wav, _ = keyword_wav
+        code, out, err = run_cascade_with(
+            "budget.program_bytes = -1000\nbudget.model_budget_bytes = 14312\n",
+            model_files, wav, tmp_path, capsys, stage1="oversized")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "ConfigError: program_bytes must be >= 0" in err
+
+    @pytest.mark.parametrize("word, enabled", [
+        ("1", True), ("TRUE", True), ("On", True), ("yes", True),
+        ("0", False), ("false", False), ("OFF", False), ("No", False),
+    ])
+    def test_noise_suppression_words(self, tmp_path, word, enabled):
+        config = tmp_path / "switch.cfg"
+        config.write_text(f"frontend.noise_suppression = {word}\n")
+        frontend = k.FrontendConfig(**cli.load_config_file(str(config))["frontend"])
+        assert frontend.noise_suppression_enabled is enabled
+
+    @pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
+    def test_noise_suppression_rejects_other_words(self, model_files, silence_wav, tmp_path,
+                                                   capsys, word):
+        # "ture" used to switch the tracker off, exit 0
+        code, out, err = run_cascade_with(f"frontend.noise_suppression = {word}\n",
+                                          model_files, silence_wav, tmp_path, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "frontend.noise_suppression" in err
+
+    @pytest.mark.parametrize("line", [
+        "stage1.num_units = 3",  # the model's units are the only value that works
+        "stage2.num_units = 3",
+        "speaker.threshold = 0.2",  # overrode enroll --threshold
+    ])
+    def test_removed_keys_are_unknown(self, model_files, silence_wav, tmp_path, capsys, line):
+        code, out, err = run_cascade_with(line + "\n", model_files, silence_wav, tmp_path,
+                                          capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"unknown config key {line.split()[0]!r}" in err
+
+    def test_help_lists_every_key(self, capsys):
+        code, out, _ = run_cli(["run-cascade", "--help"], capsys)
+        assert code == 0
+        listed = out.split("config file keys", 1)[1].split()
+        assert [word for word in listed if "." in word] == list(cli.CONFIG_KEYS)
+
+
+def _readme_config_table():
+    """(key, default) per row of the README's config-file table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Config file", 1)[1]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+            rows.append((key.strip("`"), default))
+        elif rows and not line.startswith("|"):
+            break
+    return rows
+
+
+class TestReadmeConfigTable:
+    def test_keys_equal_the_cli_table(self):
+        assert [key for key, _ in _readme_config_table()] == list(cli.CONFIG_KEYS)
+
+    def test_defaults_equal_the_field_defaults(self):
+        table_args = inspect.signature(cascade_table).parameters
+        for key, cell in _readme_config_table():
+            section, name, parse = cli.CONFIG_KEYS[key]
+            default = (table_args[name].default if section == "eval"
+                       else _field(key).default)
+            assert parse(cell) == default, key
