@@ -1,5 +1,6 @@
 """End-to-end cascade: real PCM through frontend, quantized encoder,
-decoder, ring buffer, and the two-stage state machine.
+decoder, ring buffer, and the two-stage state machine, then the power
+proxy from the audio each stage ran.
 
 The keyword is three pure tones (one per acoustic unit) so a hand-built
 single-layer encoder can recognise it; everything downstream is the
@@ -9,6 +10,7 @@ production path.
 import numpy as np
 
 from kwscascade import Cascade, CascadeConfig, DecoderConfig, FrontendConfig
+from kwscascade.evaluation import power_proxy
 from kwscascade.synthetic import (
     make_tone_acoustic_model,
     synth_keyword_audio,
@@ -37,7 +39,6 @@ planted_end = 1000 + end_ms
 print(f"\nstreaming {len(audio) / 16000:.1f} s of audio; keyword ends at {planted_end} ms")
 
 
-
 def show(event):
     scores = ", ".join(
         f"{name}={value:.3f}"
@@ -55,5 +56,10 @@ for start in range(0, len(audio), 1600):  # 100 ms chunks, as a mic would delive
 for event in cascade.finish():  # end of stream: decide a stage-2 job still running
     show(event)
 
-print(f"\nwake count: {cascade.wake_count}; state history: "
-      f"{[phase.value for phase in cascade.state_history]}")
+# power proxy: stage 1 ran every sample, stage 2 each wake's snapshot up to its decision
+proxy = power_proxy(cascade.stats, multiplier=100.0)
+print(f"\n{proxy.triggers} wake(s); stage 1 ran {proxy.duration_sec:.3f} s of audio, "
+      f"stage 2 {proxy.stage2_run_seconds:.3f} s")
+print(f"power proxy at 100x stage-2 cost: {proxy.total_units:.1f} units vs "
+      f"{proxy.duration_sec:.3f} for stage 1 alone "
+      f"(+{100 * (proxy.total_units / proxy.duration_sec - 1):.0f}%)")

@@ -3,18 +3,14 @@
 Runs the decoder over a seeded synthetic posterior corpus (two hours of
 negatives with planted impostor spikes, 200 positives) and prints the
 cascade operating points as a function of the stage-1 threshold, with and
-without speaker verification, plus the power proxy for a chosen point.
+without speaker verification.
 """
-
-import numpy as np
 
 from kwscascade.evaluation import (
     DecoderScorer,
     cascade_table,
-    power_proxy,
     sweep_operating_points,
 )
-from kwscascade.cascade import CascadeEvent, EventKind
 from kwscascade.synthetic import generate_posterior_corpus, oracle_decoder_config
 
 corpus = generate_posterior_corpus(seed=42)
@@ -38,14 +34,3 @@ print("\nwith speaker verification:")
 gated = cascade_table(stage1, stage2, corpus, [0.35, 0.5, 0.65, 0.8],
                       stage2_threshold=0.5, speaker_verification=True)
 print(gated.render_text())
-
-# power proxy: how expensive is waking the big model a few times per hour?
-wakes = [(600_000 * i, 600_000 * i + 800, False) for i in range(1, 7)]
-log = []
-for trigger_ms, decision_ms, _ in wakes:
-    log.append(CascadeEvent(EventKind.STAGE1_TRIGGER, trigger_ms))
-    log.append(CascadeEvent(EventKind.STAGE2_REJECT, decision_ms))
-proxy = power_proxy(log, duration_sec=3600.0, multiplier=100.0)
-print(f"\npower proxy for {proxy.wakes_per_hour:.0f} wakes/hr: "
-      f"{proxy.total_units:.0f} units vs {proxy.duration_sec:.0f} for stage-1 alone "
-      f"(+{100 * (proxy.total_units / proxy.duration_sec - 1):.1f}%)")

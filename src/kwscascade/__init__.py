@@ -12,7 +12,6 @@ from .cascade import (
     Cascade,
     CascadeConfig,
     CascadeEvent,
-    CascadePhase,
     DetectorStream,
     EventKind,
     MemoryBudget,

@@ -181,12 +181,6 @@ class DetectorStream:
         return self._decoder.push_many(probs[:, : self._model.num_units])
 
 
-class CascadePhase(Enum):
-    LISTENING = "listening"
-    STAGE2_RUNNING = "stage2_running"
-    AWAITING_VERIFICATION = "awaiting_verification"
-
-
 class EventKind(Enum):
     STAGE1_TRIGGER = "stage1_trigger"
     STAGE2_ACCEPT = "stage2_accept"
@@ -233,6 +227,23 @@ class CascadeConfig:
         check_bounds(self)
 
 
+@dataclass
+class CascadeStats:
+    """Samples pushed (stage 1 runs all), samples stage 2 ran from each job's
+    snapshot start to its decision, and triggers: the same for any chunking."""
+
+    samples: int = 0
+    stage2_samples: int = 0
+    triggers: int = 0
+
+
+def check_channels(frontend_config, model, role):
+    """DimensionError unless ``model`` reads the frontend's feature width."""
+    if model.num_channels != frontend_config.num_channels:
+        raise DimensionError(f"frontend.num_channels {frontend_config.num_channels} != "
+                             f"{role} model num_channels {model.num_channels}")
+
+
 class _Stage2Job:
     def __init__(self, detector, base_sample, trigger_sample, deadline_sample, trigger_score):
         self.detector = detector
@@ -259,6 +270,10 @@ class Cascade:
             if dim != speaker_model.num_units:
                 raise DimensionError(f"profile dim {dim} != speaker model "
                                      f"num_units {speaker_model.num_units}")
+        for role, model in (("stage-1", stage1_model), ("stage-2", stage2_model),
+                            ("speaker", speaker_model)):
+            if model is not None:
+                check_channels(config.frontend, model, role)
         self._stage1_model = stage1_model
         self._stage2_model = stage2_model
         self._speaker_model = speaker_model
@@ -267,29 +282,20 @@ class Cascade:
         self._stage1 = self._new_detector(stage1_model, config.stage1_decoder,
                                           config.stage1_mode)
         self._stage2_job = None
-        self._phase = CascadePhase.LISTENING
         self._suppress_until_sample = 0
-        self.wake_count = 0
-        self.state_history = [CascadePhase.LISTENING]
+        self._accepted_end_sample = 0
+        self.stats = CascadeStats()
 
     def _new_detector(self, model, decoder_config, mode, keep_features=False):
         # Stages may share frontend settings but never a frontend instance.
         return DetectorStream(self.config.frontend, model, decoder_config,
                               mode, keep_features=keep_features)
 
-    @property
-    def phase(self):
-        return self._phase
-
-    def _set_phase(self, phase):
-        if phase is not self._phase:
-            self._phase = phase
-            self.state_history.append(phase)
-
     def push_audio(self, chunk):
         """Append a chunk, run both stages cooperatively, return new events."""
         samples = chunk.samples if isinstance(chunk, AudioChunk) else np.asarray(chunk, dtype=np.int16)
         first = self._ring.total_written  # absolute sample index of samples[0]
+        self.stats.samples += len(samples)
         events = []
         # stage-2 first, so its (earlier) decisions gate this chunk's triggers;
         # a job still running after the whole chunk gates all of them
@@ -299,17 +305,18 @@ class Cascade:
         for frame_index, hyp in self._stage1.push(samples):
             trigger = frame_end_sample(frame_index, self.config.frontend)
             if (not hyp.score >= self.config.stage1_decoder.threshold
-                    or self._phase is not CascadePhase.LISTENING
+                    or self._stage2_job is not None
                     or trigger < self._suppress_until_sample):
                 continue
             self._ring.write(samples[cut : trigger - first])
             cut = trigger - first
             ts = samples_to_ms(trigger)
             events.append(CascadeEvent(EventKind.STAGE1_TRIGGER, ts, stage1_score=hyp.score))
-            self.wake_count += 1
-            self._set_phase(CascadePhase.STAGE2_RUNNING)
-            # the snapshot ends at the trigger frame and starts on stage 1's frame grid
+            self.stats.triggers += 1
+            # the snapshot ends at the trigger frame, starts after the last accepted
+            # keyword (so stage 2 cannot accept it again) and on stage 1's frame grid
             snap = self._ring.snapshot()
+            snap = snap[max(0, self._accepted_end_sample - (trigger - len(snap))) :]
             snap = snap[(len(snap) - trigger) % self.config.frontend.hop_samples :]
             detector = self._new_detector(
                 self._stage2_model, self.config.stage2_decoder, self.config.stage2_mode,
@@ -352,25 +359,25 @@ class Cascade:
         if accepted:
             decision_sample = job.base_sample + frame_end_sample(frame, frontend)
             ts = samples_to_ms(decision_sample)
-            alignment_ms = tuple(samples_to_ms(job.base_sample + frame_end_sample(a, frontend))
-                                 for a in hyp.alignment)
+            ends = [job.base_sample + frame_end_sample(a, frontend) for a in hyp.alignment]
+            self._accepted_end_sample = ends[-1]
+            alignment_ms = tuple(samples_to_ms(end) for end in ends)
             events = [CascadeEvent(EventKind.STAGE2_ACCEPT, ts, stage1_score=job.trigger_score,
                                    stage2_score=hyp.score, alignment_ms=alignment_ms)]
             if self._speaker_profile is not None and self._speaker_model is not None:
-                self._set_phase(CascadePhase.AWAITING_VERIFICATION)
                 events.append(self._verify_speaker(job, hyp, ts))
         else:
             decision_sample = job.deadline_sample
             events = [CascadeEvent(EventKind.STAGE2_REJECT, samples_to_ms(decision_sample),
                                    stage1_score=job.trigger_score)]
         self._stage2_job = None
+        self.stats.stage2_samples += decision_sample - job.base_sample
         # Anchor the refractory where the decision was made: a snapshot accept
         # is stamped at its audio time, but is decided at the trigger.
         anchor = max(decision_sample, job.trigger_sample)
         self._suppress_until_sample = (
             anchor + self.config.refractory_ms * SAMPLE_RATE_HZ // 1000
         )
-        self._set_phase(CascadePhase.LISTENING)
         return events
 
     def _verify_speaker(self, job, hyp, ts):

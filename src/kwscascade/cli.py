@@ -271,13 +271,13 @@ def cmd_evaluate(args):
     stage2_model = _read_model(args.stage2)
     frontend = FrontendConfig(**cfg["frontend"])
     enforce_budget(MemoryBudget(**cfg["budget"]), stage1_model, stage=1)
-    corpus = synthetic.load_audio_corpus(args.manifest, num_units=stage1_model.num_units)
     stage1 = PipelineScorer(frontend, stage1_model,
                             DecoderConfig(stage1_model.num_units, **cfg["stage1"]),
                             AccumMode.FIXED)
     stage2 = PipelineScorer(frontend, stage2_model,
                             DecoderConfig(stage2_model.num_units, **cfg["stage2"]),
                             AccumMode.FLOAT)
+    corpus = synthetic.load_audio_corpus(args.manifest, num_units=stage1_model.num_units)
     thresholds = [float(v) for v in args.thresholds.split(",")]
     if sorted(thresholds) != thresholds:
         raise CliError("--thresholds must be ascending")

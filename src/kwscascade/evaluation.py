@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import DetectorStream, EventKind
+from .cascade import DetectorStream, check_channels
 from .decoder import batch_frame_scores
-from .frontend import frame_timestamp_ms, num_frames_for
+from .frontend import SAMPLE_RATE_HZ, frame_timestamp_ms, num_frames_for
 from .quantize import AccumMode
 
 DEFAULT_REFRACTORY_MS = 1000.0
@@ -65,6 +65,7 @@ class PipelineScorer:
 
     def __init__(self, frontend_config, model, decoder_config,
                  mode=AccumMode.FIXED, view="audio"):
+        check_channels(frontend_config, model, "scorer")
         self.frontend_config = frontend_config
         self.model = model
         self.config = decoder_config
@@ -294,39 +295,29 @@ def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
 
 @dataclass
 class PowerProxy:
-    stage1_cost_units_per_sec: float
     stage2_cost_multiplier: float
     stage2_run_seconds: float
     duration_sec: float
     total_units: float
-    wake_count: int
+    triggers: int
 
     @property
     def wakes_per_hour(self):
-        return self.wake_count / (self.duration_sec / 3600.0)
+        return self.triggers / (self.duration_sec / 3600.0)
 
 
-def power_proxy(event_log, duration_sec, multiplier=100.0, snapshot_sec=2.0):
-    """Unitless energy estimate: stage-1 runs always, stage-2 per wake.
+def power_proxy(stats, multiplier=100.0):
+    """Unitless energy estimate from a cascade's ``stats``.
 
-    Each stage-2 run covers the snapshot plus the streamed audio up to its
-    decision, at ``multiplier`` times stage-1 cost per second.
+    Stage 1 costs one unit per second of audio pushed; stage 2 costs
+    ``multiplier`` units per second it ran, each job from its snapshot's
+    start to its decision.
     """
     if multiplier <= 1:
         raise ValueError("stage-2 must cost more than stage-1 (multiplier > 1)")
-    if duration_sec <= 0:
-        raise ValueError("duration must be positive")
-    run_seconds = 0.0
-    wake_count = 0
-    trigger_ts = None
-    for event in event_log:
-        if event.kind is EventKind.STAGE1_TRIGGER:
-            wake_count += 1
-            trigger_ts = event.timestamp_ms
-        elif event.kind in (EventKind.STAGE2_ACCEPT, EventKind.STAGE2_REJECT):
-            extra = 0.0 if trigger_ts is None else max(0.0, (event.timestamp_ms - trigger_ts) / 1000.0)
-            run_seconds += snapshot_sec + extra
-            trigger_ts = None
-    total = duration_sec * 1.0 + run_seconds * multiplier
-    return PowerProxy(1.0, multiplier, run_seconds, duration_sec, total, wake_count)
-
+    if stats.samples <= 0:
+        raise ValueError("no audio was pushed")
+    duration = stats.samples / SAMPLE_RATE_HZ
+    run_seconds = stats.stage2_samples / SAMPLE_RATE_HZ
+    return PowerProxy(multiplier, run_seconds, duration, duration + run_seconds * multiplier,
+                      stats.triggers)

@@ -10,7 +10,7 @@ from kwscascade.cascade import (
     BudgetViolationError,
     Cascade,
     CascadeConfig,
-    CascadePhase,
+    CascadeStats,
     DetectorStream,
     EventKind,
     LifecycleError,
@@ -21,6 +21,7 @@ from kwscascade.cascade import (
 from kwscascade.decoder import DecoderConfig
 from kwscascade.encoder import pad_model_to_size
 from kwscascade.frontend import ConfigError
+from kwscascade.quantize import DimensionError
 from kwscascade.synthetic import (
     make_random_embedding_model,
     make_tone_acoustic_model,
@@ -166,7 +167,7 @@ class TestCascade:
         for _ in range(20):
             events.extend(cascade.push_audio(np.zeros(3200, dtype=np.int16)))
         assert events == []
-        assert cascade.wake_count == 0
+        assert cascade.stats == CascadeStats(samples=64000, stage2_samples=0, triggers=0)
 
     def test_single_keyword_trigger_and_accept(self, frontend_config, tone_stage1_model,
                                                tone_stage2_model, keyword_audio):
@@ -182,8 +183,8 @@ class TestCascade:
         assert abs(trigger.timestamp_ms - end_ms) <= 250
         assert accept.alignment_ms is not None and len(accept.alignment_ms) == 3
         assert accept.timestamp_ms <= trigger.timestamp_ms + 1000
-        assert cascade.wake_count == 1
-        assert cascade.phase is CascadePhase.LISTENING
+        assert cascade.stats.triggers == 1
+        assert cascade.finish() == []  # no stage-2 job left running
 
     def test_unreachable_threshold_mutes(self, frontend_config, tone_stage1_model,
                                          tone_stage2_model, keyword_audio):
@@ -252,16 +253,14 @@ class TestCascade:
         for start in range(0, len(samples), 1600):
             events.extend(cascade.push_audio(samples[start : start + 1600]))
         assert [e.kind for e in events] == [EventKind.STAGE1_TRIGGER]
-        assert cascade.phase is CascadePhase.STAGE2_RUNNING
         (reject,) = cascade.finish()
         assert reject.kind is EventKind.STAGE2_REJECT
         assert reject.timestamp_ms == round(len(samples) * 1000 / 16000)
         assert reject.stage1_score == events[0].stage1_score
-        assert cascade.phase is CascadePhase.LISTENING
         assert cascade.finish() == []
 
-    def test_wake_count_equals_triggers(self, frontend_config, tone_stage1_model,
-                                        tone_stage2_model, keyword_audio):
+    def test_stats_count_the_triggers(self, frontend_config, tone_stage1_model,
+                                      tone_stage2_model, keyword_audio):
         samples, _ = keyword_audio
         rng = np.random.default_rng(8)
         kw2, _ = synth_keyword_audio(frontend_config, 3, unit_ms=150)
@@ -274,7 +273,7 @@ class TestCascade:
             events.extend(cascade.push_audio(audio[start : start + 1600]))
         triggers = [e for e in events if e.kind is EventKind.STAGE1_TRIGGER]
         accepts = [e for e in events if e.kind is EventKind.STAGE2_ACCEPT]
-        assert cascade.wake_count == len(triggers) == 2
+        assert cascade.stats.triggers == len(triggers) == 2
         assert len(accepts) == 2
 
     def test_stage1_keeps_processing_during_stage2(self, frontend_config,
@@ -290,23 +289,67 @@ class TestCascade:
         events = []
         for start in range(0, len(audio), 800):
             events.extend(cascade.push_audio(audio[start : start + 800]))
-        assert cascade.wake_count == 2
+        assert [e.kind for e in events].count(EventKind.STAGE1_TRIGGER) == 2
+        assert cascade.stats.triggers == 2
 
-    def test_legal_state_transitions_only(self, frontend_config, tone_stage1_model,
-                                          tone_stage2_model, keyword_audio):
-        samples, _ = keyword_audio
+    def test_one_accept_per_keyword(self, frontend_config, tone_stage1_model,
+                                    tone_stage2_model):
+        # keywords 1.75 s apart: the second trigger comes after the first
+        # accept's refractory, and its 2 s snapshot reaches back into the
+        # first keyword, which stage 2 must not accept again
+        rng = np.random.default_rng(8)
+        kw, _ = synth_keyword_audio(frontend_config, 3, unit_ms=150)
+        audio = np.concatenate([synth_noise(8000, rng), kw, synth_noise(8000, rng), kw,
+                                synth_noise(24000, rng)])
         cascade = Cascade(make_cascade_config(frontend_config),
                           tone_stage1_model, tone_stage2_model)
-        for start in range(0, len(samples), 1600):
-            cascade.push_audio(samples[start : start + 1600])
-        legal = {
-            CascadePhase.LISTENING: {CascadePhase.STAGE2_RUNNING},
-            CascadePhase.STAGE2_RUNNING: {CascadePhase.LISTENING,
-                                          CascadePhase.AWAITING_VERIFICATION},
-            CascadePhase.AWAITING_VERIFICATION: {CascadePhase.LISTENING},
-        }
-        for prev, cur in zip(cascade.state_history, cascade.state_history[1:]):
-            assert cur in legal[prev]
+        events = []
+        for start in range(0, len(audio), 1600):
+            events.extend(cascade.push_audio(audio[start : start + 1600]))
+        triggers = [e for e in events if e.kind is EventKind.STAGE1_TRIGGER]
+        accepts = [e for e in events if e.kind is EventKind.STAGE2_ACCEPT]
+        assert len(triggers) == len(accepts) == 2
+        assert triggers[1].timestamp_ms > accepts[0].timestamp_ms + 1000
+        assert triggers[1].timestamp_ms - accepts[0].alignment_ms[0] < 2000
+        for trigger, accept in zip(triggers, accepts):
+            assert abs(accept.timestamp_ms - trigger.timestamp_ms) <= 250
+        assert accepts[1].alignment_ms[0] > accepts[0].alignment_ms[-1]
+
+    @pytest.mark.parametrize("lead_samples, chunk", [(8000, 1600), (40000, 2560)])
+    def test_stats_count_the_audio_each_stage_ran(self, frontend_config, tone_stage1_model,
+                                                  tone_stage2_model, lead_samples, chunk):
+        rng = np.random.default_rng(5)
+        kw, _ = synth_keyword_audio(frontend_config, 3, unit_ms=150)
+        audio = np.concatenate([synth_noise(lead_samples, rng), kw, synth_noise(24000, rng)])
+        cascade = Cascade(make_cascade_config(frontend_config),
+                          tone_stage1_model, tone_stage2_model)
+        events = []
+        for start in range(0, len(audio), chunk):
+            events.extend(cascade.push_audio(audio[start : start + chunk]))
+        trigger, accept = events
+        assert accept.kind is EventKind.STAGE2_ACCEPT
+        trigger_sample, accept_sample = trigger.timestamp_ms * 16, accept.timestamp_ms * 16
+        # the snapshot is the 2 s ring up to the trigger, its start moved up
+        # to stage 1's 160-sample frame grid; the stream runs on to the accept
+        hop = frontend_config.hop_samples
+        snapshot_start = -(-max(0, trigger_sample - 32000) // hop) * hop
+        snapshot = trigger_sample - snapshot_start
+        streamed = accept_sample - trigger_sample
+        assert cascade.stats == CascadeStats(len(audio), snapshot + streamed, 1)
+
+    @pytest.mark.parametrize("role", ["stage-1", "stage-2", "speaker"])
+    def test_model_channels_checked_at_build(self, frontend_config, tone_stage1_model,
+                                             tone_stage2_model, embedding_model, role):
+        narrow = k.FrontendConfig(num_channels=16)
+        models = {"stage-1": tone_stage1_model, "stage-2": tone_stage2_model,
+                  "speaker": embedding_model}
+        models[role] = (make_random_embedding_model(narrow, dim=64) if role == "speaker"
+                        else make_tone_acoustic_model(narrow, 3))
+        profile = speaker.enroll([speaker.SpeakerSignature(np.ones(64), 1)], threshold=0.8)
+        with pytest.raises(DimensionError,
+                           match=f"frontend.num_channels 32 != {role} model num_channels 16"):
+            Cascade(make_cascade_config(frontend_config), models["stage-1"],
+                    models["stage-2"], models["speaker"], profile)
 
     def test_no_accept_without_trigger(self, frontend_config, tone_stage1_model,
                                        tone_stage2_model, keyword_audio):
@@ -389,11 +432,13 @@ class TestSpeakerIntegration:
         rng = np.random.default_rng(13)
         stranger = speaker.SpeakerSignature(rng.normal(size=64), 1)
         profile = speaker.enroll([stranger], threshold=0.8)
-        cascade, events = self._run(frontend_config, tone_stage1_model, tone_stage2_model,
-                                    embedding_model, profile, samples)
+        _, events = self._run(frontend_config, tone_stage1_model, tone_stage2_model,
+                              embedding_model, profile, samples)
         kinds = [e.kind for e in events]
-        assert EventKind.SPEAKER_REJECT in kinds
-        assert CascadePhase.AWAITING_VERIFICATION in cascade.state_history
+        # the speaker check runs on the stage-2 accept, stamped with it
+        assert kinds == [EventKind.STAGE1_TRIGGER, EventKind.STAGE2_ACCEPT,
+                         EventKind.SPEAKER_REJECT]
+        assert events[2].timestamp_ms == events[1].timestamp_ms
 
 
 def _clock_clip():
@@ -420,7 +465,7 @@ def _clock_cascade_parts(tracker):
 
 
 def _clock_events(tracker, muted, with_speaker, bounds):
-    """Events of the whole clip pushed in pieces, finish() included."""
+    """Events of the whole clip pushed in pieces, finish() included, and the stats."""
     frontend, stage1, stage2, embedding, profile = _clock_cascade_parts(tracker)
     # muted: stage 2 never accepts, so short windows give deadline rejects,
     # re-triggers once the refractory ends, and a job running at the end
@@ -430,7 +475,7 @@ def _clock_events(tracker, muted, with_speaker, bounds):
     events = []
     for lo, hi in bounds:
         events.extend(cascade.push_audio(_CLOCK_CLIP[lo:hi]))
-    return events + cascade.finish()
+    return events + cascade.finish(), cascade.stats
 
 
 @functools.lru_cache(maxsize=None)
@@ -462,12 +507,12 @@ class TestSampleClock:
     def test_clip_exercises_every_decision_path(self):
         # an accept from the stream after its trigger, one from the snapshot
         # before it, deadline rejects, and a job that finish() decides
-        events = _clock_reference(False, False, True)
+        events, _ = _clock_reference(False, False, True)
         pairs = [(a.timestamp_ms, b.timestamp_ms) for a, b in zip(events, events[1:])
                  if (a.kind, b.kind) == (EventKind.STAGE1_TRIGGER, EventKind.STAGE2_ACCEPT)]
         assert len(pairs) == 2 and pairs[0][1] > pairs[0][0] and pairs[1][1] < pairs[1][0]
         assert EventKind.SPEAKER_REJECT in [e.kind for e in events]
-        muted = _clock_reference(False, True, False)
+        muted, _ = _clock_reference(False, True, False)
         rejects = [e.timestamp_ms for e in muted if e.kind is EventKind.STAGE2_REJECT]
         triggers = [e.timestamp_ms for e in muted if e.kind is EventKind.STAGE1_TRIGGER]
         assert len(rejects) == len(triggers) >= 3
@@ -483,7 +528,10 @@ class TestSampleClock:
     @example(bounds=_WHOLE_CLIP, muted=False, with_speaker=False)
     @example(bounds=_WHOLE_CLIP, muted=True, with_speaker=True)
     def test_any_chunking_gives_the_same_events(self, tracker, bounds, muted, with_speaker):
-        events = _clock_events(tracker, muted, with_speaker, bounds)
-        reference = _clock_reference(tracker, muted, with_speaker)
+        events, stats = _clock_events(tracker, muted, with_speaker, bounds)
+        reference, reference_stats = _clock_reference(tracker, muted, with_speaker)
         assert [e.to_dict() for e in events] == [e.to_dict() for e in reference]
         assert events == reference
+        assert stats == reference_stats
+        assert stats.samples == len(_CLOCK_CLIP)
+        assert stats.triggers == [e.kind for e in events].count(EventKind.STAGE1_TRIGGER)

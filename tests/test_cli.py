@@ -435,6 +435,26 @@ class TestEvaluateAndGenCorpus:
         assert code == EXIT_USAGE
 
 
+class TestModelChannels:
+    """A frontend.num_channels the models do not read exits 2 before any audio is read."""
+
+    @pytest.mark.parametrize("command", ["run-cascade", "evaluate"])
+    def test_mismatch_named_before_the_missing_input(self, model_files, tmp_path, capsys,
+                                                      command):
+        config = tmp_path / "narrow.cfg"
+        config.write_text(DECODER_CONFIG + "frontend.num_channels = 16\n")
+        absent = str(tmp_path / "absent.input")
+        models = ["--stage1", model_files["stage1"], "--stage2", model_files["stage2"]]
+        rest = (["--input", absent] if command == "run-cascade" else
+                ["--manifest", absent, "--thresholds", "0.3"])
+        code, out, err = run_cli([command, *models, *rest, "--config", str(config)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "DimensionError" in err
+        assert "frontend.num_channels 16" in err and "num_channels 32" in err
+        assert "absent" not in err and "FileNotFoundError" not in err
+
+
 class TestDeterminism:
     def test_same_seed_same_stdout(self, model_files, tmp_path):
         cfg = k.FrontendConfig()

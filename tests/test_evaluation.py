@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwscascade.cascade import DetectorStream
+from kwscascade.cascade import CascadeStats, DetectorStream
 from kwscascade.decoder import DecoderConfig
 from kwscascade.evaluation import (
     CorpusError,
@@ -14,7 +14,6 @@ from kwscascade.evaluation import (
     power_proxy,
     sweep_operating_points,
 )
-from kwscascade.cascade import CascadeEvent, EventKind
 from kwscascade.frontend import FrontendConfig, frame_timestamp_ms, num_frames_for
 from kwscascade.quantize import AccumMode
 from kwscascade.synthetic import (
@@ -590,32 +589,32 @@ class TestGroundTruthAgreement:
 
 
 class TestPowerProxy:
-    def _log(self, decisions):
-        events = []
-        for trigger_ms, decision_ms, accept in decisions:
-            events.append(CascadeEvent(EventKind.STAGE1_TRIGGER, trigger_ms))
-            kind = EventKind.STAGE2_ACCEPT if accept else EventKind.STAGE2_REJECT
-            events.append(CascadeEvent(kind, decision_ms))
-        return events
+    HOUR = 3600 * 16000  # samples
 
-    def test_zero_triggers_is_stage1_only(self):
-        proxy = power_proxy([], 3600.0, multiplier=100.0)
-        assert proxy.total_units == 3600.0
-        assert proxy.wake_count == 0
+    def test_zero_stage2_audio_costs_the_duration(self):
+        proxy = power_proxy(CascadeStats(samples=self.HOUR), multiplier=100.0)
+        assert proxy.duration_sec == proxy.total_units == 3600.0
+        assert proxy.stage2_run_seconds == proxy.wakes_per_hour == 0
 
-    def test_two_three_second_runs(self):
-        log = self._log([(10_000, 11_000, True), (50_000, 51_000, False)])
-        proxy = power_proxy(log, 3600.0, multiplier=100.0, snapshot_sec=2.0)
-        assert proxy.stage2_run_seconds == pytest.approx(6.0)
-        assert proxy.total_units == pytest.approx(3600.0 + 600.0)
-        assert proxy.wakes_per_hour == pytest.approx(2.0)
+    def test_counted_stage2_audio(self):
+        stats = CascadeStats(samples=self.HOUR, stage2_samples=6 * 16000, triggers=2)
+        proxy = power_proxy(stats, multiplier=100.0)
+        assert proxy.stage2_run_seconds == 6.0
+        assert proxy.total_units == 3600.0 + 600.0
+        assert proxy.wakes_per_hour == 2.0
 
     def test_multiplier_linearity(self):
-        log = self._log([(10_000, 11_500, True)])
-        lo = power_proxy(log, 3600.0, multiplier=10.0)
-        hi = power_proxy(log, 3600.0, multiplier=100.0)
-        assert hi.total_units - lo.total_units == pytest.approx(90.0 * lo.stage2_run_seconds)
+        stats = CascadeStats(samples=self.HOUR, stage2_samples=27_200, triggers=1)
+        lo = power_proxy(stats, multiplier=10.0)
+        hi = power_proxy(stats, multiplier=100.0)
+        assert lo.stage2_run_seconds == hi.stage2_run_seconds == 1.7
+        assert hi.total_units - lo.total_units == pytest.approx(90.0 * 1.7)
 
-    def test_multiplier_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            power_proxy([], 3600.0, multiplier=1.0)
+    @pytest.mark.parametrize("multiplier", [1.0, 0.5, -3.0])
+    def test_multiplier_must_exceed_one(self, multiplier):
+        with pytest.raises(ValueError, match="multiplier"):
+            power_proxy(CascadeStats(samples=self.HOUR), multiplier=multiplier)
+
+    def test_no_audio_rejected(self):
+        with pytest.raises(ValueError, match="no audio"):
+            power_proxy(CascadeStats(), multiplier=100.0)
