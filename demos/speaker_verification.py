@@ -43,7 +43,7 @@ print(f"tv background:   cosine {result.score:+.4f} -> "
 rng = np.random.default_rng(1)
 from kwscascade.speaker import SpeakerSignature
 
-noise_sig = SpeakerSignature(rng.normal(size=64), 1)
+noise_sig = SpeakerSignature(rng.normal(size=64))
 result = verify(noise_sig, profile)
 print(f"random vector:   cosine {result.score:+.4f} -> "
       f"{'ACCEPT' if result.accepted else 'REJECT'}")

@@ -7,6 +7,7 @@ Posterior stream layout (little-endian):
     12  *  frame-major float32 data
 """
 
+import os
 import struct
 import sys
 import wave
@@ -111,8 +112,6 @@ def read_manifest(path):
     Paths are relative to the manifest. Returns (negatives, positives) as
     lists of file paths and (path, end_ms) pairs.
     """
-    import os
-
     base = os.path.dirname(os.path.abspath(path))
     negatives, positives = [], []
     with open(path) as fh:

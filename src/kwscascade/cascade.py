@@ -20,14 +20,14 @@ import numpy as np
 
 from .decoder import DecoderConfig, StreamingDecoder
 from .encoder import ModelKind, forward_vector, stack_frames
-from .frontend import (SAMPLE_RATE_HZ, AudioChunk, ConfigError, FrontendConfig, FrontendStream,
+from .frontend import (SAMPLE_RATE_HZ, ConfigError, FrontendConfig, FrontendStream, _pcm,
                        check_bounds, frame_end_sample, samples_to_ms, setting)
 from .quantize import AccumMode, DimensionError
 from . import speaker as speaker_mod
 
 
 class LifecycleError(RuntimeError):
-    """Cascade used before both models were loaded."""
+    """Cascade built without both stage models, or with only half of the speaker check."""
 
 
 class BudgetViolationError(ValueError):
@@ -59,12 +59,10 @@ class MemoryBudget:
 
 @dataclass
 class BudgetReport:
-    stage: int
     model_bytes: int
     budget: MemoryBudget
     ok: bool
     overage_bytes: int
-    notes: str = ""
 
     def lines(self):
         b = self.budget
@@ -78,28 +76,24 @@ class BudgetReport:
         ]
 
     def summary(self):
-        head = f"stage-{self.stage} model {self.model_bytes} bytes: " + (
+        head = f"stage-1 model {self.model_bytes} bytes: " + (
             "ok" if self.ok else f"over budget by {self.overage_bytes} bytes"
         )
         detail = ", ".join(f"{name}={size}" for name, size in self.lines())
-        return f"{head} ({detail})" + (f"; {self.notes}" if self.notes else "")
+        return f"{head} ({detail})"
 
 
-def enforce_budget(budget, model, stage):
-    """Check a model against the budget; hard error for stage-1 overruns.
+def enforce_budget(budget, model):
+    """Check a stage-1 model against the budget's model line; BudgetViolationError if over.
 
-    Stage-2 models run on the AP and are exempt from the model line, but
-    still get an informational report.
+    Stage 2 runs on the AP and has no budget line.
     """
     size = model.byte_size
     overage = max(0, size - budget.model_budget_bytes)
-    if stage == 1:
-        report = BudgetReport(stage, size, budget, overage == 0, overage)
-        if not report.ok:
-            raise BudgetViolationError(report)
-        return report
-    notes = "stage-2 runs on the AP; model budget line not enforced" if overage else ""
-    return BudgetReport(stage, size, budget, True, 0, notes)
+    report = BudgetReport(size, budget, overage == 0, overage)
+    if not report.ok:
+        raise BudgetViolationError(report)
+    return report
 
 
 class RingBuffer:
@@ -221,7 +215,6 @@ class CascadeConfig:
     stage2_window_ms: int = setting(1000, ge=0)
     refractory_ms: int = setting(1000, ge=0)
     stage1_mode: AccumMode = AccumMode.FIXED
-    stage2_mode: AccumMode = AccumMode.FLOAT
 
     def __post_init__(self):
         check_bounds(self)
@@ -244,6 +237,14 @@ def check_channels(frontend_config, model, role):
                              f"{role} model num_channels {model.num_channels}")
 
 
+def check_profile(profile, speaker_model):
+    """DimensionError unless ``profile`` has the speaker model's embedding width."""
+    dim = len(profile.signature.vector)
+    if dim != speaker_model.num_units:
+        raise DimensionError(f"profile dim {dim} != speaker model "
+                             f"num_units {speaker_model.num_units}")
+
+
 class _Stage2Job:
     def __init__(self, detector, base_sample, trigger_sample, deadline_sample, trigger_score):
         self.detector = detector
@@ -260,16 +261,14 @@ class Cascade:
                  speaker_model=None, speaker_profile=None):
         if stage1_model is None or stage2_model is None:
             raise LifecycleError("both stage models must be loaded")
+        if (speaker_model is None) != (speaker_profile is None):
+            raise LifecycleError("the speaker check needs both a speaker model and a profile")
         self.config = config
-        self.stage1_report = enforce_budget(config.budget, stage1_model, stage=1)
-        self.stage2_report = enforce_budget(config.budget, stage2_model, stage=2)
-        if speaker_model is not None and speaker_model.kind is not ModelKind.EMBEDDING:
-            raise DimensionError("the speaker model is not an embedding model")
-        if speaker_model is not None and speaker_profile is not None:
-            dim = len(speaker_profile.signature.vector)
-            if dim != speaker_model.num_units:
-                raise DimensionError(f"profile dim {dim} != speaker model "
-                                     f"num_units {speaker_model.num_units}")
+        enforce_budget(config.budget, stage1_model)
+        if speaker_model is not None:
+            if speaker_model.kind is not ModelKind.EMBEDDING:
+                raise DimensionError("the speaker model is not an embedding model")
+            check_profile(speaker_profile, speaker_model)
         for role, model in (("stage-1", stage1_model), ("stage-2", stage2_model),
                             ("speaker", speaker_model)):
             if model is not None:
@@ -293,7 +292,7 @@ class Cascade:
 
     def push_audio(self, chunk):
         """Append a chunk, run both stages cooperatively, return new events."""
-        samples = chunk.samples if isinstance(chunk, AudioChunk) else np.asarray(chunk, dtype=np.int16)
+        samples = _pcm(chunk)
         first = self._ring.total_written  # absolute sample index of samples[0]
         self.stats.samples += len(samples)
         events = []
@@ -319,7 +318,7 @@ class Cascade:
             snap = snap[max(0, self._accepted_end_sample - (trigger - len(snap))) :]
             snap = snap[(len(snap) - trigger) % self.config.frontend.hop_samples :]
             detector = self._new_detector(
-                self._stage2_model, self.config.stage2_decoder, self.config.stage2_mode,
+                self._stage2_model, self.config.stage2_decoder, AccumMode.FLOAT,
                 keep_features=True,
             )
             self._stage2_job = _Stage2Job(
@@ -364,7 +363,7 @@ class Cascade:
             alignment_ms = tuple(samples_to_ms(end) for end in ends)
             events = [CascadeEvent(EventKind.STAGE2_ACCEPT, ts, stage1_score=job.trigger_score,
                                    stage2_score=hyp.score, alignment_ms=alignment_ms)]
-            if self._speaker_profile is not None and self._speaker_model is not None:
+            if self._speaker_model is not None:
                 events.append(self._verify_speaker(job, hyp, ts))
         else:
             decision_sample = job.deadline_sample

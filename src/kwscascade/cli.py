@@ -16,7 +16,10 @@ from .cascade import (
     BudgetViolationError,
     Cascade,
     CascadeConfig,
+    DetectorStream,
     MemoryBudget,
+    check_channels,
+    check_profile,
     enforce_budget,
 )
 from .decoder import DecoderConfig, StreamingDecoder
@@ -182,6 +185,8 @@ def cmd_score(args):
 
 
 def cmd_run_cascade(args):
+    if bool(args.speaker_model) != bool(args.speaker_profile):
+        raise CliError("--speaker-model and --speaker-profile go together")
     cfg = load_config_file(args.config)
     stage1 = _read_model(args.stage1)
     stage2 = _read_model(args.stage2)
@@ -193,13 +198,11 @@ def cmd_run_cascade(args):
         budget=MemoryBudget(**cfg["budget"]),
         **cfg["cascade"],
     )
-    speaker_model = _read_model(args.speaker_model) if args.speaker_model else None
-    profile = None
-    if args.speaker_profile:
+    speaker_model = profile = None
+    if args.speaker_model:
+        speaker_model = _read_model(args.speaker_model)
         with open(args.speaker_profile, "rb") as fh:
             profile = speaker.load_profile(fh.read())
-        if speaker_model is None:
-            raise CliError("--speaker-profile needs --speaker-model")
     cascade = Cascade(cascade_cfg, stage1, stage2, speaker_model, profile)
     chunk = _read_audio(args.input)
     step = frontend.hop_samples * 16  # 160 ms chunks
@@ -211,14 +214,23 @@ def cmd_run_cascade(args):
     return EXIT_OK
 
 
+def _speaker_models(args, cfg):
+    """Stage-2 and embedding models, frontend and stage-2 decoder, checked before any audio."""
+    stage2 = _read_model(args.stage2)
+    embedding = _read_model(args.embedding_model)
+    if embedding.kind is not ModelKind.EMBEDDING:
+        raise CliError(f"{args.embedding_model} is not an embedding model")
+    frontend = FrontendConfig(**cfg["frontend"])
+    check_channels(frontend, stage2, "stage-2")
+    check_channels(frontend, embedding, "speaker")
+    return stage2, embedding, frontend, DecoderConfig(stage2.num_units, **cfg["stage2"])
+
+
 def _segment_signature(wav_path, stage2_model, embedding_model, frontend, decoder_cfg):
     """Best stage-2 alignment over the file, embedded into one signature."""
-    from .cascade import DetectorStream
-
-    chunk = _read_audio(wav_path)
     det = DetectorStream(frontend, stage2_model, decoder_cfg,
                          AccumMode.FLOAT, keep_features=True)
-    hits = det.push(chunk.samples)
+    hits = det.push(_read_audio(wav_path))
     if not hits:
         raise CliError(f"{wav_path}: too short to score")
     _, best = max(hits, key=lambda item: item[1].score)
@@ -228,13 +240,7 @@ def _segment_signature(wav_path, stage2_model, embedding_model, frontend, decode
 
 
 def cmd_enroll(args):
-    cfg = load_config_file(args.config)
-    stage2 = _read_model(args.stage2)
-    embedding = _read_model(args.embedding_model)
-    if embedding.kind is not ModelKind.EMBEDDING:
-        raise CliError(f"{args.embedding_model} is not an embedding model")
-    frontend = FrontendConfig(**cfg["frontend"])
-    decoder_cfg = DecoderConfig(stage2.num_units, **cfg["stage2"])
+    stage2, embedding, frontend, decoder_cfg = _speaker_models(args, load_config_file(args.config))
     signatures = []
     for path in args.wavs:
         signature, _ = _segment_signature(path, stage2, embedding, frontend, decoder_cfg)
@@ -252,13 +258,10 @@ def cmd_enroll(args):
 
 
 def cmd_verify(args):
-    cfg = load_config_file(args.config)
-    stage2 = _read_model(args.stage2)
-    embedding = _read_model(args.embedding_model)
-    frontend = FrontendConfig(**cfg["frontend"])
-    decoder_cfg = DecoderConfig(stage2.num_units, **cfg["stage2"])
+    stage2, embedding, frontend, decoder_cfg = _speaker_models(args, load_config_file(args.config))
     with open(args.profile, "rb") as fh:
         profile = speaker.load_profile(fh.read())
+    check_profile(profile, embedding)
     signature, _ = _segment_signature(args.wav, stage2, embedding, frontend, decoder_cfg)
     result = speaker.verify(signature, profile)
     _emit({"score": round(result.score, 6), "accepted": result.accepted})
@@ -270,14 +273,14 @@ def cmd_evaluate(args):
     stage1_model = _read_model(args.stage1)
     stage2_model = _read_model(args.stage2)
     frontend = FrontendConfig(**cfg["frontend"])
-    enforce_budget(MemoryBudget(**cfg["budget"]), stage1_model, stage=1)
+    enforce_budget(MemoryBudget(**cfg["budget"]), stage1_model)
     stage1 = PipelineScorer(frontend, stage1_model,
                             DecoderConfig(stage1_model.num_units, **cfg["stage1"]),
                             AccumMode.FIXED)
     stage2 = PipelineScorer(frontend, stage2_model,
                             DecoderConfig(stage2_model.num_units, **cfg["stage2"]),
                             AccumMode.FLOAT)
-    corpus = synthetic.load_audio_corpus(args.manifest, num_units=stage1_model.num_units)
+    corpus = synthetic.load_audio_corpus(args.manifest)
     thresholds = [float(v) for v in args.thresholds.split(",")]
     if sorted(thresholds) != thresholds:
         raise CliError("--thresholds must be ascending")

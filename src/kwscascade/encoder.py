@@ -138,10 +138,6 @@ class EncoderModel:
                 )
 
     @property
-    def has_filler(self):
-        return self.kind is ModelKind.ACOUSTIC
-
-    @property
     def input_dim(self):
         return self.num_channels * self.num_stacked_frames
 

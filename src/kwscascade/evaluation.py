@@ -60,20 +60,18 @@ class PipelineScorer:
 
     Score k is stream frame k's. The first S-1 frames of a model stacking S
     frames have no score of their own and are NaN, which no threshold
-    accepts.
+    accepts. A stream's samples are its ``"audio"`` view.
     """
 
-    def __init__(self, frontend_config, model, decoder_config,
-                 mode=AccumMode.FIXED, view="audio"):
+    def __init__(self, frontend_config, model, decoder_config, mode=AccumMode.FIXED):
         check_channels(frontend_config, model, "scorer")
         self.frontend_config = frontend_config
         self.model = model
         self.config = decoder_config
         self.mode = mode
-        self.view = view
 
     def frame_scores(self, stream):
-        samples = stream.views[self.view]
+        samples = stream.views["audio"]
         det = DetectorStream(self.frontend_config, self.model, self.config, self.mode)
         scores = np.full(num_frames_for(len(samples), self.frontend_config), np.nan)
         for frame, hyp in det.push(samples):

@@ -14,7 +14,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import fixedpoint as fxp
 
@@ -65,20 +65,25 @@ class AudioChunk:
     """A block of signed 16-bit mono PCM at 16 kHz."""
 
     samples: np.ndarray
-    sample_rate_hz: int = SAMPLE_RATE_HZ
 
     def __post_init__(self):
-        if self.sample_rate_hz != SAMPLE_RATE_HZ:
-            raise ConfigError(f"only {SAMPLE_RATE_HZ} Hz audio is supported, got {self.sample_rate_hz}")
-        arr = np.asarray(self.samples)
-        if arr.dtype != np.int16:
-            if arr.size and (arr.min() < -32768 or arr.max() > 32767):
-                raise ConfigError("samples exceed the signed 16-bit range")
-            arr = arr.astype(np.int16)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _pcm(self.samples))
 
     def __len__(self):
         return len(self.samples)
+
+
+def _pcm(samples):
+    """An AudioChunk's samples, an int16 array as it is, or any other array cast to
+    int16: a ConfigError if a value is not finite or outside the int16 range."""
+    if isinstance(samples, AudioChunk):
+        return samples.samples
+    arr = np.asarray(samples)
+    if arr.dtype == np.int16:
+        return arr
+    if arr.size and not (np.isfinite(arr).all() and -32768 <= arr.min() and arr.max() <= 32767):
+        raise ConfigError("samples must be finite and within the signed 16-bit range")
+    return arr.astype(np.int16)
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,6 @@ class FeatureFrame:
 
     channels: np.ndarray
     frame_index: int
-    timestamp_ms: int
 
 
 def frame_end_sample(frame_index, config):
@@ -170,6 +174,13 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_points_hz(config):
+    """num_channels + 2 frequencies in Hz, evenly spaced in mel; channel k spans points k..k+2."""
+    return _mel_to_hz(np.linspace(
+        _hz_to_mel(config.mel_low_hz), _hz_to_mel(config.mel_high_hz), config.num_channels + 2
+    ))
+
+
 @lru_cache(maxsize=None)
 def mel_filterbank(config):
     """Triangular mel filter matrix [num_channels, fft_size//2 + 1].
@@ -182,10 +193,7 @@ def mel_filterbank(config):
     """
     n_bins = config.fft_size // 2 + 1
     bin_hz = np.arange(n_bins) * SAMPLE_RATE_HZ / config.fft_size
-    mel_pts = np.linspace(
-        _hz_to_mel(config.mel_low_hz), _hz_to_mel(config.mel_high_hz), config.num_channels + 2
-    )
-    hz_pts = _mel_to_hz(mel_pts)
+    hz_pts = _mel_points_hz(config)
     fb = np.zeros((config.num_channels, n_bins))
     for k in range(config.num_channels):
         lo, ctr, hi = hz_pts[k], hz_pts[k + 1], hz_pts[k + 2]
@@ -204,10 +212,7 @@ def _mel_filterbank_q15(config):
 
 def mel_center_frequencies(config):
     """Centre frequency in Hz of each mel channel."""
-    mel_pts = np.linspace(
-        _hz_to_mel(config.mel_low_hz), _hz_to_mel(config.mel_high_hz), config.num_channels + 2
-    )
-    return _mel_to_hz(mel_pts[1:-1])
+    return _mel_points_hz(config)[1:-1]
 
 
 def frame_audio(chunk, config):
@@ -216,15 +221,17 @@ def frame_audio(chunk, config):
     Returns a [num_frames, fft_size] array: float64 in FLOAT mode, int64
     windowed sample values in FIXED_POINT mode.
     """
-    samples = chunk.samples if isinstance(chunk, AudioChunk) else np.asarray(chunk, dtype=np.int16)
+    samples = _pcm(chunk)
     count = num_frames_for(len(samples), config)
     fixed = config.arithmetic_mode is ArithmeticMode.FIXED_POINT
     out = np.zeros((count, config.fft_size), dtype=np.int64 if fixed else np.float64)
     if count == 0:
         return out
-    starts = np.arange(count) * config.hop_samples
-    idx = starts[:, None] + np.arange(config.frame_samples)[None, :]
-    frames = samples[idx].astype(np.int64)
+    # a strided view, inside the buffer because count frames fit in it; it costs a
+    # fraction of sliding_window_view's set-up on a one-frame push
+    step = samples.strides[0]
+    frames = as_strided(samples, (count, config.frame_samples),
+                        (config.hop_samples * step, step), writeable=False)
     if fixed:
         out[:, : config.frame_samples] = fxp.rshift_round(
             frames * _hann_window_q15(config.frame_samples), fxp.WINDOW_FRACT_BITS
@@ -314,8 +321,7 @@ class FrontendStream:
 
     def push(self, samples):
         cfg = self._config
-        samples = samples.samples if isinstance(samples, AudioChunk) else np.asarray(samples, dtype=np.int16)
-        buf = np.concatenate([self._residual, samples])
+        buf = np.concatenate([self._residual, _pcm(samples)])
         count = num_frames_for(len(buf), cfg)
         if count == 0:
             self._residual = buf
@@ -329,12 +335,9 @@ class FrontendStream:
             logmels = _log_mel_fixed(powers, cfg)
         else:
             logmels = _log_mel_float(powers, cfg)
-        out = []
-        for row in logmels:
-            idx = self._next_frame
-            out.append(FeatureFrame(row, idx, frame_timestamp_ms(idx, cfg)))
-            self._next_frame += 1
-        return out
+        first = self._next_frame
+        self._next_frame += count
+        return [FeatureFrame(row, first + i) for i, row in enumerate(logmels)]
 
 
 def compute_features(chunk, config):

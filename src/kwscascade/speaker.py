@@ -15,7 +15,6 @@ import numpy as np
 from .encoder import ModelKind, forward_vector, stack_frames
 from .quantize import AccumMode, DimensionError
 
-EMBEDDING_DIM_DEFAULT = 64
 PROFILE_MAGIC = b"KWSV"
 PROFILE_VERSION = 1
 
@@ -27,7 +26,6 @@ class EmptySegmentError(ValueError):
 @dataclass
 class SpeakerSignature:
     vector: np.ndarray
-    source_frames: int
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=np.float64)
@@ -54,12 +52,12 @@ class VerifyResult:
     accepted: bool
 
 
-def embed(features, model, mode=AccumMode.FLOAT):
+def embed(features, model):
     """Mean-pooled embedding of a feature segment.
 
     ``features`` is a list of FeatureFrames or a [T, C] array, already
     segmented by the stage-2 alignment. Deterministic for a fixed model
-    and input.
+    and input. The embedding runs in float, on the AP.
     """
     if model.kind is not ModelKind.EMBEDDING:
         raise DimensionError("embed needs an embedding model")
@@ -83,8 +81,7 @@ def embed(features, model, mode=AccumMode.FLOAT):
             f"segment of {feats.shape[0]} frames is shorter than the "
             f"{model.num_stacked_frames}-frame stack"
         )
-    outputs = forward_vector(model, stacked, mode)
-    return SpeakerSignature(outputs.mean(axis=0), stacked.shape[0])
+    return SpeakerSignature(forward_vector(model, stacked, AccumMode.FLOAT).mean(axis=0))
 
 
 def enroll(signatures, threshold=0.6):
@@ -98,8 +95,7 @@ def enroll(signatures, threshold=0.6):
     norm = np.linalg.norm(mean)
     if norm == 0.0:
         raise ValueError("enrollment signatures average to the zero vector")
-    pooled = SpeakerSignature(mean / norm, sum(s.source_frames for s in signatures))
-    return SpeakerProfile(pooled, len(signatures), threshold)
+    return SpeakerProfile(SpeakerSignature(mean / norm), len(signatures), threshold)
 
 
 def cosine_similarity(a, b):
@@ -151,4 +147,4 @@ def load_profile(data):
     if not np.any(vec):
         raise ValueError("profile vector is zero; a profile is unit length")
     (threshold,) = struct.unpack("<f", data[head + 4 * dim :])
-    return SpeakerProfile(SpeakerSignature(vec, 0), n_enroll, float(threshold))
+    return SpeakerProfile(SpeakerSignature(vec), n_enroll, float(threshold))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import audio_io
 from .decoder import DecoderConfig
 from .encoder import (
     Activation,
@@ -91,7 +92,6 @@ class PositiveExample:
 class SyntheticCorpus:
     negatives: list
     positives: list
-    num_units: int
     profile_direction: np.ndarray = None
     speaker_threshold: float = 0.6
 
@@ -213,7 +213,7 @@ def generate_posterior_corpus(
         stream = SyntheticStream({"stage1": s1, "stage2": s2}, hop_ms, [event])
         positives.append(PositiveExample(stream, keyword_end_ms=(int(end) + 1) * hop_ms))
 
-    return SyntheticCorpus(negatives, positives, num_units, profile_dir, speaker_threshold)
+    return SyntheticCorpus(negatives, positives, profile_dir, speaker_threshold)
 
 
 def oracle_decoder_config(num_units=3, plateau_frames=10, threshold=0.5):
@@ -341,8 +341,6 @@ def generate_audio_corpus(seed, out_dir, config=None, num_units=3,
     so neither stage should fire). Positives each contain one keyword with
     a labelled end time.
     """
-    from . import audio_io
-
     config = config or FrontendConfig()
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -373,14 +371,12 @@ def generate_audio_corpus(seed, out_dir, config=None, num_units=3,
     return manifest
 
 
-def load_audio_corpus(manifest_path, num_units=3):
+def load_audio_corpus(manifest_path):
     """Read a manifest's WAVs into an in-memory corpus of AudioStreams."""
-    from . import audio_io
-
     neg_paths, pos_entries = audio_io.read_manifest(manifest_path)
     negatives = [AudioStream({"audio": audio_io.read_wav(p).samples}) for p in neg_paths]
     positives = [
         PositiveExample(AudioStream({"audio": audio_io.read_wav(p).samples}), end_ms)
         for p, end_ms in pos_entries
     ]
-    return SyntheticCorpus(negatives, positives, num_units)
+    return SyntheticCorpus(negatives, positives)

@@ -107,19 +107,19 @@ class TestMemoryBudget:
 
     def test_small_model_passes_stage1(self, frontend_config):
         model = make_tone_acoustic_model(frontend_config, 3)
-        report = enforce_budget(MemoryBudget(), model, stage=1)
+        report = enforce_budget(MemoryBudget(), model)
         assert report.ok and report.overage_bytes == 0
         assert model.byte_size < 13312
 
     def test_14000_byte_model_rejected_with_overage(self, frontend_config):
         model = pad_model_to_size(make_tone_acoustic_model(frontend_config, 3), 14000)
         with pytest.raises(BudgetViolationError) as err:
-            enforce_budget(MemoryBudget(), model, stage=1)
+            enforce_budget(MemoryBudget(), model)
         assert err.value.report.overage_bytes == 14000 - 13312 == 688
         labels = [name for name, _ in err.value.report.lines()]
         assert {"program", "tables", "audio_buffer", "model_budget"} <= set(labels)
 
-    def test_stage2_exempt_but_reported(self, frontend_config):
+    def test_stage2_model_exempt(self, frontend_config, tone_stage1_model):
         from kwscascade.encoder import Activation, EncoderLayer, EncoderModel
         from kwscascade.quantize import QuantParams, compute_quant_params, quantize, quantize_bias
 
@@ -138,16 +138,14 @@ class TestMemoryBudget:
         ]
         model = EncoderModel(layers, 32, 1, 3)
         assert model.byte_size > 2 * 13312
-        report = enforce_budget(MemoryBudget(), model, stage=2)
-        assert report.ok
-        assert "not enforced" in report.notes
+        Cascade(make_cascade_config(frontend_config), tone_stage1_model, model)
 
     def test_boundary_sizes(self, frontend_config):
         at_limit = pad_model_to_size(make_tone_acoustic_model(frontend_config, 3), 13312)
-        assert enforce_budget(MemoryBudget(), at_limit, stage=1).ok
+        assert enforce_budget(MemoryBudget(), at_limit).ok
         over = pad_model_to_size(make_tone_acoustic_model(frontend_config, 3), 13313)
         with pytest.raises(BudgetViolationError):
-            enforce_budget(MemoryBudget(), over, stage=1)
+            enforce_budget(MemoryBudget(), over)
 
 
 class TestCascadeConfig:
@@ -345,7 +343,7 @@ class TestCascade:
                   "speaker": embedding_model}
         models[role] = (make_random_embedding_model(narrow, dim=64) if role == "speaker"
                         else make_tone_acoustic_model(narrow, 3))
-        profile = speaker.enroll([speaker.SpeakerSignature(np.ones(64), 1)], threshold=0.8)
+        profile = speaker.enroll([speaker.SpeakerSignature(np.ones(64))], threshold=0.8)
         with pytest.raises(DimensionError,
                            match=f"frontend.num_channels 32 != {role} model num_channels 16"):
             Cascade(make_cascade_config(frontend_config), models["stage-1"],
@@ -391,6 +389,16 @@ class TestCascade:
         with pytest.raises(LifecycleError):
             Cascade(make_cascade_config(frontend_config), tone_stage1_model, None)
 
+    @pytest.mark.parametrize("half", ["speaker_model", "speaker_profile"])
+    def test_half_a_speaker_check_rejected(self, frontend_config, tone_stage1_model,
+                                           tone_stage2_model, embedding_model, half):
+        # either half alone would silently run no speaker check
+        profile = speaker.enroll([speaker.SpeakerSignature(np.ones(64))])
+        given = {"speaker_model": embedding_model, "speaker_profile": profile}
+        with pytest.raises(LifecycleError, match="speaker model and a profile"):
+            Cascade(make_cascade_config(frontend_config), tone_stage1_model,
+                    tone_stage2_model, **{half: given[half]})
+
     def test_oversized_stage1_model_rejected_at_load(self, frontend_config,
                                                      tone_stage2_model):
         big = pad_model_to_size(make_tone_acoustic_model(frontend_config, 3), 13313)
@@ -430,7 +438,7 @@ class TestSpeakerIntegration:
                                tone_stage2_model, embedding_model, keyword_audio):
         samples, _ = keyword_audio
         rng = np.random.default_rng(13)
-        stranger = speaker.SpeakerSignature(rng.normal(size=64), 1)
+        stranger = speaker.SpeakerSignature(rng.normal(size=64))
         profile = speaker.enroll([stranger], threshold=0.8)
         _, events = self._run(frontend_config, tone_stage1_model, tone_stage2_model,
                               embedding_model, profile, samples)
@@ -458,7 +466,7 @@ def _clock_cascade_parts(tracker):
     frontend = k.FrontendConfig(arithmetic_mode=k.ArithmeticMode.FIXED_POINT,
                                 noise_suppression_enabled=tracker)
     embedding = make_random_embedding_model(frontend, dim=64)
-    stranger = speaker.SpeakerSignature(np.random.default_rng(13).normal(size=64), 1)
+    stranger = speaker.SpeakerSignature(np.random.default_rng(13).normal(size=64))
     return (frontend, make_tone_acoustic_model(frontend, 3),
             make_tone_acoustic_model(frontend, 3, stacked_frames=2), embedding,
             speaker.enroll([stranger], threshold=0.8))

@@ -271,34 +271,50 @@ class TestRunCascade:
         assert [e["event"] for e in events] == ["stage1_trigger", "stage2_reject"]
         assert events[-1]["timestamp_ms"] == len(samples) * 1000 // 16000
 
+    @pytest.mark.parametrize("command", ["run-cascade", "verify"])
     @pytest.mark.parametrize("case, message", [
         ("short_profile", "num_units"),
         ("zero_profile", "zero"),
         ("acoustic_model", "not an embedding model"),
+        ("narrow_model", "speaker model num_channels 16"),
     ])
     def test_mismatched_speaker_pair_exits_2_before_any_audio(self, model_files, tmp_path,
-                                                              capsys, case, message):
-        # each ran silence to exit 0 and failed only at the first stage-2 accept
+                                                              capsys, case, message, command):
+        # each mismatch is found before the (absent) audio is read
         from kwscascade import speaker
 
         rng = np.random.default_rng(4)
         vector = {"short_profile": rng.normal(size=32), "zero_profile": np.zeros(64),
-                  "acoustic_model": rng.normal(size=64)}[case]
+                  "acoustic_model": rng.normal(size=64), "narrow_model": rng.normal(size=64)}[case]
         profile = tmp_path / "profile.kwsv"
         profile.write_bytes(speaker.serialize_profile(
-            speaker.SpeakerProfile(speaker.SpeakerSignature(vector, 1), 1, 0.6)))
-        wav = tmp_path / "silence.wav"
-        audio_io.write_wav(str(wav), np.zeros(32000, dtype=np.int16))
+            speaker.SpeakerProfile(speaker.SpeakerSignature(vector), 1, 0.6)))
+        absent = str(tmp_path / "absent.wav")
         model = model_files["stage2" if case == "acoustic_model" else "embedding"]
+        if case == "narrow_model":
+            model = str(tmp_path / "narrow.kwsq")
+            Path(model).write_bytes(serialize_model(
+                make_random_embedding_model(k.FrontendConfig(num_channels=16))))
+        argv = (["run-cascade", "--stage1", model_files["stage1"], "--input", absent,
+                 "--speaker-model", model, "--speaker-profile", str(profile)]
+                if command == "run-cascade" else
+                ["verify", absent, "--embedding-model", model, "--profile", str(profile)])
+        code, out, err = run_cli([*argv, "--stage2", model_files["stage2"]], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err and "absent" not in err
+
+    @pytest.mark.parametrize("given", ["--speaker-model", "--speaker-profile"])
+    def test_half_a_speaker_check_exits_2(self, model_files, keyword_wav, capsys, given):
+        wav, _ = keyword_wav
         code, out, err = run_cli(
-            ["run-cascade", "--stage1", model_files["stage1"], "--stage2",
-             model_files["stage2"], "--input", str(wav), "--speaker-model", model,
-             "--speaker-profile", str(profile)],
+            ["run-cascade", "--stage1", model_files["stage1"], "--stage2", model_files["stage2"],
+             "--input", wav, given, model_files["embedding"]],
             capsys,
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert message in err
+        assert "--speaker-model and --speaker-profile go together" in err
 
     def test_raw_pcm_on_stdin(self, model_files, tmp_path):
         cfg = k.FrontendConfig()
@@ -345,7 +361,7 @@ class TestVerifyCommand:
 
         wav, _ = keyword_wav
         rng = np.random.default_rng(3)
-        stranger = speaker.enroll([speaker.SpeakerSignature(rng.normal(size=64), 1)],
+        stranger = speaker.enroll([speaker.SpeakerSignature(rng.normal(size=64))],
                                   threshold=0.9)
         profile = tmp_path / "stranger.kwsv"
         profile.write_bytes(speaker.serialize_profile(stranger))
@@ -438,20 +454,28 @@ class TestEvaluateAndGenCorpus:
 class TestModelChannels:
     """A frontend.num_channels the models do not read exits 2 before any audio is read."""
 
-    @pytest.mark.parametrize("command", ["run-cascade", "evaluate"])
+    @pytest.mark.parametrize("command", ["run-cascade", "evaluate", "enroll", "verify"])
     def test_mismatch_named_before_the_missing_input(self, model_files, tmp_path, capsys,
                                                       command):
         config = tmp_path / "narrow.cfg"
         config.write_text(DECODER_CONFIG + "frontend.num_channels = 16\n")
         absent = str(tmp_path / "absent.input")
-        models = ["--stage1", model_files["stage1"], "--stage2", model_files["stage2"]]
-        rest = (["--input", absent] if command == "run-cascade" else
-                ["--manifest", absent, "--thresholds", "0.3"])
+        if command in ("run-cascade", "evaluate"):
+            models = ["--stage1", model_files["stage1"], "--stage2", model_files["stage2"]]
+            rest = (["--input", absent] if command == "run-cascade" else
+                    ["--manifest", absent, "--thresholds", "0.3"])
+        else:
+            models = ["--stage2", model_files["stage2"],
+                      "--embedding-model", model_files["embedding"]]
+            rest = ([absent, "--out", str(tmp_path / "profile.kwsv")] if command == "enroll"
+                    else [absent, "--profile", absent])
         code, out, err = run_cli([command, *models, *rest, "--config", str(config)], capsys)
         assert code == EXIT_USAGE
         assert out == ""
         assert "DimensionError" in err
-        assert "frontend.num_channels 16" in err and "num_channels 32" in err
+        role = {"run-cascade": "stage-1", "evaluate": "scorer", "enroll": "stage-2",
+                "verify": "stage-2"}[command]
+        assert f"frontend.num_channels 16 != {role} model num_channels 32" in err
         assert "absent" not in err and "FileNotFoundError" not in err
 
 

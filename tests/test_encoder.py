@@ -82,8 +82,7 @@ class TestModelValidation:
         with pytest.raises(DimensionError):
             EncoderModel(layers, 8, 1, 4, ModelKind.EMBEDDING)
         ok = [make_layer(rng.normal(size=(4, 8)), np.zeros(4), QuantParams(-1, 1), Activation.NONE)]
-        model = EncoderModel(ok, 8, 1, 4, ModelKind.EMBEDDING)
-        assert not model.has_filler
+        EncoderModel(ok, 8, 1, 4, ModelKind.EMBEDDING)
 
 
 class TestSerialization:

@@ -74,13 +74,13 @@ def greedy_event_frames(scores, threshold, refractory_frames):
 def far(detector, negatives, threshold, **kwargs):
     """FA/hr from a one-threshold sweep; one stub positive completes the corpus."""
     filler = PositiveExample(score_stream([1.0]), keyword_end_ms=10)
-    corpus = SyntheticCorpus(negatives, [filler], 1)
+    corpus = SyntheticCorpus(negatives, [filler])
     return sweep_operating_points(detector, corpus, [threshold], **kwargs)[0][1]
 
 
 def frr(detector, positives, threshold, **kwargs):
     """FRR from a one-threshold sweep; one silent negative frame completes the corpus."""
-    corpus = SyntheticCorpus([score_stream([0.0])], positives, 1)
+    corpus = SyntheticCorpus([score_stream([0.0])], positives)
     return sweep_operating_points(detector, corpus, [threshold], **kwargs)[0][2]
 
 
@@ -208,7 +208,7 @@ class TestSweep:
             scores = np.zeros(300)
             scores[150] = peak
             positives.append(PositiveExample(score_stream(scores), keyword_end_ms=1510))
-        return SyntheticCorpus([neg], positives, 1)
+        return SyntheticCorpus([neg], positives)
 
     def test_endpoints(self):
         corpus = self._corpus()
@@ -235,7 +235,6 @@ class TestSweep:
             [score_stream(neg_scores)],
             [PositiveExample(spike_stream(300, [150], height=h), keyword_end_ms=1510)
              for h in heights],
-            1,
         )
         points = sweep_operating_points(FixedScorer(), corpus, [0.1, 0.3, 0.5, 0.7, 0.9])
         expected_fa = [4.0, 3.0, 2.0, 1.0, 0.0]
@@ -319,7 +318,7 @@ class TestStagePairing:
         # frame 0, and its spike must still meet stage 1's
         negative = spike_stream(3000, [50])
         positive = PositiveExample(spike_stream(300, [150]), keyword_end_ms=1510)
-        corpus = SyntheticCorpus([negative], [positive], 1)
+        corpus = SyntheticCorpus([negative], [positive])
         table = cascade_table(OffsetScorer(0), OffsetScorer(1), corpus, [0.5],
                               stage2_threshold=0.5)
         row = table.rows[1]
@@ -331,13 +330,13 @@ class TestStagePairing:
         # both stages end on frame 2999, and it is compared
         negative = spike_stream(3000, [2999])
         corpus = SyntheticCorpus(
-            [negative], [PositiveExample(spike_stream(300, [150]), keyword_end_ms=1510)], 1)
+            [negative], [PositiveExample(spike_stream(300, [150]), keyword_end_ms=1510)])
         table = cascade_table(OffsetScorer(0), OffsetScorer(1), corpus, [0.5], 0.5)
         assert table.rows[1].cascade_fa_per_hr * negative.duration_hours == pytest.approx(1)
 
     def test_stages_on_different_frame_clocks_rejected(self):
         corpus = SyntheticCorpus(
-            [spike_stream(100, [])], [PositiveExample(spike_stream(100, [50]), 510)], 1)
+            [spike_stream(100, [])], [PositiveExample(spike_stream(100, [50]), 510)])
         with pytest.raises(ValueError, match="frame clock"):
             cascade_table(FixedScorer(10), FixedScorer(20), corpus, [0.5], 0.5)
 
@@ -429,7 +428,7 @@ OFFSETS = st.one_of(st.integers(0, 3), st.just(50))
 def cascade_cases(draw):
     first, rest = draw(NEGATIVES)
     positives = [PositiveExample(stream, end_ms) for stream, end_ms in draw(POSITIVES)]
-    corpus = SyntheticCorpus([first, *rest], positives, 1,
+    corpus = SyntheticCorpus([first, *rest], positives,
                              profile_direction=np.array([1.0, 0.0]), speaker_threshold=0.6)
     return dict(
         stage1=OffsetScorer(draw(OFFSETS)),
@@ -471,7 +470,7 @@ class RaisingScorer(FixedScorer):
 class TestNanThresholds:
     def _corpus(self):
         return SyntheticCorpus([spike_stream(100, [20])],
-                               [PositiveExample(spike_stream(100, [50]), 510)], 1)
+                               [PositiveExample(spike_stream(100, [50]), 510)])
 
     @pytest.mark.parametrize("stage1_thresholds, stage2_threshold, name", [
         ([float("nan")], 0.5, "stage1_threshold"),
@@ -544,7 +543,7 @@ class TestSpeakerGateByFrame:
             [AudioStream({"audio": synth_noise(16000, np.random.default_rng(0))})],
             [PositiveExample(AudioStream({"audio": samples}, [event]),
                              frame_timestamp_ms(first, FRONTEND))],
-            3, profile_direction=np.array([1.0, 0.0]), speaker_threshold=0.6)
+            profile_direction=np.array([1.0, 0.0]), speaker_threshold=0.6)
         stage1 = PipelineScorer(FRONTEND, make_tone_acoustic_model(FRONTEND, 3, stacked),
                                 TONE_DECODER)
         stage2 = PipelineScorer(FRONTEND, stage2_model, TONE_DECODER, AccumMode.FLOAT)
@@ -559,7 +558,7 @@ class TestWindowBounds:
     def test_non_finite_or_negative_windows_rejected(self, name, value):
         corpus = SyntheticCorpus(
             [spike_stream(100, [])],
-            [PositiveExample(spike_stream(100, [50]), keyword_end_ms=510)], 1)
+            [PositiveExample(spike_stream(100, [50]), keyword_end_ms=510)])
         with pytest.raises(ValueError, match=name):
             cascade_table(RaisingScorer(), RaisingScorer(), corpus, [0.5], 0.5, **{name: value})
         with pytest.raises(ValueError, match=name):

@@ -42,7 +42,6 @@ class TestEmbed:
         a = embed(feats, model)
         b = embed(feats, model)
         assert np.array_equal(a.vector, b.vector)
-        assert a.source_frames == len(feats)
 
     def test_constant_network_returns_bias(self):
         model = constant_embedding_model(bias_value=2.0)
@@ -77,26 +76,26 @@ class TestEmbed:
 
 class TestEnroll:
     def test_single_signature_normalised(self):
-        sig = SpeakerSignature(np.array([3.0, 4.0]), 1)
+        sig = SpeakerSignature(np.array([3.0, 4.0]))
         profile = enroll([sig], threshold=0.5)
         assert np.allclose(profile.signature.vector, [0.6, 0.8])
         assert np.linalg.norm(profile.signature.vector) == pytest.approx(1.0)
 
     def test_identical_signatures_average_to_same(self):
-        sig = SpeakerSignature(np.array([1.0, 2.0, 2.0]), 1)
+        sig = SpeakerSignature(np.array([1.0, 2.0, 2.0]))
         profile = enroll([sig, sig, sig], threshold=0.5)
         assert np.allclose(profile.signature.vector, np.array([1.0, 2.0, 2.0]) / 3.0)
         assert profile.num_enrollment_utterances == 3
 
     def test_orthogonal_pair_averages_to_diagonal(self):
-        a = SpeakerSignature(np.array([1.0, 0.0]), 1)
-        b = SpeakerSignature(np.array([0.0, 1.0]), 1)
+        a = SpeakerSignature(np.array([1.0, 0.0]))
+        b = SpeakerSignature(np.array([0.0, 1.0]))
         profile = enroll([a, b], threshold=0.5)
         assert np.allclose(profile.signature.vector, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            enroll([SpeakerSignature(np.zeros(3) + 1, 1), SpeakerSignature(np.zeros(4) + 1, 1)])
+            enroll([SpeakerSignature(np.zeros(3) + 1), SpeakerSignature(np.zeros(4) + 1)])
 
     def test_empty_enrollment_rejected(self):
         with pytest.raises(ValueError):
@@ -105,30 +104,30 @@ class TestEnroll:
 
 class TestVerify:
     def test_self_similarity_is_one(self):
-        sig = SpeakerSignature(np.array([0.2, -0.5, 1.0]), 1)
+        sig = SpeakerSignature(np.array([0.2, -0.5, 1.0]))
         profile = enroll([sig], threshold=1.0)
         result = verify(sig, profile)
         assert result.score == pytest.approx(1.0)
         assert result.accepted
 
     def test_orthogonal_scores_zero(self):
-        profile = enroll([SpeakerSignature(np.array([1.0, 0.0]), 1)], threshold=0.5)
-        result = verify(SpeakerSignature(np.array([0.0, 1.0]), 1), profile)
+        profile = enroll([SpeakerSignature(np.array([1.0, 0.0]))], threshold=0.5)
+        result = verify(SpeakerSignature(np.array([0.0, 1.0])), profile)
         assert result.score == pytest.approx(0.0)
         assert not result.accepted
 
     def test_45_degree_pair(self):
-        profile = enroll([SpeakerSignature(np.array([1.0, 0.0]), 1)], threshold=0.5)
-        result = verify(SpeakerSignature(np.array([1.0, 1.0]), 1), profile)
+        profile = enroll([SpeakerSignature(np.array([1.0, 0.0]))], threshold=0.5)
+        result = verify(SpeakerSignature(np.array([1.0, 1.0])), profile)
         assert result.score == pytest.approx(1 / np.sqrt(2))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
-        profile = enroll([SpeakerSignature(rng.normal(size=16), 1)], threshold=0.3)
+        profile = enroll([SpeakerSignature(rng.normal(size=16))], threshold=0.3)
         v = rng.normal(size=16)
-        base = verify(SpeakerSignature(v, 1), profile)
+        base = verify(SpeakerSignature(v), profile)
         for alpha in (1e-6, 0.5, 3.0, 1e6):
-            scaled = verify(SpeakerSignature(alpha * v, 1), profile)
+            scaled = verify(SpeakerSignature(alpha * v), profile)
             assert scaled.accepted == base.accepted
             assert scaled.score == pytest.approx(base.score, abs=1e-9)
 
@@ -141,21 +140,21 @@ class TestVerify:
             assert s == pytest.approx(cosine_similarity(b, a))
 
     def test_zero_test_vector_rejected(self):
-        profile = enroll([SpeakerSignature(np.array([1.0, 0.0]), 1)], threshold=0.5)
+        profile = enroll([SpeakerSignature(np.array([1.0, 0.0]))], threshold=0.5)
         with pytest.raises(ValueError):
-            verify(SpeakerSignature(np.zeros(2), 1), profile)
+            verify(SpeakerSignature(np.zeros(2)), profile)
 
     def test_dimension_mismatch_rejected(self):
-        profile = enroll([SpeakerSignature(np.ones(4), 1)], threshold=0.5)
+        profile = enroll([SpeakerSignature(np.ones(4))], threshold=0.5)
         with pytest.raises(DimensionError):
-            verify(SpeakerSignature(np.ones(5), 1), profile)
+            verify(SpeakerSignature(np.ones(5)), profile)
 
 
 class TestProfileFile:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         profile = enroll(
-            [SpeakerSignature(rng.normal(size=64), 40) for _ in range(3)], threshold=0.62
+            [SpeakerSignature(rng.normal(size=64)) for _ in range(3)], threshold=0.62
         )
         data = serialize_profile(profile)
         back = load_profile(data)
@@ -164,15 +163,15 @@ class TestProfileFile:
         assert np.allclose(back.signature.vector, profile.signature.vector, atol=1e-6)
 
     def test_bad_magic_rejected(self):
-        data = serialize_profile(enroll([SpeakerSignature(np.ones(4), 1)], 0.5))
+        data = serialize_profile(enroll([SpeakerSignature(np.ones(4))], 0.5))
         with pytest.raises(ValueError):
             load_profile(b"ZZZZ" + data[4:])
 
     def test_truncation_rejected(self):
-        data = serialize_profile(enroll([SpeakerSignature(np.ones(4), 1)], 0.5))
+        data = serialize_profile(enroll([SpeakerSignature(np.ones(4))], 0.5))
         with pytest.raises(ValueError):
             load_profile(data[:-3])
 
     def test_threshold_bounds_validated(self):
         with pytest.raises(ValueError):
-            SpeakerProfile(SpeakerSignature(np.array([1.0]), 1), 1, threshold=1.5)
+            SpeakerProfile(SpeakerSignature(np.array([1.0])), 1, threshold=1.5)
