@@ -14,7 +14,7 @@ import wave
 
 import numpy as np
 
-from .frontend import SAMPLE_RATE_HZ, AudioChunk, ConfigError
+from .frontend import SAMPLE_RATE_HZ, AudioChunk, ConfigError, _pcm
 
 POSTERIOR_MAGIC = b"KWSY"
 STREAM_VERSION = 1
@@ -36,7 +36,8 @@ def read_wav(path):
 
 
 def write_wav(path, samples):
-    samples = np.asarray(samples, dtype=np.int16)
+    """Write 16-bit mono 16 kHz PCM; ConfigError for a sample outside int16."""
+    samples = _pcm(samples)
     with wave.open(path, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)

@@ -108,7 +108,7 @@ class RingBuffer:
         self.total_written = 0
 
     def write(self, samples):
-        samples = np.asarray(samples, dtype=np.int16)
+        samples = _pcm(samples)
         n = len(samples)
         if n >= self.capacity_samples:
             self._storage[:] = samples[n - self.capacity_samples :]
@@ -230,8 +230,11 @@ class CascadeStats:
     triggers: int = 0
 
 
-def check_channels(frontend_config, model, role):
-    """DimensionError unless ``model`` reads the frontend's feature width."""
+def check_model(frontend_config, model, role, kind=ModelKind.ACOUSTIC):
+    """DimensionError unless ``model`` is of ``kind`` and reads the frontend's
+    feature width."""
+    if model.kind is not kind:
+        raise DimensionError(f"the {role} model is not an {kind.name.lower()} model")
     if model.num_channels != frontend_config.num_channels:
         raise DimensionError(f"frontend.num_channels {frontend_config.num_channels} != "
                              f"{role} model num_channels {model.num_channels}")
@@ -265,14 +268,11 @@ class Cascade:
             raise LifecycleError("the speaker check needs both a speaker model and a profile")
         self.config = config
         enforce_budget(config.budget, stage1_model)
+        check_model(config.frontend, stage1_model, "stage-1")
+        check_model(config.frontend, stage2_model, "stage-2")
         if speaker_model is not None:
-            if speaker_model.kind is not ModelKind.EMBEDDING:
-                raise DimensionError("the speaker model is not an embedding model")
+            check_model(config.frontend, speaker_model, "speaker", ModelKind.EMBEDDING)
             check_profile(speaker_profile, speaker_model)
-        for role, model in (("stage-1", stage1_model), ("stage-2", stage2_model),
-                            ("speaker", speaker_model)):
-            if model is not None:
-                check_channels(config.frontend, model, role)
         self._stage1_model = stage1_model
         self._stage2_model = stage2_model
         self._speaker_model = speaker_model

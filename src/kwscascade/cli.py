@@ -18,7 +18,7 @@ from .cascade import (
     CascadeConfig,
     DetectorStream,
     MemoryBudget,
-    check_channels,
+    check_model,
     check_profile,
     enforce_budget,
 )
@@ -218,11 +218,9 @@ def _speaker_models(args, cfg):
     """Stage-2 and embedding models, frontend and stage-2 decoder, checked before any audio."""
     stage2 = _read_model(args.stage2)
     embedding = _read_model(args.embedding_model)
-    if embedding.kind is not ModelKind.EMBEDDING:
-        raise CliError(f"{args.embedding_model} is not an embedding model")
     frontend = FrontendConfig(**cfg["frontend"])
-    check_channels(frontend, stage2, "stage-2")
-    check_channels(frontend, embedding, "speaker")
+    check_model(frontend, stage2, "stage-2")
+    check_model(frontend, embedding, "speaker", ModelKind.EMBEDDING)
     return stage2, embedding, frontend, DecoderConfig(stage2.num_units, **cfg["stage2"])
 
 

@@ -231,9 +231,10 @@ def _window_scores(logs, suffix, skip=0):
     best = np.maximum(pre[0], prev[units - 1])
     for k in range(units - 1):
         np.maximum(best, prev[k] + pre[k + 1], out=best)
-    with np.errstate(invalid="ignore"):
-        scores = np.exp(best / units)
-    return np.minimum(np.nan_to_num(scores, nan=0.0), 1.0), suffix
+    # The smoothed rows are finite-checked and clipped to [0, 1], so every log
+    # is in [-inf, 0]; sums of such values are never NaN (no +inf meets a
+    # -inf), and exp(best / M) is in [0, 1] as it stands.
+    return np.exp(best / units), suffix
 
 
 class StreamingDecoder:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import DetectorStream, check_channels
+from .cascade import DetectorStream, check_model
 from .decoder import batch_frame_scores
 from .frontend import SAMPLE_RATE_HZ, frame_timestamp_ms, num_frames_for
 from .quantize import AccumMode
@@ -64,7 +64,7 @@ class PipelineScorer:
     """
 
     def __init__(self, frontend_config, model, decoder_config, mode=AccumMode.FIXED):
-        check_channels(frontend_config, model, "scorer")
+        check_model(frontend_config, model, "scorer")
         self.frontend_config = frontend_config
         self.model = model
         self.config = decoder_config

@@ -1,9 +1,11 @@
 """Deterministic integer DSP kernels for the fixed-point frontend path.
 
-Everything in this module is exact integer arithmetic with one documented
-rounding rule, so two runs on any platform produce identical bytes. The
-bit widths below are the emulation contract; changing any of them changes
-the output stream.
+Every result in this module is an integer, computed exactly with one
+documented rounding rule, so two runs on any platform produce identical
+bytes. The FFT carries its integers in float64 (complex128), which holds
+them exactly under the bound stated in fft_fixed; everything else is
+integer arithmetic. The bit widths below are the emulation contract;
+changing any of them changes the output stream.
 """
 
 from functools import lru_cache
@@ -66,48 +68,65 @@ def _bit_reverse_indices(n):
 
 
 @lru_cache(maxsize=None)
-def _twiddles(n):
-    k = np.arange(n // 2)
-    ang = -2.0 * np.pi * k / n
-    return quantize_fract(np.cos(ang), TWIDDLE_FRACT_BITS), quantize_fract(np.sin(ang), TWIDDLE_FRACT_BITS)
+def _stages(n):
+    """Per FFT stage: its half size m and its m Q15 twiddles, times 2**-15.
+
+    The factor is a power of two, so each twiddle is still exact in
+    complex128 and a product with it is the Q15 product shifted right by 15
+    without rounding.
+    """
+    ang = -2.0 * np.pi * np.arange(n // 2) / n
+    w = (quantize_fract(np.cos(ang), TWIDDLE_FRACT_BITS)
+         + 1j * quantize_fract(np.sin(ang), TWIDDLE_FRACT_BITS)) * 2.0**-TWIDDLE_FRACT_BITS
+    stages, m = [], 1
+    while m < n:
+        stages.append((m, w[:: n // (2 * m)].copy()))
+        m *= 2
+    return tuple(stages)
 
 
 def fft_fixed(samples):
     """Radix-2 DIT FFT of an integer sequence, scaled by 1/N.
 
-    ``samples`` length must be a power of two. Returns ``(re, im)`` int64
-    arrays holding DFT(samples)/N: each stage halves the butterfly outputs,
-    which both implements the 1/N scaling and keeps every value inside the
-    32-bit butterfly lane (asserted).
+    ``samples`` length must be a power of two and every sample must lie in
+    the 32-bit butterfly lane (|x| <= 2**31 - 1), else FixedPointOverflowError.
+    Returns ``(re, im)`` int64 arrays holding DFT(samples)/N. Each butterfly
+    is the integer one: t = (w * b + 2**14) >> 15 per component with Q15
+    twiddles w, then (a + t + 1) >> 1 and (a - t + 1) >> 1; halving every
+    stage implements the 1/N scaling and keeps the outputs in the lane
+    (asserted).
+
+    The butterflies run on one complex128 array, and that is exact. From
+    lane inputs a stage keeps the complex modulus within a rounding step
+    (|w| is 1 to within 2**-15), so a, b and t stay integers below 2**32
+    and each Q15 sum of products w*b stays below 2**48. Every product, sum
+    and power-of-two scaling is then exact in float64, with or without
+    fused multiply-add, and each floor gives the shift's result.
     """
     n = len(samples)
     if n & (n - 1) or n == 0:
         raise ValueError(f"FFT size must be a power of two, got {n}")
-    wre_full, wim_full = _twiddles(n)
-    re = np.asarray(samples, dtype=np.int64)[_bit_reverse_indices(n)]
-    im = np.zeros(n, dtype=np.int64)
-    m = 1
-    while m < n:
-        stride = n // (2 * m)
-        wre = wre_full[::stride][:m]
-        wim = wim_full[::stride][:m]
-        re2 = re.reshape(-1, 2, m)
-        im2 = im.reshape(-1, 2, m)
-        a_re, b_re = re2[:, 0, :], re2[:, 1, :]
-        a_im, b_im = im2[:, 0, :], im2[:, 1, :]
-        t_re = rshift_round(wre * b_re - wim * b_im, TWIDDLE_FRACT_BITS)
-        t_im = rshift_round(wre * b_im + wim * b_re, TWIDDLE_FRACT_BITS)
-        sum_re = rshift_round(a_re + t_re, 1)
-        sum_im = rshift_round(a_im + t_im, 1)
-        dif_re = rshift_round(a_re - t_re, 1)
-        dif_im = rshift_round(a_im - t_im, 1)
-        re2[:, 0, :], re2[:, 1, :] = sum_re, dif_re
-        im2[:, 0, :], im2[:, 1, :] = sum_im, dif_im
-        m *= 2
-    peak = max(np.abs(re).max(), np.abs(im).max()) if n else 0
-    if peak > _BUTTERFLY_MAX:
-        raise FixedPointOverflowError(f"butterfly value {peak} exceeds {BUTTERFLY_BITS}-bit lane")
-    return re, im
+    x = np.asarray(samples, dtype=np.int64)
+    # min/max, not abs: abs(-2**63) wraps to a negative int64
+    if x.min() < -_BUTTERFLY_MAX or x.max() > _BUTTERFLY_MAX:
+        raise FixedPointOverflowError(f"input sample outside the {BUTTERFLY_BITS}-bit lane")
+    z = x[_bit_reverse_indices(n)].astype(np.complex128)
+    flat = z.view(np.float64)
+    for m, w in _stages(n):
+        pairs = z.reshape(-1, 2, m)
+        a, b = pairs[:, 0], pairs[:, 1]
+        t = w * b
+        t_flat = t.view(np.float64)
+        t_flat += 0.5
+        np.floor(t_flat, out=t_flat)
+        np.subtract(a, t, out=b)
+        a += t
+        flat += 1.0
+        flat *= 0.5
+        np.floor(flat, out=flat)
+    if np.abs(flat).max() > _BUTTERFLY_MAX:
+        raise FixedPointOverflowError(f"butterfly value exceeds {BUTTERFLY_BITS}-bit lane")
+    return z.real.astype(np.int64), z.imag.astype(np.int64)
 
 
 def power_spectrum_fixed(samples):
@@ -117,26 +136,34 @@ def power_spectrum_fixed(samples):
     return re[:half] ** 2 + im[:half] ** 2
 
 
+_U31, _U32 = np.uint64(31), np.uint64(32)
+# weight of the i-th square-and-compare bit in the Q16 fraction
+_FRAC_SHIFTS = np.arange(LOG_FRACT_BITS - 1, -1, -1, dtype=np.uint64)
+
+
 def fixed_ln(values):
     """Natural log of positive integers, returned in Q``LOG_FRACT_BITS``.
 
     Takes a scalar or an int64 array of any shape, returns int64 of that
-    shape, exact for every positive int64. Integer-only: the MSB by binary
-    search on shifts, the fractional log2 bits by square-and-compare on a
-    Q31 mantissa in uint64 (its square fits), then one multiply by ln(2).
+    shape, exact for every positive int64. The MSB is the float64 exponent,
+    less one where rounding carried a value up to the next power of two
+    (one shift test finds those). The fractional log2 bits come from
+    square-and-compare on a Q31 mantissa in uint64 (its square fits), run in
+    place, then one multiply by ln(2).
     """
     v = np.asarray(values, dtype=np.int64)
     if v.size and v.min() <= 0:
         raise ValueError("fixed_ln requires positive integers")
-    msb, rest = 0, v
-    for shift in (32, 16, 8, 4, 2, 1):
-        step = (rest >> shift > 0) * shift
-        msb, rest = msb + step, rest >> step
-    x = ((v << np.maximum(31 - msb, 0)) >> np.maximum(msb - 31, 0)).astype(np.uint64)
-    frac = np.uint64(0)
-    for _ in range(LOG_FRACT_BITS):
-        x = x * x >> np.uint64(31)
-        bit = x >> np.uint64(32)  # 1 when the square reached 2.0
-        x, frac = x >> bit, frac << np.uint64(1) | bit
-    log2_q = (msb << LOG_FRACT_BITS) | frac.astype(np.int64)
+    msb = np.frexp(v.astype(np.float64))[1].astype(np.int64) - 1
+    msb -= (v >> msb) == 0
+    x = np.array((v << np.maximum(31 - msb, 0)) >> np.maximum(msb - 31, 0), dtype=np.uint64)
+    bits = np.empty((LOG_FRACT_BITS,) + v.shape, dtype=np.uint64)
+    for i in range(LOG_FRACT_BITS):
+        np.multiply(x, x, out=x)
+        x >>= _U31
+        bit = bits[i, ...]  # a view; bits[i] of a 0-d input would be a copied scalar
+        np.right_shift(x, _U32, out=bit)  # 1 when the square reached 2.0
+        x >>= bit
+    bits <<= _FRAC_SHIFTS.reshape((-1,) + (1,) * v.ndim)
+    log2_q = (msb << LOG_FRACT_BITS) | bits.sum(axis=0, dtype=np.uint64).astype(np.int64)
     return (log2_q * LN2_Q16) >> LOG_FRACT_BITS

@@ -18,6 +18,12 @@ class TestWav:
         chunk = audio_io.read_wav(str(path))
         assert np.array_equal(chunk.samples, samples)
 
+    def test_out_of_range_sample_rejected_not_wrapped(self, tmp_path):
+        path = tmp_path / "loud.wav"
+        with pytest.raises(ConfigError):
+            audio_io.write_wav(str(path), [40000, 0])
+        assert not path.exists()
+
     def test_wrong_rate_rejected(self, tmp_path):
         import wave
 

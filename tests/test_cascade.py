@@ -82,6 +82,12 @@ class TestRingBuffer:
                 assert np.array_equal(ring.snapshot(), flat[-cap:])
                 assert ring.total_written == len(flat)
 
+    def test_out_of_range_sample_rejected_not_wrapped(self):
+        ring = RingBuffer(8)
+        with pytest.raises(ConfigError):
+            ring.write(np.array([40000, 0]))
+        assert ring.total_written == 0
+
     def test_default_capacity_is_64kb_of_samples(self):
         ring = RingBuffer()
         assert ring.capacity_samples * 2 == 64000

@@ -479,6 +479,36 @@ class TestModelChannels:
         assert "absent" not in err and "FileNotFoundError" not in err
 
 
+class TestModelKind:
+    """An embedding model given as a stage model exits 2 before any audio is read."""
+
+    @pytest.mark.parametrize("command, flag, role", [
+        ("run-cascade", "--stage1", "stage-1"),
+        ("run-cascade", "--stage2", "stage-2"),
+        ("evaluate", "--stage2", "scorer"),
+        ("enroll", "--stage2", "stage-2"),
+        ("verify", "--stage2", "stage-2"),
+    ])
+    def test_embedding_stage_model_named_before_the_missing_input(self, model_files, tmp_path,
+                                                                   capsys, command, flag, role):
+        absent = str(tmp_path / "absent.input")
+        models = {"--stage1": model_files["stage1"], "--stage2": model_files["stage2"]}
+        models[flag] = model_files["embedding"]
+        if command in ("run-cascade", "evaluate"):
+            argv = ["--stage1", models["--stage1"], "--stage2", models["--stage2"],
+                    *(["--input", absent] if command == "run-cascade" else
+                      ["--manifest", absent, "--thresholds", "0.3"])]
+        else:
+            argv = ["--stage2", models["--stage2"], "--embedding-model", model_files["embedding"],
+                    absent, *(["--out", str(tmp_path / "profile.kwsv")] if command == "enroll"
+                              else ["--profile", absent])]
+        code, out, err = run_cli([command, *argv], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"DimensionError: the {role} model is not an acoustic model" in err
+        assert "absent" not in err and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_same_seed_same_stdout(self, model_files, tmp_path):
         cfg = k.FrontendConfig()

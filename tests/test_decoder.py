@@ -182,6 +182,15 @@ class TestStreaming:
             _, hyp = dec.push(np.zeros(3))
             assert hyp.score == 0.0
 
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_constant_zero_and_one_score_exactly_their_value(self, value):
+        # the kernel's exp(best / M) needs no clamp at either end
+        cfg = DecoderConfig(3, smoothing_window_frames=4, score_window_frames=10)
+        posteriors = np.full((45, 3), value)
+        assert np.all(batch_frame_scores(posteriors, cfg) == value)
+        pushed = StreamingDecoder(cfg).push_many(posteriors)
+        assert [hyp.score for _, hyp in pushed] == [value] * 45
+
     def test_alignment_in_global_frame_numbers(self):
         cfg = DecoderConfig(2, smoothing_window_frames=1, score_window_frames=10)
         dec = StreamingDecoder(cfg)

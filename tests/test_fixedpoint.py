@@ -10,6 +10,7 @@ from kwscascade.fixedpoint import (
     LN2_Q16,
     TWIDDLE_FRACT_BITS,
     LOG_FRACT_BITS,
+    BUTTERFLY_BITS,
     FixedPointOverflowError,
     fft_fixed,
     fixed_ln,
@@ -17,6 +18,34 @@ from kwscascade.fixedpoint import (
     quantize_fract,
     rshift_round,
 )
+
+
+def fft_fixed_reference(samples):
+    """Oracle: the radix-2 butterflies in int64 with the shift-and-round rule."""
+    n = len(samples)
+    bits = n.bit_length() - 1
+    rev = [int(format(i, f"0{bits}b")[::-1], 2) if bits else 0 for i in range(n)]
+    ang = -2.0 * np.pi * np.arange(n // 2) / n
+    wre_full = quantize_fract(np.cos(ang), TWIDDLE_FRACT_BITS)
+    wim_full = quantize_fract(np.sin(ang), TWIDDLE_FRACT_BITS)
+    re = np.asarray(samples, dtype=np.int64)[rev]
+    im = np.zeros(n, dtype=np.int64)
+    m = 1
+    while m < n:
+        wre = wre_full[:: n // (2 * m)]
+        wim = wim_full[:: n // (2 * m)]
+        re2 = re.reshape(-1, 2, m)
+        im2 = im.reshape(-1, 2, m)
+        a_re, b_re = re2[:, 0, :], re2[:, 1, :]
+        a_im, b_im = im2[:, 0, :], im2[:, 1, :]
+        t_re = rshift_round(wre * b_re - wim * b_im, TWIDDLE_FRACT_BITS)
+        t_im = rshift_round(wre * b_im + wim * b_re, TWIDDLE_FRACT_BITS)
+        sum_re, sum_im = rshift_round(a_re + t_re, 1), rshift_round(a_im + t_im, 1)
+        dif_re, dif_im = rshift_round(a_re - t_re, 1), rshift_round(a_im - t_im, 1)
+        re2[:, 0, :], re2[:, 1, :] = sum_re, dif_re
+        im2[:, 0, :], im2[:, 1, :] = sum_im, dif_im
+        m *= 2
+    return re, im
 
 
 def fixed_ln_reference(value):
@@ -43,6 +72,24 @@ EDGE_VALUES = [1 << k for k in range(63)] + [(1 << k) - 1 for k in range(1, 64)]
 POSITIVE_INT64 = st.one_of(st.integers(1, INT64_MAX), st.sampled_from(EDGE_VALUES),
                            st.integers(1, 1 << 20))
 SHAPES = st.sampled_from([(), (0,), (32,), (7, 32), (0, 32), (3, 0)])
+
+LANE = 2 ** (BUTTERFLY_BITS - 1) - 1
+FFT_SIZES = st.sampled_from([1 << k for k in range(11)])  # 1 ... 1024
+
+
+@st.composite
+def fft_inputs(draw):
+    """A power-of-two frame: random, sparse, int16 full-scale or at the lane edge."""
+    n = draw(FFT_SIZES)
+    kind = draw(st.sampled_from(["random", "sparse", "full_scale", "lane_edge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.integers(-LANE, LANE, n, endpoint=True)
+    if kind == "sparse":
+        return np.where(rng.random(n) < 0.05, rng.integers(-LANE, LANE, n, endpoint=True), 0)
+    if kind == "full_scale":
+        return rng.choice(np.array([-32768, 32767]), n)
+    return rng.choice(np.array([-LANE, LANE]), n)
 
 
 class TestRounding:
@@ -107,6 +154,25 @@ class TestFixedFft:
         x = np.full(512, 32767, dtype=np.int64)
         x[1::2] = -32768
         fft_fixed(x)  # raises FixedPointOverflowError on violation
+
+    @settings(max_examples=200, deadline=None)
+    @given(fft_inputs())
+    def test_equals_int64_reference_bit_for_bit(self, x):
+        ref_re, ref_im = fft_fixed_reference(x)
+        if max(np.abs(ref_re).max(), np.abs(ref_im).max()) > LANE:
+            with pytest.raises(FixedPointOverflowError):
+                fft_fixed(x)
+            return
+        re, im = fft_fixed(x)
+        assert re.dtype == im.dtype == np.int64
+        assert np.array_equal(re, ref_re) and np.array_equal(im, ref_im)
+
+    @pytest.mark.parametrize("bad", [LANE + 1, -LANE - 1, -(2**63), 2**63 - 1])
+    def test_sample_outside_lane_raises(self, bad):
+        x = np.zeros(64, dtype=np.int64)
+        x[5] = bad
+        with pytest.raises(FixedPointOverflowError):
+            fft_fixed(x)
 
 
 class TestFixedLn:
