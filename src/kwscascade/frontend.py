@@ -14,9 +14,10 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import fixedpoint as fxp
+from .quantize import _matmul_row_blocks
 
 SAMPLE_RATE_HZ = 16000
 
@@ -257,7 +258,7 @@ def power_spectra(frames, config):
 
 
 def _log_mel_float(powers, config):
-    energies = powers @ mel_filterbank(config).T
+    energies = _matmul_row_blocks(powers, mel_filterbank(config).T)
     return np.log(np.maximum(energies, config.log_floor))
 
 
@@ -282,6 +283,11 @@ class NoiseFloorTracker:
     stream start the first row stands in for the missing history, which
     leaves every warm-up minimum unchanged. Integer spectra stay exact
     integers.
+
+    The W-row minima are taken in floor(log2 W) + 1 passes over the carried
+    and new rows: pass s = 1, 2, 4, ... turns minima over s rows into minima
+    over 2s rows, and one last pass joins two overlapping power-of-two
+    windows that cover each W-row window.
     """
 
     def __init__(self, window_frames=100):
@@ -289,12 +295,20 @@ class NoiseFloorTracker:
         self._tail = None
 
     def process(self, powers):
-        """Suppress a [frames, bins] block of power spectra, frames >= 1."""
+        """Suppress a [frames, bins] block of power spectra; an empty block
+        comes back empty and leaves the tracker as it was."""
         powers = np.asarray(powers)
+        if len(powers) == 0:
+            return powers.copy()
         if self._tail is None:
             self._tail = np.repeat(powers[:1], self._window_frames - 1, axis=0)
         history = np.concatenate([self._tail, powers])
-        floor = sliding_window_view(history, self._window_frames, axis=0).min(axis=-1)
+        floor, span = history, 1
+        while 2 * span <= self._window_frames:
+            floor = np.minimum(floor[:-span], floor[span:])
+            span *= 2
+        # floor[i] is the minimum of rows i .. i + span - 1, and W - span < span
+        floor = np.minimum(floor[: len(powers)], floor[self._window_frames - span :])
         # a copy, so the carried rows do not keep this push's history alive
         self._tail = history[len(history) - len(self._tail):].copy()
         out = powers - floor

@@ -136,6 +136,34 @@ def fixed_accumulate(weights, inputs, bias_q):
     return acc
 
 
+_ROW_BLOCK = 16
+
+
+def _matmul_row_blocks(rows, matrix):
+    """float64 ``rows @ matrix`` for one [K] row or a stack [N, K], in 16-row blocks.
+
+    Every block, the last one zero-padded, is one BLAS product of the same
+    [16, K] shape, so a row's result does not depend on how many rows the
+    call holds or where the row sits (a one-row gemv and a many-row gemm
+    round differently). The fixed shape also keeps each product under
+    OpenBLAS's threading threshold for the shipped layers (16 x 257 x 32 on
+    0.3.31): a product large enough to wake a second BLAS thread leaves it
+    spinning between calls, which costs CPU time and no wall time.
+    """
+    rows = np.asarray(rows)
+    stack = rows.reshape(-1, rows.shape[-1])
+    count, width = stack.shape
+    full = count - count % _ROW_BLOCK
+    out = np.empty((count, matrix.shape[1]))
+    np.matmul(stack[:full].reshape(-1, _ROW_BLOCK, width), matrix,
+              out=out[:full].reshape(-1, _ROW_BLOCK, matrix.shape[1]))
+    if full < count:
+        tail = np.zeros((_ROW_BLOCK, width))
+        tail[: count - full] = stack[full:]
+        out[full:] = (tail @ matrix)[: count - full]
+    return out.reshape(*rows.shape[:-1], matrix.shape[1])
+
+
 def quantized_matvec(weights, inputs, bias_q, mode=AccumMode.FIXED):
     """Dequantized weights times one [D] input or each row of [N, D], plus bias.
 
@@ -153,7 +181,7 @@ def quantized_matvec(weights, inputs, bias_q, mode=AccumMode.FIXED):
         acc = fixed_accumulate(weights, inputs, bias_q)
         return acc.astype(np.float64) * combined
     _check_matvec_shapes(weights, inputs)
-    acc = _offset(inputs, np.float64) @ _offset(weights, np.float64).T
+    acc = _matmul_row_blocks(_offset(inputs, np.float64), _offset(weights, np.float64).T)
     return acc * combined + np.asarray(bias_q, dtype=np.float64) * combined
 
 

@@ -468,9 +468,8 @@ _CLOCK_CLIP = _clock_clip()
 
 
 @functools.lru_cache(maxsize=None)
-def _clock_cascade_parts(tracker):
-    frontend = k.FrontendConfig(arithmetic_mode=k.ArithmeticMode.FIXED_POINT,
-                                noise_suppression_enabled=tracker)
+def _clock_cascade_parts(tracker, mode=k.ArithmeticMode.FIXED_POINT):
+    frontend = k.FrontendConfig(arithmetic_mode=mode, noise_suppression_enabled=tracker)
     embedding = make_random_embedding_model(frontend, dim=64)
     stranger = speaker.SpeakerSignature(np.random.default_rng(13).normal(size=64))
     return (frontend, make_tone_acoustic_model(frontend, 3),
@@ -478,9 +477,9 @@ def _clock_cascade_parts(tracker):
             speaker.enroll([stranger], threshold=0.8))
 
 
-def _clock_events(tracker, muted, with_speaker, bounds):
+def _clock_events(tracker, muted, with_speaker, bounds, mode=k.ArithmeticMode.FIXED_POINT):
     """Events of the whole clip pushed in pieces, finish() included, and the stats."""
-    frontend, stage1, stage2, embedding, profile = _clock_cascade_parts(tracker)
+    frontend, stage1, stage2, embedding, profile = _clock_cascade_parts(tracker, mode)
     # muted: stage 2 never accepts, so short windows give deadline rejects,
     # re-triggers once the refractory ends, and a job running at the end
     windows = dict(stage2_window_ms=300, refractory_ms=200) if muted else {}
@@ -493,10 +492,10 @@ def _clock_events(tracker, muted, with_speaker, bounds):
 
 
 @functools.lru_cache(maxsize=None)
-def _clock_reference(tracker, muted, with_speaker):
+def _clock_reference(tracker, muted, with_speaker, mode=k.ArithmeticMode.FIXED_POINT):
     n = len(_CLOCK_CLIP)
     return _clock_events(tracker, muted, with_speaker,
-                         [(lo, min(lo + 2560, n)) for lo in range(0, n, 2560)])
+                         [(lo, min(lo + 2560, n)) for lo in range(0, n, 2560)], mode)
 
 
 @st.composite
@@ -511,12 +510,7 @@ _WHOLE_CLIP = [(0, len(_CLOCK_CLIP))]
 
 
 class TestSampleClock:
-    """Every decision is a function of the sample clock, not of the chunking.
-
-    FIXED_POINT frontend only: FLOAT features are not the same bytes for a
-    one-row and a many-row push (the float mel projection rounds
-    differently), so FLOAT events could differ in a score's last bits.
-    """
+    """Every decision is a function of the sample clock, not of the chunking."""
 
     def test_clip_exercises_every_decision_path(self):
         # an accept from the stream after its trigger, one from the snapshot
@@ -533,6 +527,7 @@ class TestSampleClock:
         assert rejects[:-1] == [t + 300 for t in triggers[:-1]]
         assert rejects[-1] == round(len(_CLOCK_CLIP) * 1000 / 16000) < triggers[-1] + 300
 
+    @pytest.mark.parametrize("mode", [k.ArithmeticMode.FIXED_POINT, k.ArithmeticMode.FLOAT])
     @pytest.mark.parametrize("tracker", [False, True])
     @settings(max_examples=5, deadline=None)
     @given(bounds=clip_bounds(len(_CLOCK_CLIP)), muted=st.booleans(),
@@ -541,9 +536,10 @@ class TestSampleClock:
     @example(bounds=_ONE_SAMPLE_EACH, muted=True, with_speaker=False)
     @example(bounds=_WHOLE_CLIP, muted=False, with_speaker=False)
     @example(bounds=_WHOLE_CLIP, muted=True, with_speaker=True)
-    def test_any_chunking_gives_the_same_events(self, tracker, bounds, muted, with_speaker):
-        events, stats = _clock_events(tracker, muted, with_speaker, bounds)
-        reference, reference_stats = _clock_reference(tracker, muted, with_speaker)
+    def test_any_chunking_gives_the_same_events(self, mode, tracker, bounds, muted,
+                                                with_speaker):
+        events, stats = _clock_events(tracker, muted, with_speaker, bounds, mode)
+        reference, reference_stats = _clock_reference(tracker, muted, with_speaker, mode)
         assert [e.to_dict() for e in events] == [e.to_dict() for e in reference]
         assert events == reference
         assert stats == reference_stats
