@@ -173,8 +173,8 @@ def cmd_score(args):
         with open(args.posteriors, "rb") as fh:
             posteriors, num_units = audio_io.read_posteriors(fh)
     dec = StreamingDecoder(DecoderConfig(num_units, **cfg["stage1"]))
+    hits = dec.push_many(posteriors[:, :num_units])  # raises before any output
     sys.stdout.write("record,frame,score\n")
-    hits = dec.push_many(posteriors[:, :num_units])
     for frame, hyp in hits:
         sys.stdout.write(f"score,{frame},{hyp.score:.9f}\n")
     if hits:

@@ -83,32 +83,27 @@ def smooth(posteriors, window):
     posteriors = np.asarray(posteriors, dtype=np.float64)
     if posteriors.ndim == 1:
         posteriors = posteriors[:, None]
-    return _smooth_rows(posteriors, posteriors[:0], 0, window)[0]
+    return _smooth_rows(posteriors, np.zeros((window - 1, posteriors.shape[1])), 0, window)[0]
 
 
-def _smooth_rows(rows, sums, seen, window, lead=0):
+def _smooth_rows(rows, tail, seen, window, lead=0):
     """Trailing means of ``rows``, continuing a stream of ``seen`` frames.
 
-    ``sums`` holds the stream's cumulative sums at its last
-    min(seen, window) frames. The cumsum continues from the carried one in
-    place, so any split of a stream gives the same bits as one cumsum over
-    all of it. Returns the smoothed rows behind ``lead`` zero rows (room for
-    carried history rows), and the sums to carry on.
+    ``tail`` holds the stream's last window-1 rows, zeros before its start.
+    Each mean is the sum of its own window rows, added in row order, over
+    the count present, so it depends on those rows alone and any split of a
+    stream gives the same bits. Returns the smoothed rows behind ``lead``
+    rows of room for carried history, and the tail to carry on.
     """
-    carried = len(sums)
-    cs = np.concatenate((sums, rows))
-    tail = cs[max(carried - 1, 0) :]
-    np.cumsum(tail, axis=0, out=tail)
-    head = min(max(window - seen, 0), len(rows))  # warm-up rows
-    start = carried + head
-    out = np.zeros((lead + len(rows), cs.shape[1]))
-    counts = np.arange(seen + 1, seen + head + 1, dtype=np.float64)
-    out[lead : lead + head] = cs[carried:start] / counts[:, None]
-    out[lead + head :] = (cs[start:] - cs[start - window : len(cs) - window]) / window
-    # cancellation in the running sums can leave tiny negatives where the
-    # true mean is 0; posteriors live in [0, 1], so clamp
-    np.clip(out, 0.0, 1.0, out=out)
-    return out, cs[-window:].copy()
+    total = len(rows)
+    pad = np.concatenate((tail, rows))
+    out = np.empty((lead + total, pad.shape[1]))
+    acc = out[lead:]
+    acc[:] = pad[:total]
+    for k in range(1, window):
+        acc += pad[k : k + total]
+    acc /= np.minimum(np.arange(seen + 1, seen + total + 1, dtype=np.float64), window)[:, None]
+    return out, pad[total:].copy()
 
 
 def _running_max_earliest(values):
@@ -231,9 +226,10 @@ def _window_scores(logs, suffix, skip=0):
     best = np.maximum(pre[0], prev[units - 1])
     for k in range(units - 1):
         np.maximum(best, prev[k] + pre[k + 1], out=best)
-    # The smoothed rows are finite-checked and clipped to [0, 1], so every log
-    # is in [-inf, 0]; sums of such values are never NaN (no +inf meets a
-    # -inf), and exp(best / M) is in [0, 1] as it stands.
+    # Posteriors are checked to lie in [0, 1] on entry, and rounding is
+    # monotone, so a sum of c of them is at most c and each mean lies in
+    # [0, 1] with no clip. So every log is in [-inf, 0]; sums of such values
+    # are never NaN (no +inf meets a -inf), and exp(best / M) is in [0, 1].
     return np.exp(best / units), suffix
 
 
@@ -241,9 +237,9 @@ class StreamingDecoder:
     """Push posterior frames, get each frame's trailing-window hypothesis.
 
     Runs the batch kernel over each push, with state carried between
-    pushes: the cumulative sums of the last L frames, the smoothed rows of
-    the last T_s-1 frames and the suffix chains of the last complete block
-    of T_s frames, O(M * (L + T_s)) whatever the push size. Blocks follow
+    pushes: the last L-1 posterior rows, the smoothed rows of the last
+    T_s-1 frames and the suffix chains of the last complete block of T_s
+    frames, O(M * (L + T_s)) whatever the push size. Blocks follow
     the frames pushed, not ``first_frame_index``. Scores equal
     batch_frame_scores bit for bit however the stream is split.
     Per-stream, single-threaded.
@@ -253,7 +249,7 @@ class StreamingDecoder:
         self._config = config
         self._first = first_frame_index
         self._seen = 0
-        self._sums = np.zeros((0, config.num_units))
+        self._tail = np.zeros((config.smoothing_window_frames - 1, config.num_units))
         self._history = np.zeros((0, config.num_units))
         self._suffix = np.full((config.num_units, config.score_window_frames), -np.inf)
 
@@ -289,13 +285,15 @@ class StreamingDecoder:
         index of the first new row in them, and the new rows' scores.
         """
         cfg = self._config
-        if not np.isfinite(rows).all():
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
-            raise ValueError(f"frame {self._first + self._seen + bad} has a non-finite posterior")
+        ok = (rows >= 0.0) & (rows <= 1.0)  # NaN fails both
+        if not ok.all():
+            bad = np.flatnonzero(~ok.all(axis=1))[0]
+            frame = self._first + self._seen + bad
+            raise ValueError(f"frame {frame} has a posterior outside [0, 1]")
         window = cfg.score_window_frames
         first = len(self._history)
-        smoothed, self._sums = _smooth_rows(
-            rows, self._sums, self._seen, cfg.smoothing_window_frames, lead=first
+        smoothed, self._tail = _smooth_rows(
+            rows, self._tail, self._seen, cfg.smoothing_window_frames, lead=first
         )
         smoothed[:first] = self._history
         self._history = smoothed[max(0, len(smoothed) - window + 1) :].copy()

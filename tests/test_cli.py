@@ -150,6 +150,15 @@ class TestScore:
         assert "frame 100 " in err
         assert out == ""
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.25"])
+    def test_posterior_outside_unit_range_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "posts.csv"
+        path.write_text(f"unit_1,unit_2,filler\n0.9,0.0,0.1\n0.0,{value},0.1\n0.1,0.2,0.7\n")
+        code, out, err = run_cli(["score", "--posteriors", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert "frame 1 has a posterior outside [0, 1]" in err
+        assert out == ""
+
 
 class TestRunCascade:
     def test_events_as_json_lines(self, model_files, keyword_wav, tmp_path, capsys):

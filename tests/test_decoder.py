@@ -289,7 +289,19 @@ class TestPushSplits:
                 assert hyp.alignment == tuple(a + lo + first for a in oracle.alignment)
 
 
-class TestNonFinitePosteriors:
+class TestStreamAge:
+    def test_clip_scores_do_not_depend_on_the_stream_before_their_window(self):
+        # each mean sums its own L rows, so 10**6 earlier rows (a multiple of
+        # T_s, keeping the block phase) leave the clip's bits unchanged
+        cfg = DecoderConfig(3)
+        lead = np.full((200, 3), 0.9)
+        clip = np.random.default_rng(13).uniform(0, 1, size=(300, 3))
+        aged = batch_frame_scores(np.concatenate((np.ones((10**6, 3)), lead, clip)), cfg)
+        fresh = batch_frame_scores(np.concatenate((lead, clip)), cfg)
+        assert np.array_equal(aged[-300:], fresh[-300:])
+
+
+class TestOutOfRangePosteriors:
     CFG = DecoderConfig(2, smoothing_window_frames=5, score_window_frames=20)
 
     @staticmethod
@@ -298,12 +310,12 @@ class TestNonFinitePosteriors:
         posteriors[100, 1] = bad_value
         return posteriors
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     def test_batch_names_the_first_bad_frame(self, bad_value):
         with pytest.raises(ValueError, match="frame 100 "):
             batch_frame_scores(self.stream(bad_value), self.CFG)
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     def test_streaming_names_the_first_bad_frame(self, bad_value):
         posteriors = self.stream(bad_value)
         dec = StreamingDecoder(self.CFG, first_frame_index=7)
@@ -311,7 +323,7 @@ class TestNonFinitePosteriors:
         with pytest.raises(ValueError, match="frame 107 "):
             dec.push_many(posteriors[90:120])
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     def test_rejected_push_leaves_the_state_unchanged(self, bad_value):
         rng = np.random.default_rng(3)
         clean = rng.uniform(0, 1, size=(200, 2))
