@@ -175,6 +175,17 @@ class DetectorStream:
         return self._decoder.push_many(probs[:, : self._model.num_units])
 
 
+def stage2_pass(detector, samples):
+    """Push ``samples`` through a stage-2 detector that keeps its features, up to its
+    first frame at or over threshold: (frame_index, hypothesis, the feature frames
+    of its alignment), or None. Every speaker check embeds this one segment."""
+    for frame_index, hyp in detector.push(samples):
+        if hyp.score >= detector.decoder_config.threshold:
+            first, last = hyp.alignment[0], hyp.alignment[-1]
+            return frame_index, hyp, detector.features[first : last + 1]
+    return None
+
+
 class EventKind(Enum):
     STAGE1_TRIGGER = "stage1_trigger"
     STAGE2_ACCEPT = "stage2_accept"
@@ -339,23 +350,22 @@ class Cascade:
         if self._stage2_job is None:
             return []
         self._stage2_job.deadline_sample = self._ring.total_written
-        return self._conclude_stage2(accepted=False)
+        return self._conclude_stage2(accept=None)
 
     def _feed_stage2(self, samples, first_sample):
         """Run the job over samples starting at absolute first_sample, up to its deadline."""
         job = self._stage2_job
         samples = samples[: job.deadline_sample - first_sample]
-        for frame_index, hyp in job.detector.push(samples):
-            if hyp.score >= job.detector.decoder_config.threshold:
-                return self._conclude_stage2(accepted=True, hyp=hyp, frame=frame_index)
-        if first_sample + len(samples) >= job.deadline_sample:
-            return self._conclude_stage2(accepted=False)
+        accept = stage2_pass(job.detector, samples)
+        if accept is not None or first_sample + len(samples) >= job.deadline_sample:
+            return self._conclude_stage2(accept)
         return []
 
-    def _conclude_stage2(self, accepted, hyp=None, frame=None):
+    def _conclude_stage2(self, accept):
         job = self._stage2_job
         frontend = self.config.frontend
-        if accepted:
+        if accept is not None:
+            frame, hyp, segment = accept
             decision_sample = job.base_sample + frame_end_sample(frame, frontend)
             ts = samples_to_ms(decision_sample)
             ends = [job.base_sample + frame_end_sample(a, frontend) for a in hyp.alignment]
@@ -364,7 +374,7 @@ class Cascade:
             events = [CascadeEvent(EventKind.STAGE2_ACCEPT, ts, stage1_score=job.trigger_score,
                                    stage2_score=hyp.score, alignment_ms=alignment_ms)]
             if self._speaker_model is not None:
-                events.append(self._verify_speaker(job, hyp, ts))
+                events.append(self._verify_speaker(segment, ts))
         else:
             decision_sample = job.deadline_sample
             events = [CascadeEvent(EventKind.STAGE2_REJECT, samples_to_ms(decision_sample),
@@ -379,9 +389,7 @@ class Cascade:
         )
         return events
 
-    def _verify_speaker(self, job, hyp, ts):
-        first, last = hyp.alignment[0], hyp.alignment[-1]
-        segment = job.detector.features[first : last + 1]
+    def _verify_speaker(self, segment, ts):
         signature = speaker_mod.embed(segment, self._speaker_model)
         result = speaker_mod.verify(signature, self._speaker_profile)
         kind = EventKind.SPEAKER_ACCEPT if result.accepted else EventKind.SPEAKER_REJECT

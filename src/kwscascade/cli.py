@@ -21,6 +21,7 @@ from .cascade import (
     check_model,
     check_profile,
     enforce_budget,
+    stage2_pass,
 )
 from .decoder import DecoderConfig, StreamingDecoder
 from .encoder import (
@@ -225,24 +226,19 @@ def _speaker_models(args, cfg):
 
 
 def _segment_signature(wav_path, stage2_model, embedding_model, frontend, decoder_cfg):
-    """Best stage-2 alignment over the file, embedded into one signature."""
+    """Embed the segment of stage 2's first accept in the file, as the cascade does."""
     det = DetectorStream(frontend, stage2_model, decoder_cfg,
                          AccumMode.FLOAT, keep_features=True)
-    hits = det.push(_read_audio(wav_path))
-    if not hits:
-        raise CliError(f"{wav_path}: too short to score")
-    _, best = max(hits, key=lambda item: item[1].score)
-    first, last = best.alignment[0], best.alignment[-1]
-    segment = det.features[first : last + 1]
-    return speaker.embed(segment, embedding_model), best
+    accept = stage2_pass(det, _read_audio(wav_path))
+    if accept is None:
+        raise CliError(f"{wav_path}: stage 2 never reaches its threshold")
+    return speaker.embed(accept[2], embedding_model)
 
 
 def cmd_enroll(args):
     stage2, embedding, frontend, decoder_cfg = _speaker_models(args, load_config_file(args.config))
-    signatures = []
-    for path in args.wavs:
-        signature, _ = _segment_signature(path, stage2, embedding, frontend, decoder_cfg)
-        signatures.append(signature)
+    signatures = [_segment_signature(path, stage2, embedding, frontend, decoder_cfg)
+                  for path in args.wavs]
     profile = speaker.enroll(signatures, args.threshold)
     with open(args.output, "wb") as fh:
         fh.write(speaker.serialize_profile(profile))
@@ -260,7 +256,7 @@ def cmd_verify(args):
     with open(args.profile, "rb") as fh:
         profile = speaker.load_profile(fh.read())
     check_profile(profile, embedding)
-    signature, _ = _segment_signature(args.wav, stage2, embedding, frontend, decoder_cfg)
+    signature = _segment_signature(args.wav, stage2, embedding, frontend, decoder_cfg)
     result = speaker.verify(signature, profile)
     _emit({"score": round(result.score, 6), "accepted": result.accepted})
     return EXIT_OK if result.accepted else EXIT_NEGATIVE

@@ -72,6 +72,14 @@ class KeywordHypothesis:
         return self._alignment
 
 
+def _check_unit_range(rows, first_frame=0):
+    """ValueError naming the first row, counted from ``first_frame``, outside [0, 1]."""
+    ok = (rows >= 0.0) & (rows <= 1.0)  # NaN fails both
+    if not ok.all():
+        bad = np.flatnonzero(~ok.all(axis=1))[0]
+        raise ValueError(f"frame {first_frame + bad} has a posterior outside [0, 1]")
+
+
 def smooth(posteriors, window):
     """Trailing-mean smoothing of a [T, M] posterior matrix.
 
@@ -83,6 +91,7 @@ def smooth(posteriors, window):
     posteriors = np.asarray(posteriors, dtype=np.float64)
     if posteriors.ndim == 1:
         posteriors = posteriors[:, None]
+    _check_unit_range(posteriors)
     return _smooth_rows(posteriors, np.zeros((window - 1, posteriors.shape[1])), 0, window)[0]
 
 
@@ -129,6 +138,7 @@ def keyword_score(smoothed):
     total, units = smoothed.shape
     if total < units:
         raise InsufficientFramesError(f"window of {total} frames cannot fit {units} units")
+    _check_unit_range(smoothed)
     return _score_window(smoothed)
 
 
@@ -150,7 +160,7 @@ def _score_window(smoothed):
         alignment.append(int(backptr[i][alignment[-1]]))
     alignment.reverse()
     score = 0.0 if log_h == -np.inf else float(np.exp(log_h / units))
-    return KeywordHypothesis(min(score, 1.0), tuple(alignment), total - 1)
+    return KeywordHypothesis(score, tuple(alignment), total - 1)
 
 
 # Bounds batch_frame_scores' temporaries: about 3.4 MB for 3 units and a
@@ -285,11 +295,7 @@ class StreamingDecoder:
         index of the first new row in them, and the new rows' scores.
         """
         cfg = self._config
-        ok = (rows >= 0.0) & (rows <= 1.0)  # NaN fails both
-        if not ok.all():
-            bad = np.flatnonzero(~ok.all(axis=1))[0]
-            frame = self._first + self._seen + bad
-            raise ValueError(f"frame {frame} has a posterior outside [0, 1]")
+        _check_unit_range(rows, self._first + self._seen)
         window = cfg.score_window_frames
         first = len(self._history)
         smoothed, self._tail = _smooth_rows(

@@ -17,11 +17,12 @@ from kwscascade.cascade import (
     MemoryBudget,
     RingBuffer,
     enforce_budget,
+    stage2_pass,
 )
 from kwscascade.decoder import DecoderConfig
 from kwscascade.encoder import pad_model_to_size
 from kwscascade.frontend import ConfigError
-from kwscascade.quantize import DimensionError
+from kwscascade.quantize import AccumMode, DimensionError
 from kwscascade.synthetic import (
     make_random_embedding_model,
     make_tone_acoustic_model,
@@ -424,21 +425,18 @@ class TestSpeakerIntegration:
     def test_enrolled_speaker_accepted(self, frontend_config, tone_stage1_model,
                                        tone_stage2_model, embedding_model, keyword_audio):
         samples, _ = keyword_audio
-        # enroll on the same audio's segment embedding: cosine ~ 1
+        # enroll on the segment the cascade's speaker check embeds: cosine 1
         det = DetectorStream(frontend_config, tone_stage2_model,
-                             DecoderConfig(3, smoothing_window_frames=10,
-                                           score_window_frames=100, threshold=0.4),
-                             keep_features=True)
-        hits = det.push(samples)
-        _, best = max(hits, key=lambda item: item[1].score)
-        segment = [f for f in det.features
-                   if best.alignment[0] <= f.frame_index <= best.alignment[-1]]
+                             make_cascade_config(frontend_config).stage2_decoder,
+                             AccumMode.FLOAT, keep_features=True)
+        _, _, segment = stage2_pass(det, samples)
         profile = speaker.enroll([speaker.embed(segment, embedding_model)], threshold=0.8)
         _, events = self._run(frontend_config, tone_stage1_model, tone_stage2_model,
                               embedding_model, profile, samples)
         kinds = [e.kind for e in events]
         assert EventKind.SPEAKER_ACCEPT in kinds
         assert EventKind.SPEAKER_REJECT not in kinds
+        assert events[-1].speaker_score == pytest.approx(1.0, abs=1e-6)
 
     def test_impostor_rejected(self, frontend_config, tone_stage1_model,
                                tone_stage2_model, embedding_model, keyword_audio):

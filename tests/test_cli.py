@@ -20,6 +20,7 @@ from kwscascade.synthetic import (
     make_tone_acoustic_model,
     generate_audio_corpus,
     synth_keyword_audio,
+    synth_noise,
 )
 
 MODEL_DESC = """
@@ -381,6 +382,51 @@ class TestVerifyCommand:
         )
         assert code == EXIT_NEGATIVE
         assert json.loads(out)["accepted"] is False
+
+    def test_enrolled_clip_scores_1_in_the_cascade(self, model_files, keyword_wav, tmp_path,
+                                                   capsys):
+        # enroll and the cascade's speaker check embed the same stage-2 segment
+        config = tmp_path / "decoder.cfg"
+        config.write_text(DECODER_CONFIG)
+        wav, _ = keyword_wav
+        profile = tmp_path / "owner.kwsv"
+        code, _, _ = run_cli(
+            ["enroll", wav, "--stage2", model_files["stage2"], "--embedding-model",
+             model_files["embedding"], "--out", str(profile), "--config", str(config)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        code, out, _ = run_cli(
+            ["run-cascade", "--stage1", model_files["stage1"], "--stage2", model_files["stage2"],
+             "--input", wav, "--config", str(config), "--speaker-model",
+             model_files["embedding"], "--speaker-profile", str(profile)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        events = [json.loads(line) for line in out.strip().splitlines()]
+        assert events[-1]["event"] == "speaker_accept"
+        assert events[-1]["speaker_score"] == 1.0
+
+    @pytest.mark.parametrize("command", ["enroll", "verify"])
+    def test_file_stage2_never_accepts_exits_2(self, model_files, tmp_path, capsys, command):
+        from kwscascade import speaker
+
+        noise = tmp_path / "noise.wav"
+        audio_io.write_wav(str(noise), synth_noise(16000, np.random.default_rng(6)))
+        profile = tmp_path / "owner.kwsv"
+        if command == "verify":
+            profile.write_bytes(speaker.serialize_profile(speaker.enroll(
+                [speaker.SpeakerSignature(np.random.default_rng(3).normal(size=64))], 0.6)))
+        rest = ["--out" if command == "enroll" else "--profile", str(profile)]
+        code, out, err = run_cli(
+            [command, str(noise), *rest, "--stage2", model_files["stage2"],
+             "--embedding-model", model_files["embedding"]],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(noise) in err
+        assert profile.exists() == (command == "verify")
 
 
 class TestEvaluateAndGenCorpus:

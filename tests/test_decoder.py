@@ -324,6 +324,18 @@ class TestOutOfRangePosteriors:
             dec.push_many(posteriors[90:120])
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    def test_keyword_score_names_the_first_bad_row(self, bad_value):
+        window = self.stream(bad_value)[90:120]
+        window[15, 0] = bad_value
+        with pytest.raises(ValueError, match="frame 10 "):
+            keyword_score(window)
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    def test_smooth_names_the_first_bad_row(self, bad_value):
+        with pytest.raises(ValueError, match="frame 100 "):
+            smooth(self.stream(bad_value), 5)
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     def test_rejected_push_leaves_the_state_unchanged(self, bad_value):
         rng = np.random.default_rng(3)
         clean = rng.uniform(0, 1, size=(200, 2))
