@@ -168,10 +168,13 @@ class DetectorStream:
             return []
         if self.features is not None:
             self.features.extend(frames)
-        rows = np.concatenate((self._tail, [f.channels for f in frames]))
-        self._tail = rows[max(0, len(rows) - self._model.num_stacked_frames + 1) :].copy()
-        stacked = stack_frames(rows, self._model.num_stacked_frames)
-        probs = forward_vector(self._model, stacked, self._mode)
+        rows = np.array([f.channels for f in frames])
+        stacked = self._model.num_stacked_frames
+        if stacked > 1:
+            rows = np.concatenate((self._tail, rows))
+            self._tail = rows[max(0, len(rows) - stacked + 1) :].copy()
+            rows = stack_frames(rows, stacked)
+        probs = forward_vector(self._model, rows, self._mode)
         return self._decoder.push_many(probs[:, : self._model.num_units])
 
 

@@ -204,20 +204,24 @@ def _window_scores(logs, suffix, skip=0):
     rows q+1.. of block b-1 and rows ..q of block b, as the best of: a
     chain of units 0..k in the suffix of b-1 followed by units k+1..M-1 in
     the prefix of b, for k = -1..M-1. At q = W-1 the window is block b
-    itself and only the prefix term counts. Returns the scores and the
-    suffix chains of the last complete block.
+    itself and only the prefix term counts. Returns the scores, the suffix
+    chains of the last complete block and the prefix chains at the last row
+    (see StreamingDecoder._step).
     """
     units, window = suffix.shape
     total = len(logs)
-    blocks, complete = -(-total // window), total // window
+    blocks, complete = max(1, -(-total // window)), total // window
     x = np.full((units, blocks * window), -np.inf)
     x[:, :total] = logs.T
     x = x.reshape(units, blocks, window)
-    # pre[j]: best chain of units j..M-1 from the block start to each row,
-    # built unit by unit for every j at once
+    # pre[j]: best chain of units j..k from the block start to each row, built
+    # unit by unit for every j at once; chains[k] keeps it at the last row
+    last = (total - 1) % window
     pre = np.maximum.accumulate(x[:1], axis=2)
+    chains = [pre[:, -1, last].tolist()]
     for k in range(1, units):
         pre = np.maximum.accumulate(np.concatenate((pre + x[k], x[k : k + 1])), axis=2)
+        chains.append(pre[:, -1, last].tolist())
     # prev[k]: suf[k] of the block before, one row on; -inf where none
     prev = np.full((units, blocks, window), -np.inf)
     prev[:, :1, :-1] = suffix[:, None, 1:]
@@ -240,7 +244,7 @@ def _window_scores(logs, suffix, skip=0):
     # monotone, so a sum of c of them is at most c and each mean lies in
     # [0, 1] with no clip. So every log is in [-inf, 0]; sums of such values
     # are never NaN (no +inf meets a -inf), and exp(best / M) is in [0, 1].
-    return np.exp(best / units), suffix
+    return np.exp(best / units), suffix, chains
 
 
 class StreamingDecoder:
@@ -248,9 +252,11 @@ class StreamingDecoder:
 
     Runs the batch kernel over each push, with state carried between
     pushes: the last L-1 posterior rows, the smoothed rows of the last
-    T_s-1 frames and the suffix chains of the last complete block of T_s
-    frames, O(M * (L + T_s)) whatever the push size. Blocks follow
-    the frames pushed, not ``first_frame_index``. Scores equal
+    T_s-1 frames, the suffix chains of the last complete block of T_s
+    frames and the prefix chains of the current block at its last row,
+    O(M * (L + T_s) + M^2) whatever the push size. A one-row push that does
+    not complete a block takes a row step on that state instead. Blocks
+    follow the frames pushed, not ``first_frame_index``. Scores equal
     batch_frame_scores bit for bit however the stream is split.
     Per-stream, single-threaded.
     """
@@ -262,6 +268,7 @@ class StreamingDecoder:
         self._tail = np.zeros((config.smoothing_window_frames - 1, config.num_units))
         self._history = np.zeros((0, config.num_units))
         self._suffix = np.full((config.num_units, config.score_window_frames), -np.inf)
+        self._chains = None  # set by each push, read by the next row step
 
     @property
     def config(self):
@@ -281,12 +288,56 @@ class StreamingDecoder:
             raise ValueError(
                 f"expected [n, {cfg.num_units}] unit posteriors, got shape {rows.shape}"
             )
+        # a row that completes a block goes through the kernel, which builds
+        # the block's suffix chains
+        if len(rows) == 1 and (self._seen + 1) % cfg.score_window_frames:
+            return [self._step(rows)]
         base = self._first + self._seen - len(self._history)  # frame number of smoothed[0]
         smoothed, first, scores = self._advance(rows)  # the hypotheses keep smoothed's rows
         return [
             (base + j, KeywordHypothesis(score, None, base + j, smoothed[max(0, j - lag) : j + 1]))
             for j, score in enumerate(scores.tolist(), start=first)
         ]
+
+    def _step(self, rows):
+        """Smooth and score one row [1, M] that does not complete a block.
+
+        O(M^2) scalar work on the carried state, plus one L-row sum. The
+        prefix chain chains[k][j], the best chain of units j..k from the
+        block start, becomes max(itself, chains[k-1][j] + log x_k), or
+        max(itself, log x_k) at j = k, and the score joins the chains to the
+        suffix chains as _window_scores does. Each mean, sum, max, division
+        and exp is one the kernel takes, in its order, so the bits are the
+        kernel's.
+        """
+        cfg = self._config
+        _check_unit_range(rows, self._first + self._seen)
+        units, window = cfg.num_units, cfg.score_window_frames
+        phase = self._seen % window
+        pad = np.concatenate((self._tail, rows))
+        count = min(self._seen + 1, cfg.smoothing_window_frames)
+        mean = np.add.accumulate(pad, axis=0)[-1] / count  # row order, as _smooth_rows adds
+        smoothed = np.concatenate((self._history, mean[None]))
+        with np.errstate(divide="ignore"):
+            logs = np.log(mean).tolist()
+        chains = self._chains if phase else [[-np.inf] * (k + 1) for k in range(units)]
+        below = None
+        for k, col in enumerate(chains):
+            x = logs[k]
+            for j in range(k):
+                col[j] = max(col[j], below[j] + x)
+            col[k] = max(col[k], x)
+            below = col
+        prev = self._suffix[:, phase + 1].tolist()
+        best = max(below[0], prev[-1])
+        for k in range(units - 1):
+            best = max(best, prev[k] + below[k + 1])
+        self._tail = pad[1:]
+        self._history = smoothed[1:] if len(smoothed) == window else smoothed
+        self._chains = chains
+        frame = self._first + self._seen
+        self._seen += 1
+        return frame, KeywordHypothesis(float(np.exp([best / units])[0]), None, frame, smoothed)
 
     def _advance(self, rows):
         """Smooth and score [n, M] rows, carrying the state on.
@@ -306,6 +357,6 @@ class StreamingDecoder:
         phase = self._seen % window  # rows of the current block pushed before
         with np.errstate(divide="ignore"):
             logs = np.log(smoothed[first - phase :])
-        scores, self._suffix = _window_scores(logs, self._suffix, phase)
+        scores, self._suffix, self._chains = _window_scores(logs, self._suffix, phase)
         self._seen += len(rows)
         return smoothed, first, scores

@@ -40,9 +40,10 @@ from .quantize import (
     QuantizedTensor,
     compute_quant_params,
     fixed_accumulate,
+    float_accumulate,
+    offset_weights,
     quantize,
     quantize_bias,
-    quantized_matvec,
     requantize_fixed,
     requantize_multiplier,
 )
@@ -73,21 +74,35 @@ class ModelKind(Enum):
     EMBEDDING = 1
 
 
-@dataclass
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
 class EncoderLayer:
+    """One quantized layer. It keeps read-only copies of its arrays, so the
+    constants every forward pass uses are worked out once, here: the
+    combined scale and both accumulators' offset weight matrices."""
+
     weights: QuantizedTensor  # [out_dim, in_dim]
     bias_q: np.ndarray  # int32, scale_w * scale_in units
     input_params: QuantParams
     activation: Activation
 
     def __post_init__(self):
-        self.bias_q = np.asarray(self.bias_q, dtype=np.int32)
-        if self.weights.data.ndim != 2:
+        weights = QuantizedTensor(_read_only(np.array(self.weights.data, dtype=np.uint8)),
+                                  self.weights.params)
+        bias_q = _read_only(np.array(self.bias_q, dtype=np.int32))
+        if weights.data.ndim != 2:
             raise DimensionError("layer weights must be 2-D")
-        if self.bias_q.shape != (self.weights.shape[0],):
-            raise DimensionError(
-                f"bias shape {self.bias_q.shape} != out_dim {self.weights.shape[0]}"
-            )
+        if bias_q.shape != (weights.shape[0],):
+            raise DimensionError(f"bias shape {bias_q.shape} != out_dim {weights.shape[0]}")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias_q", bias_q)
+        object.__setattr__(self, "combined_scale", weights.params.scale * self.input_params.scale)
+        object.__setattr__(self, "fixed_weights", _read_only(offset_weights(weights, np.int64)))
+        object.__setattr__(self, "float_weights", _read_only(offset_weights(weights, np.float64)))
 
     @property
     def in_dim(self):
@@ -96,10 +111,6 @@ class EncoderLayer:
     @property
     def out_dim(self):
         return self.weights.shape[0]
-
-    @property
-    def combined_scale(self):
-        return self.weights.params.scale * self.input_params.scale
 
 
 @dataclass
@@ -274,19 +285,18 @@ def forward_vector(model, features, mode=AccumMode.FIXED):
     for k, layer in enumerate(model.layers):
         last = k == len(model.layers) - 1
         if mode is AccumMode.FIXED:
-            combined = layer.combined_scale
-            acc = fixed_accumulate(layer.weights, x_q, layer.bias_q)
+            acc = fixed_accumulate(layer.fixed_weights, x_q, layer.bias_q)
             if layer.activation is Activation.RELU:
                 acc = np.maximum(acc, 0)
             if last:
-                real = acc.astype(np.float64) * combined
+                real = acc.astype(np.float64) * layer.combined_scale
                 break
             x_q = QuantizedTensor(
-                requantize_fixed(acc, combined, model.layers[k + 1].input_params),
+                requantize_fixed(acc, layer.combined_scale, model.layers[k + 1].input_params),
                 model.layers[k + 1].input_params,
             )
         else:
-            real = quantized_matvec(layer.weights, x_q, layer.bias_q, AccumMode.FLOAT)
+            real = float_accumulate(layer.float_weights, x_q, layer.bias_q, layer.combined_scale)
             if layer.activation is Activation.RELU:
                 real = np.maximum(real, 0.0)
             if last:

@@ -101,7 +101,10 @@ def fft_fixed(samples):
     (|w| is 1 to within 2**-15), so a, b and t stay integers below 2**32
     and each Q15 sum of products w*b stays below 2**48. Every product, sum
     and power-of-two scaling is then exact in float64, with or without
-    fused multiply-add, and each floor gives the shift's result.
+    fused multiply-add, and each floor or ceil gives the shift's result:
+    (v + 1) >> 1 is ceil(v / 2) for an integer v. The stages of half size
+    1 and 2 have twiddles exactly 1 and -j, so w * b is already an integer
+    and they skip the rounding of t.
     """
     n = len(samples)
     if n & (n - 1) or n == 0:
@@ -116,14 +119,14 @@ def fft_fixed(samples):
         pairs = z.reshape(-1, 2, m)
         a, b = pairs[:, 0], pairs[:, 1]
         t = w * b
-        t_flat = t.view(np.float64)
-        t_flat += 0.5
-        np.floor(t_flat, out=t_flat)
+        if m > 2:
+            t_flat = t.view(np.float64)
+            t_flat += 0.5
+            np.floor(t_flat, out=t_flat)
         np.subtract(a, t, out=b)
         a += t
-        flat += 1.0
         flat *= 0.5
-        np.floor(flat, out=flat)
+        np.ceil(flat, out=flat)
     if np.abs(flat).max() > _BUTTERFLY_MAX:
         raise FixedPointOverflowError(f"butterfly value exceeds {BUTTERFLY_BITS}-bit lane")
     return z.real.astype(np.int64), z.imag.astype(np.int64)

@@ -232,7 +232,8 @@ class TestStreaming:
 @st.composite
 def split_streams(draw):
     """A decoder config, a first frame index, a posterior stream with runs of
-    zeros, and push sizes.
+    zeros, and push sizes: one row each, random, or runs of one-row pushes
+    among random ones.
 
     Score windows go down to T_s = M = 1; stream lengths include exact
     multiples of T_s and lengths shorter than T_s; zero runs may start just
@@ -256,10 +257,16 @@ def split_streams(draw):
     )
     for start, length in draw(st.lists(st.tuples(starts, st.integers(1, 80)), max_size=3)):
         posteriors[start : start + length] = 0.0
-    if draw(st.booleans()):
-        cuts = range(1, total)  # one frame per push
+    kind = draw(st.sampled_from(["one_each", "random", "mixed"]))
+    if kind == "one_each":
+        cuts = range(1, total)
     else:
-        cuts = sorted(draw(st.sets(st.integers(1, max(1, total - 1)), max_size=20)))
+        cuts = set(draw(st.sets(st.integers(1, max(1, total - 1)), max_size=20)))
+        if kind == "mixed":  # runs of one-row pushes between multi-row ones
+            runs = st.tuples(st.integers(1, max(1, total - 1)), st.integers(1, 2 * window))
+            for lo, length in draw(st.lists(runs, min_size=1, max_size=4)):
+                cuts.update(range(lo, min(total, lo + length)))
+        cuts = sorted(cuts)
     bounds = [0, *(c for c in cuts if c < total), total]
     return cfg, draw(st.integers(0, 1000)), posteriors, bounds, draw(st.floats(0.0, 1.0))
 
@@ -270,6 +277,7 @@ class TestPushSplits:
     def test_any_split_equals_batch_and_keyword_score(self, case):
         cfg, first, posteriors, bounds, threshold = case
         dec = StreamingDecoder(cfg, first_frame_index=first)
+        assert dec.push_many(posteriors[:0]) == []  # an empty push changes nothing
         hits = []
         for lo, hi in zip(bounds, bounds[1:]):
             hits.extend(dec.push_many(posteriors[lo:hi]))
@@ -287,6 +295,17 @@ class TestPushSplits:
             assert abs(hyp.score - oracle.score) <= 1e-12
             if hyp.score >= threshold and not short:
                 assert hyp.alignment == tuple(a + lo + first for a in oracle.alignment)
+
+
+class TestRowStep:
+    def test_one_row_pushes_sum_each_mean_in_row_order(self):
+        # At M = 1, np.add.reduce would sum each 30-row window pairwise, which
+        # rounds differently from the kernel's row-order sum.
+        cfg = DecoderConfig(1, smoothing_window_frames=30, score_window_frames=100)
+        posteriors = np.random.default_rng(21).uniform(0, 1, size=(400, 1))
+        dec = StreamingDecoder(cfg)
+        scores = [dec.push_many(row[None])[0][1].score for row in posteriors]
+        assert np.array_equal(scores, batch_frame_scores(posteriors, cfg))
 
 
 class TestStreamAge:
@@ -349,3 +368,22 @@ class TestOutOfRangePosteriors:
             rejected.push_many(bad)
         after = [(f, h.score) for f, h in rejected.push_many(clean[50:])]
         assert after == [(f, h.score) for f, h in untouched.push_many(clean[50:])]
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    def test_rejected_row_step_leaves_the_state_unchanged(self, bad_value):
+        # 53 rows in, the next one-row push is a row step in mid-block
+        clean = np.random.default_rng(4).uniform(0, 1, size=(120, 2))
+        rejected = StreamingDecoder(self.CFG, first_frame_index=7)
+        untouched = StreamingDecoder(self.CFG, first_frame_index=7)
+        rejected.push_many(clean[:53])
+        untouched.push_many(clean[:53])
+        bad = clean[53:54].copy()
+        bad[0, 1] = bad_value
+        with pytest.raises(ValueError, match="frame 60 "):
+            rejected.push_many(bad)
+
+        def one_row_pushes(dec):
+            return [dec.push_many(row[None])[0] for row in clean[53:]]
+
+        after = [(f, h.score, h.alignment) for f, h in one_row_pushes(rejected)]
+        assert after == [(f, h.score, h.alignment) for f, h in one_row_pushes(untouched)]

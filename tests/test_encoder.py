@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import struct
 from functools import lru_cache
 
@@ -368,6 +370,41 @@ def detector_splits(draw):
         return [0, total]
     sizes = draw(st.lists(st.integers(1, 4000), max_size=30))
     return [0, *(c for c in np.cumsum(sizes).tolist() if c < total), total]
+
+
+class TestLayerConstants:
+    # sha256 of forward_vector's bytes, recorded before layers kept their constants
+    DIGESTS = {
+        AccumMode.FIXED: "6faa8ab39ac2bb4bda69801c0f5f2fe3e36646aa70d646bc9760ba5be775dd31",
+        AccumMode.FLOAT: "b87d4cc8c2b8d29669198796b5d5a77b87e60ca31e0541055762618d1da5fce0",
+    }
+
+    @pytest.mark.parametrize("mode", list(AccumMode))
+    def test_relu_softmax_bytes_match_the_recorded_digest(self, mode):
+        rng = np.random.default_rng(19)
+        model = random_acoustic_model(rng)
+        # past the +-5 input range, so the quantizer clips too
+        rows = rng.uniform(-7, 7, size=(200, model.input_dim))
+        out = forward_vector(model, rows, mode)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.DIGESTS[mode]
+
+    def test_layer_arrays_are_read_only_copies(self):
+        rng = np.random.default_rng(20)
+        weights = rng.normal(0, 0.5, (4, 8))
+        w_params = compute_quant_params(weights)
+        weights_q = quantize(weights, w_params)
+        bias_q = quantize_bias(rng.normal(0, 0.5, 4), w_params.scale * 0.1)
+        layer = EncoderLayer(weights_q, bias_q, QuantParams(-5.0, 5.0), Activation.RELU)
+        for array in (layer.weights.data, layer.bias_q, layer.fixed_weights, layer.float_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.bias_q = bias_q
+        before = layer.fixed_weights.copy()
+        weights_q.data[:] = 0
+        bias_q[:] = 0
+        assert np.array_equal(layer.fixed_weights, before)
+        assert layer.weights.data.any() and layer.bias_q.any()
 
 
 class TestStacking:

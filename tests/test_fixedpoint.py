@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kwscascade.fixedpoint import (
+    _stages,
     LN2_Q16,
     TWIDDLE_FRACT_BITS,
     LOG_FRACT_BITS,
@@ -166,6 +167,13 @@ class TestFixedFft:
         re, im = fft_fixed(x)
         assert re.dtype == im.dtype == np.int64
         assert np.array_equal(re, ref_re) and np.array_equal(im, ref_im)
+
+    @pytest.mark.parametrize("n", [1 << k for k in range(2, 11)])
+    def test_first_two_stages_have_exact_twiddles_1_and_minus_j(self, n):
+        # fft_fixed skips the rounding of w * b in these two stages
+        (m1, w1), (m2, w2) = _stages(n)[:2]
+        assert (m1, w1.tolist()) == (1, [1 + 0j])
+        assert (m2, w2.tolist()) == (2, [1 + 0j, -1j])
 
     @pytest.mark.parametrize("bad", [LANE + 1, -LANE - 1, -(2**63), 2**63 - 1])
     def test_sample_outside_lane_raises(self, bad):

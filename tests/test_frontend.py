@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kwscascade.fixedpoint import MEL_FRACT_BITS, fixed_ln, quantize_fract
 from kwscascade.frontend import (
+    _log_mel_fixed,
     ArithmeticMode,
     AudioChunk,
     ConfigError,
@@ -225,6 +227,22 @@ class TestFixedPointPath:
         assert frames.dtype == np.int64
         powers = power_spectra(frames, FIXED)
         assert powers.dtype == np.int64
+
+    def test_sparse_mel_table_equals_the_dense_product(self):
+        # A full-scale int16 bin has power 2 * (2**15)**2 after the 1/N FFT.
+        top = 2**31
+        rng = np.random.default_rng(23)
+        for channels in range(1, 129):
+            cfg = FrontendConfig(num_channels=channels, arithmetic_mode=ArithmeticMode.FIXED_POINT)
+            powers = rng.integers(0, top, size=(5, cfg.fft_size // 2 + 1), endpoint=True)
+            powers[0] = 0
+            powers[1] = top
+            powers[2] = top - rng.integers(0, 3, size=powers.shape[1])
+            powers[3, rng.random(powers.shape[1]) < 0.9] = 0
+            q15 = quantize_fract(mel_filterbank(cfg), MEL_FRACT_BITS)
+            offset = round((2 * np.log2(cfg.fft_size) - MEL_FRACT_BITS) * np.log(2.0) * 2**16)
+            dense = (fixed_ln(np.maximum(powers @ q15.T, 1)) + offset) * 2.0**-16
+            assert _log_mel_fixed(powers, cfg).tobytes() == dense.tobytes()
 
 
 def tracker_reference(spectra, window_frames):
