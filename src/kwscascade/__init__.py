@@ -24,7 +24,6 @@ from .decoder import (
     StreamingDecoder,
     batch_frame_scores,
     keyword_score,
-    smooth,
 )
 from .encoder import (
     Activation,
@@ -51,7 +50,6 @@ from .quantize import (
     compute_quant_params,
     dequantize,
     quantize,
-    quantized_matvec,
 )
 from .speaker import SpeakerProfile, SpeakerSignature, embed, enroll, verify
 

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .decoder import DecoderConfig, StreamingDecoder
-from .encoder import ModelKind, forward_vector, stack_frames
+from .encoder import ModelKind, check_kind, forward_vector, stack_frames
 from .frontend import (SAMPLE_RATE_HZ, ConfigError, FrontendConfig, FrontendStream, _pcm,
                        check_bounds, frame_end_sample, samples_to_ms, setting)
 from .quantize import AccumMode, DimensionError
@@ -142,8 +142,7 @@ class DetectorStream:
 
     def __init__(self, frontend_config, model, decoder_config,
                  mode=AccumMode.FIXED, keep_features=False):
-        if model.kind is not ModelKind.ACOUSTIC:
-            raise LifecycleError("detector needs an acoustic model")
+        check_kind(model, ModelKind.ACOUSTIC, "detector")
         self._frontend = FrontendStream(frontend_config)
         self._model = model
         self._decoder = StreamingDecoder(decoder_config,
@@ -247,8 +246,7 @@ class CascadeStats:
 def check_model(frontend_config, model, role, kind=ModelKind.ACOUSTIC):
     """DimensionError unless ``model`` is of ``kind`` and reads the frontend's
     feature width."""
-    if model.kind is not kind:
-        raise DimensionError(f"the {role} model is not an {kind.name.lower()} model")
+    check_kind(model, kind, role)
     if model.num_channels != frontend_config.num_channels:
         raise DimensionError(f"frontend.num_channels {frontend_config.num_channels} != "
                              f"{role} model num_channels {model.num_channels}")
@@ -287,7 +285,6 @@ class Cascade:
         if speaker_model is not None:
             check_model(config.frontend, speaker_model, "speaker", ModelKind.EMBEDDING)
             check_profile(speaker_profile, speaker_model)
-        self._stage1_model = stage1_model
         self._stage2_model = stage2_model
         self._speaker_model = speaker_model
         self._speaker_profile = speaker_profile

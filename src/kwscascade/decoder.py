@@ -80,21 +80,6 @@ def _check_unit_range(rows, first_frame=0):
         raise ValueError(f"frame {first_frame + bad} has a posterior outside [0, 1]")
 
 
-def smooth(posteriors, window):
-    """Trailing-mean smoothing of a [T, M] posterior matrix.
-
-    Frame t averages frames max(0, t-window+1)..t; the warm-up prefix
-    divides by the number of frames actually present.
-    """
-    if window < 1:
-        raise ValueError("smoothing window must be >= 1")
-    posteriors = np.asarray(posteriors, dtype=np.float64)
-    if posteriors.ndim == 1:
-        posteriors = posteriors[:, None]
-    _check_unit_range(posteriors)
-    return _smooth_rows(posteriors, np.zeros((window - 1, posteriors.shape[1])), 0, window)[0]
-
-
 def _smooth_rows(rows, tail, seen, window, lead=0):
     """Trailing means of ``rows``, continuing a stream of ``seen`` frames.
 

@@ -317,26 +317,41 @@ def stack_frames(features, num_stacked):
     return np.concatenate(cols, axis=1)
 
 
+def check_kind(model, kind, role):
+    """DimensionError unless ``model`` is of ``kind``."""
+    if model.kind is not kind:
+        raise DimensionError(f"the {role} model is not an {kind.name.lower()} model")
+
+
+def model_inputs(frames, model, kind, role):
+    """The stacked input rows of a ``kind`` model, checked.
+
+    ``frames`` is a list of FeatureFrames or a [T, num_channels] array; an
+    empty list reads as a [0, num_channels] array. Returns the rows of
+    stack_frames, none when T < num_stacked_frames, and each frame's
+    index: its frame_index, or its row number in an array.
+    """
+    check_kind(model, kind, role)
+    if hasattr(frames, "ndim"):
+        feats = np.asarray(frames, dtype=np.float64)
+    elif frames:
+        feats = np.array([f.channels for f in frames])
+    else:
+        feats = np.zeros((0, model.num_channels))
+    if feats.ndim != 2 or feats.shape[1] != model.num_channels:
+        raise DimensionError(f"frames of shape {feats.shape} are not [T, {model.num_channels}]")
+    indices = range(len(feats)) if hasattr(frames, "ndim") else [f.frame_index for f in frames]
+    return stack_frames(feats, model.num_stacked_frames), indices
+
+
 def encoder_forward(frames, model, mode=AccumMode.FIXED):
     """Posteriors for every frame with a full stack of history.
 
-    ``frames`` is a list of FeatureFrames or a [T, num_channels] array.
-    Emits one PosteriorFrame per input frame t >= num_stacked_frames - 1,
-    carrying that frame's index.
+    ``frames`` is as for model_inputs. Emits one PosteriorFrame per input
+    frame t >= num_stacked_frames - 1, carrying that frame's index.
     """
-    if model.kind is not ModelKind.ACOUSTIC:
-        raise DimensionError("encoder_forward needs an acoustic model")
-    if hasattr(frames, "ndim"):
-        feats = np.asarray(frames, dtype=np.float64)
-        indices = list(range(feats.shape[0]))
-    else:
-        feats = np.stack([f.channels for f in frames])
-        indices = [f.frame_index for f in frames]
-    if feats.shape[1] != model.num_channels:
-        raise DimensionError(
-            f"{feats.shape[1]} channels != model num_channels {model.num_channels}"
-        )
-    probs = forward_vector(model, stack_frames(feats, model.num_stacked_frames), mode)
+    rows, indices = model_inputs(frames, model, ModelKind.ACOUSTIC, "encoder")
+    probs = forward_vector(model, rows, mode)
     return [
         PosteriorFrame(row[: model.num_units], float(row[model.num_units]), idx)
         for row, idx in zip(probs, indices[model.num_stacked_frames - 1 :])

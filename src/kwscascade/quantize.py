@@ -111,15 +111,6 @@ class AccumMode(Enum):
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-def _check_matvec_shapes(weights, inputs):
-    if weights.data.ndim != 2:
-        raise DimensionError(f"weights must be 2-D, got shape {weights.shape}")
-    if inputs.data.ndim not in (1, 2) or weights.shape[1] != inputs.shape[-1]:
-        raise DimensionError(
-            f"cannot multiply weights {weights.shape} by input {inputs.shape}"
-        )
-
-
 def _offset(tensor, dtype):
     return tensor.data.astype(dtype) - dtype(tensor.params.zero_point)
 
@@ -148,9 +139,12 @@ def fixed_accumulate(matrix, inputs, bias_q):
 
 def float_accumulate(matrix, inputs, bias_q, combined_scale):
     """The FLOAT path's fixed_accumulate, rescaled: the offset products,
-    ``matrix`` being ``offset_weights(weights, np.float64)``, summed exactly
-    in float64 (see quantized_matvec), times the combined scale, plus the
-    bias in that scale."""
+    ``matrix`` being ``offset_weights(weights, np.float64)``, summed in
+    float64, times the combined scale, plus the bias in that scale (see
+    quantize_bias). Each product is an integer of at most 255**2, so the
+    sum over any loadable layer (in_dim < 2**53 / 255**2) is exact: row k
+    of a stacked call equals a one-row call bit for bit, however the
+    matrix product is blocked."""
     acc = _matmul_row_blocks(_offset(inputs, np.float64), matrix)
     return acc * combined_scale + np.asarray(bias_q, dtype=np.float64) * combined_scale
 
@@ -181,26 +175,6 @@ def _matmul_row_blocks(rows, matrix):
         tail[: count - full] = stack[full:]
         out[full:] = (tail @ matrix)[: count - full]
     return out.reshape(*rows.shape[:-1], matrix.shape[1])
-
-
-def quantized_matvec(weights, inputs, bias_q, mode=AccumMode.FIXED):
-    """Dequantized weights times one [D] input or each row of [N, D], plus bias.
-
-    FIXED accumulates offset uint8 products in 32-bit integers and rescales
-    once at the end; FLOAT accumulates the same offset products in float64
-    with the combined scale folded in afterwards. Each product is an
-    integer of at most 255**2, so a float64 sum over any loadable layer
-    (in_dim < 2**53 / 255**2) is exact: row k of a stacked call equals a
-    one-row call bit for bit, however the matrix product is blocked. Bias
-    is added post-accumulation in both paths (it is stored in the
-    accumulator scale, see quantize_bias).
-    """
-    _check_matvec_shapes(weights, inputs)
-    combined = weights.params.scale * inputs.params.scale
-    if mode is AccumMode.FIXED:
-        acc = fixed_accumulate(offset_weights(weights, np.int64), inputs, bias_q)
-        return acc.astype(np.float64) * combined
-    return float_accumulate(offset_weights(weights, np.float64), inputs, bias_q, combined)
 
 
 @lru_cache(maxsize=256)

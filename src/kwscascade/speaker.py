@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import ModelKind, forward_vector, stack_frames
+from .encoder import ModelKind, forward_vector, model_inputs
 from .quantize import AccumMode, DimensionError
 
 PROFILE_MAGIC = b"KWSV"
@@ -59,26 +59,12 @@ def embed(features, model):
     segmented by the stage-2 alignment. Deterministic for a fixed model
     and input. The embedding runs in float, on the AP.
     """
-    if model.kind is not ModelKind.EMBEDDING:
-        raise DimensionError("embed needs an embedding model")
-    if hasattr(features, "ndim"):
-        feats = np.asarray(features, dtype=np.float64)
-    else:
-        feats = (
-            np.stack([f.channels for f in features])
-            if features
-            else np.zeros((0, model.num_channels))
-        )
-    if feats.shape[0] == 0:
+    stacked, indices = model_inputs(features, model, ModelKind.EMBEDDING, "speaker")
+    if not indices:
         raise EmptySegmentError("cannot embed an empty segment")
-    if feats.shape[1] != model.num_channels:
-        raise DimensionError(
-            f"{feats.shape[1]} channels != model num_channels {model.num_channels}"
-        )
-    stacked = stack_frames(feats, model.num_stacked_frames)
-    if stacked.shape[0] == 0:
+    if len(stacked) == 0:
         raise EmptySegmentError(
-            f"segment of {feats.shape[0]} frames is shorter than the "
+            f"segment of {len(indices)} frames is shorter than the "
             f"{model.num_stacked_frames}-frame stack"
         )
     return SpeakerSignature(forward_vector(model, stacked, AccumMode.FLOAT).mean(axis=0))

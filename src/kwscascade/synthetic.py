@@ -241,6 +241,9 @@ def oracle_decoder_config(num_units=3, plateau_frames=10, threshold=0.5):
 
 def tone_unit_channels(config, num_units):
     """Well-separated mel channels used as keyword units."""
+    if not 1 <= num_units < config.num_channels:
+        raise ValueError(f"num_units {num_units} must lie in 1..{config.num_channels - 1}, "
+                         f"below num_channels {config.num_channels}")
     step = config.num_channels // (num_units + 1)
     return [step * (k + 1) for k in range(num_units)]
 
@@ -342,12 +345,15 @@ def generate_audio_corpus(seed, out_dir, config=None, num_units=3,
     a labelled end time.
     """
     config = config or FrontendConfig()
+    freqs = mel_center_frequencies(config)[tone_unit_channels(config, num_units)]
+    n = int(negative_seconds * SAMPLE_RATE_HZ)
+    if num_negatives and n <= SAMPLE_RATE_HZ:
+        raise ValueError(f"negative_seconds {negative_seconds} is too short: "
+                         "a negative needs over 1 s for its lone tones")
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
     lines = []
-    freqs = mel_center_frequencies(config)[tone_unit_channels(config, num_units)]
     for i in range(num_negatives):
-        n = int(negative_seconds * SAMPLE_RATE_HZ)
         samples = synth_noise(n, rng)
         # lone tones: first unit only, never the ordered sequence
         for _ in range(3):

@@ -356,6 +356,10 @@ class TestCascade:
             Cascade(make_cascade_config(frontend_config), models["stage-1"],
                     models["stage-2"], models["speaker"], profile)
 
+    def test_detector_rejects_an_embedding_model(self, frontend_config, embedding_model):
+        with pytest.raises(DimensionError, match="the detector model is not an acoustic model"):
+            DetectorStream(frontend_config, embedding_model, DecoderConfig(3))
+
     def test_no_accept_without_trigger(self, frontend_config, tone_stage1_model,
                                        tone_stage2_model, keyword_audio):
         samples, _ = keyword_audio

@@ -458,6 +458,22 @@ class TestEvaluateAndGenCorpus:
             assert float(fac) <= float(fa1)
             assert float(frrc) >= float(frr1)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--num-units", "0", "num_units 0 "),
+        ("--num-units", "32", "num_units 32 "),  # one unit per channel step is 32 // 33 = 0
+        ("--negative-seconds", "0.5", "negative_seconds 0.5 "),
+        ("--negative-seconds", "1", "negative_seconds 1.0 "),
+    ], ids=["units-0", "units-32", "negative-0.5s", "negative-1s"])
+    def test_gen_corpus_bad_argument_exits_2_naming_it(self, tmp_path, capsys,
+                                                       flag, value, message):
+        corpus_dir = tmp_path / "corpus"
+        code, out, err = run_cli(
+            ["gen-corpus", "--seed", "1", "--out-dir", str(corpus_dir), flag, value], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+        assert not corpus_dir.exists()
+
     @pytest.mark.parametrize("line, name", [
         ("eval.refractory_ms = inf", "refractory_ms"),  # was an OverflowError, exit 1
         ("eval.hit_window_ms = nan", "hit_window_ms"),  # was a 100 % FRR table, exit 0

@@ -11,7 +11,6 @@ from kwscascade.decoder import (
     StreamingDecoder,
     batch_frame_scores,
     keyword_score,
-    smooth,
 )
 
 
@@ -27,6 +26,20 @@ def brute_force_score(smoothed):
     return best ** (1.0 / units)
 
 
+def trailing_mean(posteriors, window):
+    """Frame t's mean of frames max(0, t - window + 1)..t, summed in row order."""
+    return np.array([sum(posteriors[max(0, t - window + 1) : t + 1]) / min(t + 1, window)
+                     for t in range(len(posteriors))])
+
+
+def decoder_means(posteriors, window):
+    """The decoder's smoothed means of a [T] or [T, M] stream, one unit at a
+    time: at M = 1 and T_s = 1 a frame's score is its own mean."""
+    cfg = DecoderConfig(1, smoothing_window_frames=window, score_window_frames=1)
+    columns = np.asarray(posteriors, dtype=np.float64).reshape(len(posteriors), -1).T
+    return np.stack([batch_frame_scores(col[:, None], cfg) for col in columns], axis=1)
+
+
 class TestConfig:
     def test_window_must_fit_units(self):
         with pytest.raises(ValueError):
@@ -40,20 +53,20 @@ class TestSmoothing:
     def test_window_one_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, size=(30, 4))
-        assert np.allclose(smooth(x, 1), x)
+        assert np.allclose(decoder_means(x, 1), x)
 
     def test_hand_example_with_warmup(self):
-        out = smooth(np.array([0.2, 0.4, 0.6]), 2)
+        out = decoder_means(np.array([0.2, 0.4, 0.6]), 2)
         assert np.allclose(out.ravel(), [0.2, 0.3, 0.5])
 
     def test_constant_stream_is_fixed_point(self):
         x = np.full((50, 3), 0.37)
-        assert np.allclose(smooth(x, 7), x)
+        assert np.allclose(decoder_means(x, 7), x)
 
     def test_equals_explicit_mean(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 1, size=(40, 2))
-        out = smooth(x, 5)
+        out = decoder_means(x, 5)
         for t in range(40):
             lo = max(0, t - 4)
             assert np.allclose(out[t], x[lo : t + 1].mean(axis=0))
@@ -153,7 +166,7 @@ class TestStreaming:
         for units in (1, 2, 3, 4, 5):
             cfg = DecoderConfig(units, smoothing_window_frames=9, score_window_frames=30)
             posteriors = rng.uniform(0, 1, size=(500, units))
-            smoothed_all = smooth(posteriors, cfg.smoothing_window_frames)
+            smoothed_all = trailing_mean(posteriors, cfg.smoothing_window_frames)
             dec = StreamingDecoder(cfg)
             for t, row in enumerate(posteriors):
                 _, hyp = dec.push(row)
@@ -284,7 +297,7 @@ class TestPushSplits:
         assert [frame for frame, _ in hits] == list(range(first, first + len(posteriors)))
         scores = np.array([hyp.score for _, hyp in hits])
         assert np.array_equal(scores, batch_frame_scores(posteriors, cfg))
-        smoothed = smooth(posteriors, cfg.smoothing_window_frames)
+        smoothed = trailing_mean(posteriors, cfg.smoothing_window_frames)
         for t, hyp in enumerate(hyp for _, hyp in hits):
             lo = max(0, t - cfg.score_window_frames + 1)
             # keyword_score needs one frame per unit; leading zero rows
@@ -352,7 +365,7 @@ class TestOutOfRangePosteriors:
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     def test_smooth_names_the_first_bad_row(self, bad_value):
         with pytest.raises(ValueError, match="frame 100 "):
-            smooth(self.stream(bad_value), 5)
+            decoder_means(self.stream(bad_value), 5)
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     def test_rejected_push_leaves_the_state_unchanged(self, bad_value):

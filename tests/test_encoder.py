@@ -255,6 +255,19 @@ class TestForward:
         out = encoder_forward(frames, model)
         assert [p.frame_index for p in out] == list(range(2, 10))
 
+    @pytest.mark.parametrize("frames", [[], np.zeros((0, 8))], ids=["list", "array"])
+    def test_no_frames_give_no_posteriors(self, frames):
+        assert encoder_forward(frames, random_acoustic_model(np.random.default_rng(19))) == []
+
+    def test_one_dimensional_array_names_the_frame_shape(self):
+        model = random_acoustic_model(np.random.default_rng(20))
+        with pytest.raises(DimensionError, match=r"shape \(8,\) are not \[T, 8\]"):
+            encoder_forward(np.zeros(8), model)
+
+    def test_embedding_model_rejected(self):
+        with pytest.raises(DimensionError, match="the encoder model is not an acoustic model"):
+            encoder_forward(np.zeros((4, 32)), make_random_embedding_model(FrontendConfig()))
+
     def test_fixed_vs_float_posterior_gap(self):
         rng = np.random.default_rng(11)
         model = random_acoustic_model(rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kwscascade.encoder import Activation, EncoderLayer, EncoderModel, ModelKind, forward_vector
 from kwscascade.quantize import (
     AccumMode,
     AccumulatorOverflowError,
@@ -11,7 +12,6 @@ from kwscascade.quantize import (
     dequantize,
     quantize,
     quantize_bias,
-    quantized_matvec,
     requantize_fixed,
     round_half_away,
 )
@@ -92,6 +92,16 @@ class TestQuantizeDequantize:
         assert np.all(np.diff(q) >= 0)
 
 
+def matvec(weights, inputs, bias_q, mode):
+    """Dequantized ``weights`` times ``inputs`` plus bias, as a one-layer
+    linear model computes it: the layer's accumulator times its combined
+    scale, in ``mode``."""
+    out_dim, in_dim = weights.shape
+    layer = EncoderLayer(weights, bias_q, inputs.params, Activation.NONE)
+    model = EncoderModel([layer], in_dim, 1, out_dim, ModelKind.EMBEDDING)
+    return forward_vector(model, dequantize(inputs), mode)
+
+
 class TestMatvec:
     def _quantized_identity(self, n, value=1.0):
         w_params = QuantParams(0.0, value)
@@ -104,7 +114,7 @@ class TestMatvec:
         x = quantize(x_vals, x_params)
         bias = quantize_bias(np.zeros(4), w.params.scale * x_params.scale)
         for mode in AccumMode:
-            out = quantized_matvec(w, x, bias, mode)
+            out = matvec(w, x, bias, mode)
             assert np.abs(out - x_vals).max() <= 2 * x_params.scale
 
     def test_zero_weights_yield_bias_exactly(self):
@@ -114,7 +124,7 @@ class TestMatvec:
         x = quantize(np.array([0.3, 0.6, 0.9, 0.1]), x_params)
         combined = w_params.scale * x_params.scale
         bias_q = np.array([100, -200, 0], dtype=np.int32)
-        out = quantized_matvec(w, x, bias_q, AccumMode.FIXED)
+        out = matvec(w, x, bias_q, AccumMode.FIXED)
         assert np.array_equal(out, bias_q.astype(np.float64) * combined)
 
     def test_fixed_path_is_deterministic(self):
@@ -122,15 +132,15 @@ class TestMatvec:
         w = quantize(rng.normal(size=(8, 16)), QuantParams(-3.0, 3.0))
         x = quantize(rng.normal(size=16), QuantParams(-3.0, 3.0))
         bias = quantize_bias(rng.normal(size=8), w.params.scale * x.params.scale)
-        a = quantized_matvec(w, x, bias, AccumMode.FIXED)
-        b = quantized_matvec(w, x, bias, AccumMode.FIXED)
+        a = matvec(w, x, bias, AccumMode.FIXED)
+        b = matvec(w, x, bias, AccumMode.FIXED)
         assert a.tobytes() == b.tobytes()
 
     def test_shape_mismatch_raises(self):
         w = quantize(np.zeros((3, 4)), QuantParams(-1.0, 1.0))
         x = quantize(np.zeros(5), QuantParams(-1.0, 1.0))
         with pytest.raises(DimensionError):
-            quantized_matvec(w, x, np.zeros(3, dtype=np.int32), AccumMode.FIXED)
+            matvec(w, x, np.zeros(3, dtype=np.int32), AccumMode.FIXED)
 
     def test_fixed_vs_float_close(self):
         rng = np.random.default_rng(4)
@@ -139,8 +149,8 @@ class TestMatvec:
         x_params = QuantParams(-4.0, 4.0)
         for _ in range(20):
             x = quantize(rng.normal(size=32), x_params)
-            fixed = quantized_matvec(w, x, bias, AccumMode.FIXED)
-            flt = quantized_matvec(w, x, bias, AccumMode.FLOAT)
+            fixed = matvec(w, x, bias, AccumMode.FIXED)
+            flt = matvec(w, x, bias, AccumMode.FLOAT)
             assert np.abs(fixed - flt).max() <= 1e-3
 
 

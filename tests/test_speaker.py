@@ -54,6 +54,10 @@ class TestEmbed:
         with pytest.raises(EmptySegmentError):
             embed(np.zeros((0, 8)), model)
 
+    def test_one_dimensional_array_names_the_frame_shape(self):
+        with pytest.raises(DimensionError, match=r"shape \(8,\) are not \[T, 8\]"):
+            embed(np.zeros(8), constant_embedding_model())
+
     def test_extra_silence_frame_barely_moves_signature(self):
         cfg = k.FrontendConfig()
         model = make_random_embedding_model(cfg)
