@@ -17,7 +17,7 @@ for unit, start in enumerate((40, 55, 70)):  # units fire in order, 150 ms apart
     frames[start : start + 15, unit] = 0.9
 
 decoder = StreamingDecoder(config)
-trace = decoder.push_many(frames)  # same scores as one push per frame
+trace = decoder.push(frames)  # same scores as one push per frame
 peak_frame, peak = max(trace, key=lambda item: item[1].score)
 
 print("frame  score   (10 ms per frame)")

@@ -174,7 +174,7 @@ class DetectorStream:
             self._tail = rows[max(0, len(rows) - stacked + 1) :].copy()
             rows = stack_frames(rows, stacked)
         probs = forward_vector(self._model, rows, self._mode)
-        return self._decoder.push_many(probs[:, : self._model.num_units])
+        return self._decoder.push(probs[:, : self._model.num_units])
 
 
 def stage2_pass(detector, samples):
@@ -224,13 +224,14 @@ class CascadeConfig:
     stage1_decoder: DecoderConfig = field(default_factory=lambda: DecoderConfig(num_units=3))
     stage2_decoder: DecoderConfig = field(default_factory=lambda: DecoderConfig(num_units=3))
     budget: MemoryBudget = field(default_factory=MemoryBudget)
-    buffer_capacity_samples: int = setting(32000, ge=1)
     stage2_window_ms: int = setting(1000, ge=0)
     refractory_ms: int = setting(1000, ge=0)
     stage1_mode: AccumMode = AccumMode.FIXED
 
     def __post_init__(self):
         check_bounds(self)
+        if self.budget.buffer_bytes < 2:
+            raise ConfigError(f"buffer_bytes {self.budget.buffer_bytes} cannot hold one sample")
 
 
 @dataclass
@@ -288,7 +289,7 @@ class Cascade:
         self._stage2_model = stage2_model
         self._speaker_model = speaker_model
         self._speaker_profile = speaker_profile
-        self._ring = RingBuffer(config.buffer_capacity_samples)
+        self._ring = RingBuffer(config.budget.buffer_bytes // 2)  # the budget's audio line
         self._stage1 = self._new_detector(stage1_model, config.stage1_decoder,
                                           config.stage1_mode)
         self._stage2_job = None

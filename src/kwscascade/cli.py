@@ -174,7 +174,7 @@ def cmd_score(args):
         with open(args.posteriors, "rb") as fh:
             posteriors, num_units = audio_io.read_posteriors(fh)
     dec = StreamingDecoder(DecoderConfig(num_units, **cfg["stage1"]))
-    hits = dec.push_many(posteriors[:, :num_units])  # raises before any output
+    hits = dec.push(posteriors[:, :num_units])  # raises before any output
     sys.stdout.write("record,frame,score\n")
     for frame, hyp in hits:
         sys.stdout.write(f"score,{frame},{hyp.score:.9f}\n")

@@ -260,29 +260,27 @@ class StreamingDecoder:
         return self._config
 
     def push(self, posteriors):
-        """Consume one frame's unit posteriors, return (frame_index, hypothesis)."""
-        vec = np.asarray(getattr(posteriors, "keyword_posteriors", posteriors))
-        return self.push_many(vec[None])[0]
-
-    def push_many(self, rows):
-        """Consume [n, M] unit posteriors, return [(frame_index, hypothesis)] per row."""
+        """Consume one row of unit posteriors, an [M] vector or a PosteriorFrame, and
+        return (frame_index, hypothesis); or [n, M] rows, and return one pair per row."""
         cfg = self._config
-        lag = cfg.score_window_frames - 1
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != cfg.num_units:
+        rows = np.asarray(getattr(posteriors, "keyword_posteriors", posteriors), dtype=np.float64)
+        if rows.ndim not in (1, 2) or rows.shape[-1] != cfg.num_units:
             raise ValueError(
                 f"expected [n, {cfg.num_units}] unit posteriors, got shape {rows.shape}"
             )
+        stack = rows.reshape(-1, cfg.num_units)
         # a row that completes a block goes through the kernel, which builds
         # the block's suffix chains
-        if len(rows) == 1 and (self._seen + 1) % cfg.score_window_frames:
-            return [self._step(rows)]
-        base = self._first + self._seen - len(self._history)  # frame number of smoothed[0]
-        smoothed, first, scores = self._advance(rows)  # the hypotheses keep smoothed's rows
-        return [
-            (base + j, KeywordHypothesis(score, None, base + j, smoothed[max(0, j - lag) : j + 1]))
-            for j, score in enumerate(scores.tolist(), start=first)
-        ]
+        if len(stack) == 1 and (self._seen + 1) % cfg.score_window_frames:
+            hits = [self._step(stack)]
+        else:
+            base = self._first + self._seen - len(self._history)  # frame number of smoothed[0]
+            smoothed, first, scores = self._advance(stack)  # the hypotheses keep smoothed's rows
+            lag = cfg.score_window_frames - 1
+            hits = [(base + j, KeywordHypothesis(score, None, base + j,
+                                                 smoothed[max(0, j - lag) : j + 1]))
+                    for j, score in enumerate(scores.tolist(), start=first)]
+        return hits[0] if rows.ndim == 1 else hits
 
     def _step(self, rows):
         """Smooth and score one row [1, M] that does not complete a block.

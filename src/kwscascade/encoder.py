@@ -33,6 +33,7 @@ from enum import Enum
 
 import numpy as np
 
+from .fixedpoint import _read_only
 from .quantize import (
     AccumMode,
     DimensionError,
@@ -72,11 +73,6 @@ class Activation(Enum):
 class ModelKind(Enum):
     ACOUSTIC = 0
     EMBEDDING = 1
-
-
-def _read_only(array):
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)

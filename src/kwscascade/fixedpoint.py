@@ -56,6 +56,13 @@ def quantize_fract(values, fract_bits):
     return np.round(np.asarray(values, dtype=np.float64) * (1 << fract_bits)).astype(np.int64)
 
 
+def _read_only(array):
+    """``array``, marked read-only: a cached table or a model's constants,
+    shared by every caller, so no caller can change what the next one reads."""
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=None)
 def _bit_reverse_indices(n):
     bits = n.bit_length() - 1
@@ -64,7 +71,7 @@ def _bit_reverse_indices(n):
     for _ in range(bits):
         rev = (rev << 1) | (idx & 1)
         idx = idx >> 1
-    return rev
+    return _read_only(rev)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +87,7 @@ def _stages(n):
          + 1j * quantize_fract(np.sin(ang), TWIDDLE_FRACT_BITS)) * 2.0**-TWIDDLE_FRACT_BITS
     stages, m = [], 1
     while m < n:
-        stages.append((m, w[:: n // (2 * m)].copy()))
+        stages.append((m, _read_only(w[:: n // (2 * m)].copy())))
         m *= 2
     return tuple(stages)
 

@@ -158,12 +158,12 @@ def num_frames_for(num_samples, config):
 @lru_cache(maxsize=None)
 def _hann_window(frame_samples):
     n = np.arange(frame_samples)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / (frame_samples - 1))
+    return fxp._read_only(0.5 - 0.5 * np.cos(2.0 * np.pi * n / (frame_samples - 1)))
 
 
 @lru_cache(maxsize=None)
 def _hann_window_q15(frame_samples):
-    return fxp.quantize_fract(_hann_window(frame_samples), fxp.WINDOW_FRACT_BITS)
+    return fxp._read_only(fxp.quantize_fract(_hann_window(frame_samples), fxp.WINDOW_FRACT_BITS))
 
 
 def _hz_to_mel(f):
@@ -190,6 +190,7 @@ def mel_filterbank(config):
     cover any FFT bin gets weight 1.0 at the bin nearest its centre so
     every filter has positive mass for any 1..128 channel count (at
     extreme counts this snap can push a bin's stacked weight above 1).
+    The matrix is cached per config and read-only.
     """
     n_bins = config.fft_size // 2 + 1
     bin_hz = np.arange(n_bins) * SAMPLE_RATE_HZ / config.fft_size
@@ -202,7 +203,7 @@ def mel_filterbank(config):
         fb[k] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
         if fb[k].sum() == 0.0:
             fb[k, int(np.argmin(np.abs(bin_hz - ctr)))] = 1.0
-    return fb
+    return fxp._read_only(fb)
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +224,7 @@ def _mel_table_q15(config):
     lengths = [len(run) for run in runs]
     bins = np.concatenate(runs)
     weights = dense[np.repeat(np.arange(len(runs)), lengths), bins]
-    return bins, weights, np.cumsum([0] + lengths[:-1])
+    return tuple(map(fxp._read_only, (bins, weights, np.cumsum([0] + lengths[:-1]))))
 
 
 def mel_center_frequencies(config):

@@ -162,6 +162,19 @@ class TestCascadeConfig:
                 CascadeConfig(**{field_name: -1})
             CascadeConfig(**{field_name: 0})
 
+    @pytest.mark.parametrize("buffer_bytes", [2, 3, 64000, 79872])
+    def test_ring_is_the_budget_audio_line(self, frontend_config, tone_stage1_model,
+                                           tone_stage2_model, buffer_bytes):
+        config = CascadeConfig(frontend=frontend_config,
+                               budget=MemoryBudget(buffer_bytes=buffer_bytes))
+        cascade = Cascade(config, tone_stage1_model, tone_stage2_model)
+        assert cascade._ring.capacity_samples == buffer_bytes // 2
+
+    @pytest.mark.parametrize("buffer_bytes", [0, 1])
+    def test_audio_line_under_one_sample_rejected(self, buffer_bytes):
+        with pytest.raises(ConfigError, match="buffer_bytes"):
+            CascadeConfig(budget=MemoryBudget(buffer_bytes=buffer_bytes))
+
 
 class TestCascade:
     def test_silence_produces_no_events(self, frontend_config, tone_stage1_model,

@@ -740,6 +740,7 @@ class TestConfigKeys:
         "stage1.num_units = 3",  # the model's units are the only value that works
         "stage2.num_units = 3",
         "speaker.threshold = 0.2",  # overrode enroll --threshold
+        "cascade.buffer_capacity_samples = 32000",  # the ring is budget.buffer_bytes // 2
     ])
     def test_removed_keys_are_unknown(self, model_files, silence_wav, tmp_path, capsys, line):
         code, out, err = run_cascade_with(line + "\n", model_files, silence_wav, tmp_path,
@@ -747,6 +748,14 @@ class TestConfigKeys:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"unknown config key {line.split()[0]!r}" in err
+
+    def test_audio_line_under_one_sample_exits_2(self, model_files, silence_wav, tmp_path,
+                                                 capsys):
+        code, out, err = run_cascade_with("budget.buffer_bytes = 1\n", model_files,
+                                          silence_wav, tmp_path, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "ConfigError: buffer_bytes" in err
 
     def test_help_lists_every_key(self, capsys):
         code, out, _ = run_cli(["run-cascade", "--help"], capsys)

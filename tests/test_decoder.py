@@ -1,3 +1,4 @@
+import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -12,6 +13,7 @@ from kwscascade.decoder import (
     batch_frame_scores,
     keyword_score,
 )
+from kwscascade.encoder import PosteriorFrame
 
 
 def brute_force_score(smoothed):
@@ -201,7 +203,7 @@ class TestStreaming:
         cfg = DecoderConfig(3, smoothing_window_frames=4, score_window_frames=10)
         posteriors = np.full((45, 3), value)
         assert np.all(batch_frame_scores(posteriors, cfg) == value)
-        pushed = StreamingDecoder(cfg).push_many(posteriors)
+        pushed = StreamingDecoder(cfg).push(posteriors)
         assert [hyp.score for _, hyp in pushed] == [value] * 45
 
     def test_alignment_in_global_frame_numbers(self):
@@ -240,6 +242,40 @@ class TestStreaming:
         frame, hyp = dec.push(np.array([0.5]))
         assert frame == 10
         assert hyp.alignment == (10,)
+
+
+class TestPushForms:
+    """``push`` takes one row (an [M] vector or a PosteriorFrame) and returns one
+    pair, or an [n, M] stack and returns a list of pairs, with the same scores."""
+
+    CFG = DecoderConfig(3, smoothing_window_frames=4, score_window_frames=10)
+    ROWS = np.random.default_rng(8).uniform(0, 1, size=(25, 3))
+
+    def expected(self):
+        return list(enumerate(batch_frame_scores(self.ROWS, self.CFG).tolist()))
+
+    def test_one_row_forms_give_one_pair(self):
+        vectors, frames = StreamingDecoder(self.CFG), StreamingDecoder(self.CFG)
+        by_vector = [vectors.push(row) for row in self.ROWS]
+        by_frame = [frames.push(PosteriorFrame(row, 1.0 - row.sum(), t))
+                    for t, row in enumerate(self.ROWS)]
+        for hits in (by_vector, by_frame):
+            assert [(frame, hyp.score) for frame, hyp in hits] == self.expected()
+
+    def test_stacks_give_one_pair_per_row(self):
+        dec = StreamingDecoder(self.CFG)
+        empty, first = dec.push(self.ROWS[:0]), dec.push(self.ROWS[:1])
+        rest = dec.push(self.ROWS[1:])
+        assert empty == [] and len(first) == 1
+        assert [(frame, hyp.score) for frame, hyp in first + rest] == self.expected()
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2), (2,)])
+    def test_other_shapes_are_named(self, shape):
+        dec = StreamingDecoder(self.CFG)
+        with pytest.raises(ValueError, match=rf"expected \[n, 3\] unit posteriors, "
+                                             rf"got shape {re.escape(str(shape))}"):
+            dec.push(np.zeros(shape))
+        assert dec.push(self.ROWS[0])[0] == 0  # nothing was consumed
 
 
 @st.composite
@@ -290,10 +326,10 @@ class TestPushSplits:
     def test_any_split_equals_batch_and_keyword_score(self, case):
         cfg, first, posteriors, bounds, threshold = case
         dec = StreamingDecoder(cfg, first_frame_index=first)
-        assert dec.push_many(posteriors[:0]) == []  # an empty push changes nothing
+        assert dec.push(posteriors[:0]) == []  # an empty push changes nothing
         hits = []
         for lo, hi in zip(bounds, bounds[1:]):
-            hits.extend(dec.push_many(posteriors[lo:hi]))
+            hits.extend(dec.push(posteriors[lo:hi]))
         assert [frame for frame, _ in hits] == list(range(first, first + len(posteriors)))
         scores = np.array([hyp.score for _, hyp in hits])
         assert np.array_equal(scores, batch_frame_scores(posteriors, cfg))
@@ -317,7 +353,7 @@ class TestRowStep:
         cfg = DecoderConfig(1, smoothing_window_frames=30, score_window_frames=100)
         posteriors = np.random.default_rng(21).uniform(0, 1, size=(400, 1))
         dec = StreamingDecoder(cfg)
-        scores = [dec.push_many(row[None])[0][1].score for row in posteriors]
+        scores = [dec.push(row[None])[0][1].score for row in posteriors]
         assert np.array_equal(scores, batch_frame_scores(posteriors, cfg))
 
 
@@ -351,9 +387,9 @@ class TestOutOfRangePosteriors:
     def test_streaming_names_the_first_bad_frame(self, bad_value):
         posteriors = self.stream(bad_value)
         dec = StreamingDecoder(self.CFG, first_frame_index=7)
-        dec.push_many(posteriors[:90])
+        dec.push(posteriors[:90])
         with pytest.raises(ValueError, match="frame 107 "):
-            dec.push_many(posteriors[90:120])
+            dec.push(posteriors[90:120])
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     def test_keyword_score_names_the_first_bad_row(self, bad_value):
@@ -373,14 +409,14 @@ class TestOutOfRangePosteriors:
         clean = rng.uniform(0, 1, size=(200, 2))
         rejected = StreamingDecoder(self.CFG)
         untouched = StreamingDecoder(self.CFG)
-        rejected.push_many(clean[:50])
-        untouched.push_many(clean[:50])
+        rejected.push(clean[:50])
+        untouched.push(clean[:50])
         bad = clean[50:80].copy()
         bad[12, 0] = bad_value
         with pytest.raises(ValueError, match="frame 62 "):
-            rejected.push_many(bad)
-        after = [(f, h.score) for f, h in rejected.push_many(clean[50:])]
-        assert after == [(f, h.score) for f, h in untouched.push_many(clean[50:])]
+            rejected.push(bad)
+        after = [(f, h.score) for f, h in rejected.push(clean[50:])]
+        assert after == [(f, h.score) for f, h in untouched.push(clean[50:])]
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     def test_rejected_row_step_leaves_the_state_unchanged(self, bad_value):
@@ -388,15 +424,15 @@ class TestOutOfRangePosteriors:
         clean = np.random.default_rng(4).uniform(0, 1, size=(120, 2))
         rejected = StreamingDecoder(self.CFG, first_frame_index=7)
         untouched = StreamingDecoder(self.CFG, first_frame_index=7)
-        rejected.push_many(clean[:53])
-        untouched.push_many(clean[:53])
+        rejected.push(clean[:53])
+        untouched.push(clean[:53])
         bad = clean[53:54].copy()
         bad[0, 1] = bad_value
         with pytest.raises(ValueError, match="frame 60 "):
-            rejected.push_many(bad)
+            rejected.push(bad)
 
         def one_row_pushes(dec):
-            return [dec.push_many(row[None])[0] for row in clean[53:]]
+            return [dec.push(row[None])[0] for row in clean[53:]]
 
         after = [(f, h.score, h.alignment) for f, h in one_row_pushes(rejected)]
         assert after == [(f, h.score, h.alignment) for f, h in one_row_pushes(untouched)]

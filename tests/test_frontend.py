@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwscascade.fixedpoint import MEL_FRACT_BITS, fixed_ln, quantize_fract
+from kwscascade.fixedpoint import (MEL_FRACT_BITS, _bit_reverse_indices, _stages, fixed_ln,
+                                   quantize_fract)
 from kwscascade.frontend import (
+    _hann_window,
+    _hann_window_q15,
     _log_mel_fixed,
+    _mel_table_q15,
     ArithmeticMode,
     AudioChunk,
     ConfigError,
@@ -206,6 +210,30 @@ class TestMelFilterbank:
         for channels in (1, 32, 40, 64, 128):
             fb = mel_filterbank(FrontendConfig(num_channels=channels))
             assert np.all(fb.sum(axis=1) > 0.0)
+
+    def test_a_caller_cannot_change_the_cached_matrix(self):
+        # a config no other test uses: were the write to land, it would
+        # change every later feature of this config in the process
+        cfg = FrontendConfig(num_channels=24)
+        audio = speech_like_noise(4000, seed=12)
+        before = [f.channels for f in compute_features(audio, cfg)]
+        with pytest.raises(ValueError, match="read-only"):
+            mel_filterbank(cfg)[:] = 0
+        after = [f.channels for f in compute_features(audio, cfg)]
+        assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("tables", [
+    lambda: [_hann_window(400)],
+    lambda: [_hann_window_q15(400)],
+    lambda: [mel_filterbank(FLOAT)],
+    lambda: _mel_table_q15(FLOAT),
+    lambda: [_bit_reverse_indices(512)],
+    lambda: [w for _, w in _stages(512)],
+], ids=["hann", "hann_q15", "mel", "mel_q15", "bit_reverse", "twiddles"])
+def test_cached_tables_are_read_only(tables):
+    arrays = tables()
+    assert arrays and not any(array.flags.writeable for array in arrays)
 
 
 class TestFixedPointPath:
