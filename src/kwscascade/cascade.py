@@ -153,10 +153,6 @@ class DetectorStream:
         self.features = [] if keep_features else None
 
     @property
-    def frontend_config(self):
-        return self._frontend.config
-
-    @property
     def decoder_config(self):
         return self._decoder.config
 

@@ -271,16 +271,16 @@ def cmd_evaluate(args):
     stage1 = PipelineScorer(frontend, stage1_model,
                             DecoderConfig(stage1_model.num_units, **cfg["stage1"]),
                             AccumMode.FIXED)
-    stage2 = PipelineScorer(frontend, stage2_model,
-                            DecoderConfig(stage2_model.num_units, **cfg["stage2"]),
-                            AccumMode.FLOAT)
+    stage2_decoder = DecoderConfig(stage2_model.num_units, **cfg["stage2"])
+    stage2 = PipelineScorer(frontend, stage2_model, stage2_decoder, AccumMode.FLOAT)
     corpus = synthetic.load_audio_corpus(args.manifest)
     thresholds = [float(v) for v in args.thresholds.split(",")]
     if sorted(thresholds) != thresholds:
         raise CliError("--thresholds must be ascending")
     table = cascade_table(
         stage1, stage2, corpus, thresholds,
-        stage2_threshold=args.stage2_threshold,
+        stage2_threshold=(stage2_decoder.threshold if args.stage2_threshold is None
+                          else args.stage2_threshold),
         **cfg["eval"],
     )
     sys.stdout.write(table.render_csv() + "\n")
@@ -369,7 +369,8 @@ def build_parser():
     p.add_argument("--stage2", required=True)
     p.add_argument("--thresholds", required=True,
                    help="comma-separated ascending stage-1 thresholds")
-    p.add_argument("--stage2-threshold", type=float, default=0.5)
+    p.add_argument("--stage2-threshold", type=float,
+                   help="stage-2 accept threshold (default: the config's stage2.threshold)")
     p.add_argument("--config", help="config file (key = value)")
     p.set_defaults(func=cmd_evaluate)
 

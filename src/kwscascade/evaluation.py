@@ -17,7 +17,10 @@ Conventions, fixed here and relied on by the composition-law guarantees:
   the stage-1 score where stage 2 (and the speaker gate when enabled)
   accepts, NaN elsewhere. No threshold accepts NaN, so the cascade
   accepts the pointwise intersection of the stage masks, which makes
-  "stage-1 threshold 0" literally equal to the stage-2-alone row.
+  "stage-1 threshold 0" literally equal to the stage-2-alone row;
+* the speaker gate stands in for a verifier on a synthetic corpus: each
+  planted event's frames take its ``verifies``, the outcome the generator
+  decided, and every other frame fails.
 """
 
 import math
@@ -134,7 +137,7 @@ def _operating_points(scorer, corpus, negatives, positives, thresholds,
     clock. No threshold accepts a NaN score. The refractory in frames and
     each positive's hit-window mask are taken from that clock.
     """
-    total_hours = sum(s.duration_hours for s in corpus.negatives)
+    total_hours = corpus.negative_hours
     if total_hours <= 0:
         raise CorpusError("negative corpus has zero duration")
     if not positives:
@@ -216,24 +219,20 @@ class CascadeTable:
         return "\n".join(lines)
 
 
-def _speaker_gate_mask(stream, count, profile_direction, speaker_threshold):
+def _speaker_gate_mask(stream, count):
     """Per-frame verification outcome from the stream's planted events.
 
-    Frames inside a planted event inherit that event's ground-truth cosine
-    decision; frames outside any event fail verification (a verifier never
-    matches unlabelled noise to the enrolled speaker).
+    Frames inside a planted event take that event's planted ``verifies``;
+    frames outside any event fail verification (a verifier never matches
+    unlabelled noise to the enrolled speaker).
     """
     mask = np.zeros(count, dtype=bool)
     for event in stream.events:
-        if event.signature is None:
-            continue
-        sig = event.signature / np.linalg.norm(event.signature)
-        ok = float(np.dot(sig, profile_direction)) >= speaker_threshold
-        mask[event.start_frame : event.end_frame + 1] = ok
+        mask[event.start_frame : event.end_frame + 1] = event.verifies
     return mask
 
 
-def _paired_scores(stage1, stage2, stream, stage2_threshold, corpus, speaker_verification):
+def _paired_scores(stage1, stage2, stream, stage2_threshold, speaker_verification):
     """Stage-1 scores and the gated stage-1 score, both indexed by stream frame.
 
     The gated score is the stage-1 score where stage 2 (and the speaker
@@ -248,8 +247,7 @@ def _paired_scores(stage1, stage2, stream, stage2_threshold, corpus, speaker_ver
         raise ValueError("the two stages do not score on one frame clock")
     accept = s2 >= stage2_threshold
     if speaker_verification:
-        accept &= _speaker_gate_mask(stream, len(s1), corpus.profile_direction,
-                                     corpus.speaker_threshold)
+        accept &= _speaker_gate_mask(stream, len(s1))
     return s1, np.where(accept, s1, np.nan)
 
 
@@ -262,15 +260,15 @@ def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
     One row per stage-1 threshold, preceded by a stage-1-disabled row
     showing stage 2 alone. Both stages score every frame of a stream on
     one frame clock. When ``speaker_verification`` is set, the cascade
-    mask is additionally gated by each planted event's ground-truth
-    verification outcome (corpus-provided). Each stream is scored once per
+    mask is additionally gated by each planted event's ``verifies``, its
+    ground-truth verification outcome. Each stream is scored once per
     stage, in corpus order.
     """
     _check_inputs(refractory_ms, hit_window_ms, stage1_threshold=stage1_thresholds,
                   stage2_threshold=stage2_threshold)
-    negatives = [_paired_scores(stage1, stage2, stream, stage2_threshold, corpus,
-                                speaker_verification) for stream in corpus.negatives]
-    positives = [_paired_scores(stage1, stage2, example.stream, stage2_threshold, corpus,
+    negatives = [_paired_scores(stage1, stage2, stream, stage2_threshold, speaker_verification)
+                 for stream in corpus.negatives]
+    positives = [_paired_scores(stage1, stage2, example.stream, stage2_threshold,
                                 speaker_verification) for example in corpus.positives]
     windows = dict(refractory_ms=refractory_ms, hit_window_ms=hit_window_ms)
     stage1_points = _operating_points(stage1, corpus, [s1 for s1, _ in negatives],

@@ -513,6 +513,20 @@ class TestEvaluateAndGenCorpus:
         assert out == ""
         assert name in err
 
+    def test_stage2_threshold_defaults_to_the_config_key(self, model_files, small_manifest,
+                                                         tmp_path, capsys):
+        config = tmp_path / "eval.cfg"
+        config.write_text("stage2.threshold = 0.45\n")
+        argv = ["evaluate", "--manifest", small_manifest, "--stage1", model_files["stage1"],
+                "--stage2", model_files["stage2"], "--thresholds", "0.3,0.5",
+                "--config", str(config)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert err.startswith("# stage-2 threshold fixed at 0.45")
+        code, flagged, _ = run_cli(argv + ["--stage2-threshold", "0.45"], capsys)
+        assert code == EXIT_OK
+        assert out == flagged
+
     def test_descending_thresholds_rejected(self, model_files, tmp_path, capsys):
         code, _, err = run_cli(
             ["evaluate", "--manifest", "nope.txt", "--stage1", model_files["stage1"],

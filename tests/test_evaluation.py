@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kwscascade.cascade import CascadeStats, DetectorStream
-from kwscascade.decoder import DecoderConfig
+from kwscascade.decoder import DecoderConfig, batch_frame_scores
 from kwscascade.evaluation import (
     CorpusError,
     DecoderScorer,
@@ -357,11 +357,7 @@ def mask_product_table(stage1, stage2, corpus, stage1_thresholds, stage2_thresho
         gate = np.full(len(s1), not speaker_verification)
         if speaker_verification:
             for event in stream.events:
-                if event.signature is not None:
-                    sig = event.signature / np.linalg.norm(event.signature)
-                    cosine = float(np.dot(sig, corpus.profile_direction))
-                    gate[event.start_frame : event.end_frame + 1] = (
-                        cosine >= corpus.speaker_threshold)
+                gate[event.start_frame : event.end_frame + 1] = event.verifies
         return s1[i1], s2[i2], gate[i1], ts1[i1]
 
     neg, pos = [], []
@@ -400,11 +396,6 @@ SCORE_GRID = np.array([0.0, 1.01, -0.3] + [round(0.1 * k, 1) for k in range(1, 1
 # thresholds on the score grid put scores exactly on a threshold
 THRESHOLDS = st.one_of(st.sampled_from([-np.inf, 0.0, 1.01, np.inf]),
                        st.sampled_from(list(SCORE_GRID)), st.floats(-0.5, 1.5))
-# cosines 1, 0, 0.71 and -1 against the profile direction (1, 0)
-SIGNATURES = [None, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]),
-              np.array([-2.0, 0.0])]
-PLANTED = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 10),
-                             st.sampled_from(SIGNATURES)), max_size=3)
 
 
 @st.composite
@@ -413,8 +404,11 @@ def score_streams(draw, min_frames=0):
     raw = draw(st.binary(min_size=2 * min_frames, max_size=60))
     scores = SCORE_GRID[np.frombuffer(raw, dtype=np.uint8) % len(SCORE_GRID)]
     n = len(scores) // 2
-    events = [PlantedEvent("impostor", start, start + length, 0.0, 0.0, signature=sig)
-              for start, length, sig in draw(PLANTED)]
+    # events start inside the stream or just past it, may overlap, and the
+    # later one wins
+    planted = st.tuples(st.integers(0, n), st.integers(0, 10), st.booleans())
+    events = [PlantedEvent(start, start + length, 0.0, 0.0, verifies)
+              for start, length, verifies in draw(st.lists(planted, max_size=3))]
     return SyntheticStream({"scores": scores[:n], "scores2": scores[n : 2 * n]}, 10, events)
 
 
@@ -428,8 +422,7 @@ OFFSETS = st.one_of(st.integers(0, 3), st.just(50))
 def cascade_cases(draw):
     first, rest = draw(NEGATIVES)
     positives = [PositiveExample(stream, end_ms) for stream, end_ms in draw(POSITIVES)]
-    corpus = SyntheticCorpus([first, *rest], positives,
-                             profile_direction=np.array([1.0, 0.0]), speaker_threshold=0.6)
+    corpus = SyntheticCorpus([first, *rest], positives)
     return dict(
         stage1=OffsetScorer(draw(OFFSETS)),
         stage2=OffsetScorer(draw(OFFSETS), view="scores2"),
@@ -442,9 +435,28 @@ def cascade_cases(draw):
     )
 
 
+def _spike_in_event(verifies):
+    # a spike on frame 5 of both stages, inside a planted event
+    scores = np.zeros(20)
+    scores[5] = 0.9
+    events = [PlantedEvent(4, 6, 0.0, 0.0, verifies)]
+    return SyntheticStream({"scores": scores, "scores2": scores}, 10, events)
+
+
+# the speaker gate decides both columns: it passes the verifying positive's
+# keyword and fails the non-verifying negative's spike
+GATED_CASE = dict(
+    stage1=OffsetScorer(0), stage2=OffsetScorer(0, view="scores2"),
+    corpus=SyntheticCorpus([_spike_in_event(False)], [PositiveExample(_spike_in_event(True), 60)]),
+    stage1_thresholds=[0.5], stage2_threshold=0.5, refractory_ms=0, hit_window_ms=0,
+    speaker_verification=True,
+)
+
+
 class TestMaskProductOracle:
     @settings(max_examples=200, deadline=None)
     @given(cascade_cases())
+    @example(GATED_CASE)
     def test_rows_equal_the_mask_product(self, case):
         assert table_tuples(cascade_table(**case)) == mask_product_table(**case)
 
@@ -537,13 +549,11 @@ class TestSpeakerGateByFrame:
         first = next(frame for frame, hyp in DetectorStream(
             FRONTEND, stage2_model, TONE_DECODER, AccumMode.FLOAT).push(samples)
             if hyp.score >= 0.4)
-        event = PlantedEvent("keyword", first, first + 3, 0.0, 0.0,
-                             signature=np.array([1.0, 0.0]))
+        event = PlantedEvent(first, first + 3, 0.0, 0.0, verifies=True)
         corpus = SyntheticCorpus(
             [AudioStream({"audio": synth_noise(16000, np.random.default_rng(0))})],
             [PositiveExample(AudioStream({"audio": samples}, [event]),
-                             frame_timestamp_ms(first, FRONTEND))],
-            profile_direction=np.array([1.0, 0.0]), speaker_threshold=0.6)
+                             frame_timestamp_ms(first, FRONTEND))])
         stage1 = PipelineScorer(FRONTEND, make_tone_acoustic_model(FRONTEND, 3, stacked),
                                 TONE_DECODER)
         stage2 = PipelineScorer(FRONTEND, stage2_model, TONE_DECODER, AccumMode.FLOAT)
@@ -566,6 +576,22 @@ class TestWindowBounds:
 
 
 class TestGroundTruthAgreement:
+    def test_every_planted_peak_is_the_decoded_score(self):
+        # the planted plateau equals the decoder's smoothing window, so the
+        # score at an event's last frame is its planted peak, on both views
+        corpus = generate_posterior_corpus(seed=5, negative_streams=1,
+                                           negative_minutes_each=5.0, num_positives=20)
+        streams = [*corpus.negatives, *(p.stream for p in corpus.positives)]
+        checked = 0
+        for view, peak in (("stage1", "stage1_peak"), ("stage2", "stage2_peak")):
+            for stream in streams:
+                scores = batch_frame_scores(stream.views[view], oracle_decoder_config())
+                for event in stream.events:
+                    assert scores[event.end_frame] == pytest.approx(getattr(event, peak),
+                                                                    rel=0, abs=1e-12)
+                    checked += 1
+        assert checked == 48
+
     def test_measured_far_equals_planted_counts(self):
         corpus = generate_posterior_corpus(seed=11, negative_streams=2,
                                            negative_minutes_each=15.0, num_positives=10)
