@@ -21,8 +21,13 @@ STREAM_VERSION = 1
 
 
 def read_wav(path):
-    """Load a 16-bit mono 16 kHz RIFF file as an AudioChunk."""
-    with wave.open(path, "rb") as wav:
+    """Load a 16-bit mono 16 kHz RIFF file as an AudioChunk; ConfigError
+    naming the path for any other file."""
+    try:
+        wav = wave.open(path, "rb")
+    except (wave.Error, EOFError) as exc:
+        raise ConfigError(f"{path}: not a WAV file ({str(exc) or 'it ends early'})") from None
+    with wav:
         if wav.getnchannels() != 1:
             raise ConfigError(f"{path}: expected mono audio, got {wav.getnchannels()} channels")
         if wav.getsampwidth() != 2:

@@ -239,14 +239,15 @@ def cmd_enroll(args):
     stage2, embedding, frontend, decoder_cfg = _speaker_models(args, load_config_file(args.config))
     signatures = [_segment_signature(path, stage2, embedding, frontend, decoder_cfg)
                   for path in args.wavs]
-    profile = speaker.enroll(signatures, args.threshold)
+    # speaker.enroll states the default threshold
+    profile = speaker.enroll(signatures, *[] if args.threshold is None else [args.threshold])
     with open(args.output, "wb") as fh:
         fh.write(speaker.serialize_profile(profile))
     _emit({
         "output": args.output,
         "dim": len(profile.signature.vector),
         "num_enrollment_utterances": profile.num_enrollment_utterances,
-        "threshold": args.threshold,
+        "threshold": profile.threshold,
     })
     return EXIT_OK
 
@@ -349,7 +350,7 @@ def build_parser():
     p.add_argument("--stage2", required=True, help="stage-2 model for segmentation")
     p.add_argument("--embedding-model", required=True)
     p.add_argument("--out", dest="output", required=True, help="profile output path")
-    p.add_argument("--threshold", type=float, default=0.6)
+    p.add_argument("--threshold", type=float)
     p.add_argument("--config", help="config file (key = value)")
     p.set_defaults(func=cmd_enroll)
 

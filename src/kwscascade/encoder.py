@@ -35,7 +35,10 @@ import numpy as np
 
 from .fixedpoint import _read_only
 from .quantize import (
+    _INT32_MAX,
     AccumMode,
+    AccumulatorOverflowError,
+    DegenerateRangeError,
     DimensionError,
     QuantParams,
     QuantizedTensor,
@@ -64,6 +67,14 @@ class ModelParseError(ValueError):
         self.offset = offset
 
 
+class LayerScaleError(ValueError):
+    """Layer ``layer``'s requantize shift from the layer before leaves 1..62."""
+
+    def __init__(self, layer):
+        super().__init__(f"layer {layer} input range is out of scale with layer {layer - 1}")
+        self.layer = layer
+
+
 class Activation(Enum):
     NONE = 0
     RELU = 1
@@ -79,7 +90,8 @@ class ModelKind(Enum):
 class EncoderLayer:
     """One quantized layer. It keeps read-only copies of its arrays, so the
     constants every forward pass uses are worked out once, here: the
-    combined scale and both accumulators' offset weight matrices."""
+    combined scale and both accumulators' offset weight matrices. It refuses
+    a bias and weights that can overflow the 32-bit accumulator."""
 
     weights: QuantizedTensor  # [out_dim, in_dim]
     bias_q: np.ndarray  # int32, scale_w * scale_in units
@@ -96,8 +108,13 @@ class EncoderLayer:
             raise DimensionError(f"bias shape {bias_q.shape} != out_dim {weights.shape[0]}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bias_q", bias_q)
+        fixed_weights = _read_only(offset_weights(weights, np.int64))
+        # the worst case over uint8 inputs, |b| + 255 * sum|w - z_w| per row
+        if np.any(np.abs(bias_q.astype(np.int64)) + 255 * np.abs(fixed_weights).sum(axis=0)
+                  > _INT32_MAX):
+            raise AccumulatorOverflowError("can overflow the 32-bit accumulator")
         object.__setattr__(self, "combined_scale", weights.params.scale * self.input_params.scale)
-        object.__setattr__(self, "fixed_weights", _read_only(offset_weights(weights, np.int64)))
+        object.__setattr__(self, "fixed_weights", fixed_weights)
         object.__setattr__(self, "float_weights", _read_only(offset_weights(weights, np.float64)))
 
     @property
@@ -111,6 +128,9 @@ class EncoderLayer:
 
 @dataclass
 class EncoderModel:
+    """A chain of layers that link in width, end as ``kind`` requires, and
+    requantize between layers with a shift in 1..62 (LayerScaleError)."""
+
     layers: list
     num_channels: int
     num_stacked_frames: int
@@ -121,12 +141,21 @@ class EncoderModel:
     def __post_init__(self):
         if not self.layers:
             raise DimensionError("model needs at least one layer")
+        fields = (self.num_channels, self.num_stacked_frames, self.num_units)
+        if not all(1 <= v <= 0xFFFF for v in fields):  # u16 fields of the model file
+            raise DimensionError(f"channels, stacked frames and units {fields} "
+                                 "must lie in 1..65535")
         expect = self.num_channels * self.num_stacked_frames
         for i, layer in enumerate(self.layers):
             if layer.in_dim != expect:
                 raise DimensionError(
                     f"layer {i} input dim {layer.in_dim} != expected {expect}"
                 )
+            # FIXED inference requantizes into a later layer with a rounding
+            # shift that must stay inside int64 (see requantize_multiplier)
+            if i and not 1 <= requantize_multiplier(self.layers[i - 1].combined_scale,
+                                                    layer.input_params)[1] <= 62:
+                raise LayerScaleError(i)
             expect = layer.out_dim
         final = self.layers[-1]
         if self.kind is ModelKind.ACOUSTIC:
@@ -204,7 +233,8 @@ def _take(data, offset, size, what):
 
 
 def load_model(data):
-    """Parse model bytes; inverse of serialize_model, byte for byte."""
+    """Parse model bytes; inverse of serialize_model, byte for byte. A rule the
+    model types refuse is a ModelParseError at its layer's header or bias."""
     raw, offset = _take(data, 0, _HEADER.size, "header")
     magic, version, kind, _, channels, stacked, units, n_layers, name_len = _HEADER.unpack(raw)
     if magic != MAGIC:
@@ -220,40 +250,34 @@ def load_model(data):
         name = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise ModelParseError("name field is not valid utf-8", offset - name_len)
-    layers = []
+    layers, headers = [], []
     for i in range(n_layers):
-        header = offset
+        headers.append(offset)
         raw, offset = _take(data, offset, _LAYER_HEADER.size, f"layer {i} header")
         in_dim, out_dim, act, in_min, in_max, w_min, w_max = _LAYER_HEADER.unpack(raw)
         try:
             activation = Activation(act)
         except ValueError:
-            raise ModelParseError(f"unknown activation code {act}", header)
-        if not np.all(np.isfinite([in_min, in_max, w_min, w_max])):
-            raise ModelParseError(f"layer {i} has a non-finite range", header)
-        in_params = QuantParams(in_min, in_max)
-        # FIXED inference requantizes into this layer with a rounding shift
-        # that must stay inside int64 (see requantize_multiplier)
-        if layers and not 1 <= requantize_multiplier(layers[-1].combined_scale, in_params)[1] <= 62:
-            raise ModelParseError(f"layer {i} input range is out of scale with layer {i - 1}",
-                                  header)
+            raise ModelParseError(f"unknown activation code {act}", headers[i])
+        try:
+            in_params, w_params = QuantParams(in_min, in_max), QuantParams(w_min, w_max)
+        except DegenerateRangeError as exc:
+            raise ModelParseError(f"layer {i}: {exc}", headers[i]) from None
         raw, offset = _take(data, offset, in_dim * out_dim, f"layer {i} weights")
-        weights = QuantizedTensor(
-            np.frombuffer(raw, dtype=np.uint8).reshape(out_dim, in_dim).copy(),
-            QuantParams(w_min, w_max),
-        )
+        weights = QuantizedTensor(np.frombuffer(raw, dtype=np.uint8).reshape(out_dim, in_dim),
+                                  w_params)
         raw, offset = _take(data, offset, 4 * out_dim, f"layer {i} bias")
-        bias_q = np.frombuffer(raw, dtype="<i4").astype(np.int32)
-        # worst case over uint8 inputs must fit the 32-bit accumulator
-        bound = np.abs(bias_q.astype(np.int64)) + 255 * np.abs(
-            weights.data.astype(np.int64) - weights.params.zero_point).sum(axis=1)
-        if np.any(bound > np.iinfo(np.int32).max):
-            raise ModelParseError(f"layer {i} can overflow the 32-bit accumulator",
-                                  offset - 4 * out_dim)
-        layers.append(EncoderLayer(weights, bias_q, in_params, activation))
+        try:
+            layers.append(EncoderLayer(weights, np.frombuffer(raw, dtype="<i4"), in_params,
+                                       activation))
+        except AccumulatorOverflowError as exc:
+            raise ModelParseError(f"layer {i} {exc}", offset - 4 * out_dim) from None
     if offset != len(data):
         raise ModelParseError(f"{len(data) - offset} trailing bytes", offset)
-    return EncoderModel(layers, channels, stacked, units, kind, name)
+    try:
+        return EncoderModel(layers, channels, stacked, units, kind, name)
+    except LayerScaleError as exc:
+        raise ModelParseError(str(exc), headers[exc.layer]) from None
 
 
 def _softmax(logits):
@@ -355,11 +379,26 @@ def encoder_forward(frames, model, mode=AccumMode.FIXED):
 
 
 # ---------------------------------------------------------------------------
-# Float-weight text description -> quantized model (the quantize-model input)
+# Float weights -> quantized layers, and the text description quantize-model reads
 # ---------------------------------------------------------------------------
 
-def parse_model_description(text):
-    """Parse the text model description used by quantize-model.
+def quantize_layer(weights, bias, input_params, activation):
+    """The float-to-8-bit layer recipe: the weight range from min/max, uint8
+    weights, and the bias in the weight_scale * input_scale accumulator scale."""
+    w_params = compute_quant_params(weights)
+    return EncoderLayer(quantize(weights, w_params),
+                        quantize_bias(bias, w_params.scale * input_params.scale),
+                        input_params, activation)
+
+
+# the header and layer lines of the grammar below, and the values each takes
+_DIRECTIVES = {"model": "acoustic|embedding", "channels": "N", "stacked": "N", "units": "N",
+               "name": "STR", "layer": "ACT IN OUT"}
+
+
+def build_model_from_description(text):
+    """Quantize the text model description used by quantize-model, each layer
+    as it is read.
 
     Grammar (one item per line, '#' comments):
         model acoustic|embedding
@@ -371,90 +410,62 @@ def parse_model_description(text):
         input_range MIN MAX
         weights                 followed by OUT lines of IN floats
         bias                    followed by one line of OUT floats
+
+    A malformed line, a text that ends early, or a layer that breaks a rule
+    of QuantParams or EncoderLayer raises ValueError naming the line or the
+    layer; EncoderModel checks the model as a whole.
     """
-    header = {}
-    layers = []
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    i = 0
+    lines = ((n, line.split("#", 1)[0].split()) for n, line in enumerate(text.splitlines(), 1))
+    lines = ((n, words) for n, words in lines if words)
+    where = None  # what an error names: the line read last, or the layer being built
 
-    def fail(msg):
-        raise ValueError(f"model description: {msg}")
+    def take(keyword, count):
+        """The floats on the next line: ``count`` of them after ``keyword``, or
+        a row of ``count`` (keyword None)."""
+        nonlocal where
+        n, words = next(lines, (None, None))
+        want = f"'{keyword}' and {count} values" if keyword else f"a row of {count} values"
+        if words is None:
+            raise ValueError(f"expected {want}, but the text ended")
+        where = f"line {n}"
+        if keyword and words[0] != keyword or len(words) != count + bool(keyword):
+            raise ValueError(f"expected {want}, got {' '.join(words)!r}")
+        return [float(w) for w in words[bool(keyword):]]
 
-    while i < len(lines):
-        parts = lines[i].split()
-        key = parts[0]
-        if key in ("model", "channels", "stacked", "units", "name"):
-            header[key] = parts[1]
-            i += 1
-        elif key == "layer":
-            if len(parts) != 4:
-                fail(f"layer needs 'layer ACT IN OUT', got {lines[i]!r}")
-            act = {"none": Activation.NONE, "relu": Activation.RELU, "softmax": Activation.SOFTMAX}.get(parts[1])
-            if act is None:
-                fail(f"unknown activation {parts[1]!r}")
-            in_dim, out_dim = int(parts[2]), int(parts[3])
-            i += 1
-            if i >= len(lines) or not lines[i].startswith("input_range"):
-                fail("layer must be followed by input_range MIN MAX")
-            _, lo, hi = lines[i].split()
-            i += 1
-            if i >= len(lines) or lines[i] != "weights":
-                fail("expected 'weights'")
-            i += 1
-            rows = []
-            for _ in range(out_dim):
-                row = [float(v) for v in lines[i].split()]
-                if len(row) != in_dim:
-                    fail(f"weight row has {len(row)} values, expected {in_dim}")
-                rows.append(row)
-                i += 1
-            if i >= len(lines) or lines[i] != "bias":
-                fail("expected 'bias'")
-            i += 1
-            bias = [float(v) for v in lines[i].split()]
-            if len(bias) != out_dim:
-                fail(f"bias has {len(bias)} values, expected {out_dim}")
-            i += 1
-            layers.append(
-                {
-                    "activation": act,
-                    "weights": np.array(rows),
-                    "bias": np.array(bias),
-                    "input_range": (float(lo), float(hi)),
-                }
-            )
-        else:
-            fail(f"unknown directive {key!r}")
+    header, layers = {}, []
+    try:
+        for n, (key, *args) in lines:
+            where = f"line {n}"
+            if key not in _DIRECTIVES:
+                raise ValueError(f"unknown directive {key!r}")
+            if len(args) != len(_DIRECTIVES[key].split()):
+                raise ValueError(f"expected '{key} {_DIRECTIVES[key]}', "
+                                 f"got {' '.join([key, *args])!r}")
+            if key != "layer":
+                header[key] = int(args[0]) if key in ("channels", "stacked", "units") else args[0]
+                continue
+            activation = {a.name.lower(): a for a in Activation}.get(args[0])
+            if activation is None:
+                raise ValueError(f"unknown activation {args[0]!r}")
+            in_dim, out_dim = int(args[1]), int(args[2])
+            lo, hi = take("input_range", 2)
+            take("weights", 0)
+            weights = [take(None, in_dim) for _ in range(out_dim)]
+            take("bias", 0)
+            bias = take(None, out_dim)
+            where = f"layer {len(layers)}"
+            layers.append(quantize_layer(np.array(weights), np.array(bias), QuantParams(lo, hi),
+                                         activation))
+    except (ValueError, AccumulatorOverflowError) as exc:
+        raise ValueError(f"model description {where}: {exc}") from None
     for required in ("model", "channels", "stacked", "units"):
         if required not in header:
-            fail(f"missing '{required}' line")
-    if not layers:
-        fail("no layers")
-    return header, layers
-
-
-def build_model_from_description(text):
-    """Quantize a float-weight text description into an EncoderModel."""
-    header, raw_layers = parse_model_description(text)
-    kind = {"acoustic": ModelKind.ACOUSTIC, "embedding": ModelKind.EMBEDDING}.get(header["model"])
+            raise ValueError(f"model description: missing '{required}' line")
+    kind = {k.name.lower(): k for k in ModelKind}.get(header["model"])
     if kind is None:
         raise ValueError(f"model kind must be acoustic or embedding, got {header['model']!r}")
-    layers = []
-    for item in raw_layers:
-        in_params = QuantParams(*item["input_range"])
-        w_params = compute_quant_params(item["weights"])
-        weights = quantize(item["weights"], w_params)
-        bias_q = quantize_bias(item["bias"], w_params.scale * in_params.scale)
-        layers.append(EncoderLayer(weights, bias_q, in_params, item["activation"]))
-    return EncoderModel(
-        layers,
-        int(header["channels"]),
-        int(header["stacked"]),
-        int(header["units"]),
-        kind,
-        header.get("name", ""),
-    )
+    return EncoderModel(layers, header["channels"], header["stacked"], header["units"], kind,
+                        header.get("name", ""))
 
 
 def pad_model_to_size(model, target_bytes):

@@ -310,7 +310,7 @@ class NoiseFloorTracker:
     windows that cover each W-row window.
     """
 
-    def __init__(self, window_frames=100):
+    def __init__(self, window_frames):
         self._window_frames = window_frames
         self._tail = None
 
@@ -348,10 +348,6 @@ class FrontendStream:
         self._next_frame = 0
         self._tracker = (NoiseFloorTracker(config.noise_window_frames)
                          if config.noise_suppression_enabled else None)
-
-    @property
-    def config(self):
-        return self._config
 
     def push(self, samples):
         cfg = self._config

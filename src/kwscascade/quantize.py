@@ -17,10 +17,13 @@ import numpy as np
 from .fixedpoint import rshift_round
 
 LEVELS = 255
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class DegenerateRangeError(ValueError):
-    """Quantization range has zero width (all input values equal or empty)."""
+    """Quantization range is not finite or has zero width (all input values
+    equal or empty)."""
 
 
 class DimensionError(ValueError):
@@ -46,7 +49,10 @@ class QuantParams:
     max_val: float
 
     def __post_init__(self):
-        if not self.min_val < self.max_val:
+        # a model file stores both bounds as float32, so both rules hold there
+        if not (abs(self.min_val) <= _FLOAT32_MAX and abs(self.max_val) <= _FLOAT32_MAX):
+            raise DegenerateRangeError(f"non-finite range [{self.min_val}, {self.max_val}]")
+        if not np.float32(self.min_val) < np.float32(self.max_val):
             raise DegenerateRangeError(
                 f"range [{self.min_val}, {self.max_val}] has no width"
             )
@@ -79,10 +85,7 @@ def compute_quant_params(values):
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise DegenerateRangeError("cannot quantize an empty tensor")
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        raise DegenerateRangeError(f"all values equal ({lo}); range has no width")
-    return QuantParams(lo, hi)
+    return QuantParams(float(values.min()), float(values.max()))
 
 
 def quantize(values, params):
@@ -97,18 +100,16 @@ def dequantize(tensor):
 
 def quantize_bias(bias, combined_scale):
     """Bias as int32 fixed point in the accumulator scale (scale_w * scale_in)."""
-    q = round_half_away(np.asarray(bias, dtype=np.float64) / combined_scale)
-    if np.any(np.abs(q) > np.iinfo(np.int32).max):
-        raise AccumulatorOverflowError("bias does not fit a 32-bit accumulator")
+    with np.errstate(over="ignore"):  # an infinite quotient fails the check below
+        q = round_half_away(np.asarray(bias, dtype=np.float64) / combined_scale)
+    if not np.all(np.abs(q) <= _INT32_MAX):  # so does NaN
+        raise AccumulatorOverflowError("bias does not fit int32")
     return q.astype(np.int32)
 
 
 class AccumMode(Enum):
     FIXED = "fixed"  # integer accumulators, DSP emulation
     FLOAT = "float"  # float accumulators, AP/CPU path
-
-
-_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _offset(tensor, dtype):
@@ -183,7 +184,7 @@ def requantize_multiplier(combined_scale, out_params):
 
     The multiplier is m0 * 2**-shift. A 32-bit accumulator times m0, plus
     the rounding term, stays inside int64 only for shifts in 1..62, which
-    load_model enforces.
+    EncoderModel enforces between adjacent layers.
     """
     mant, exp = math.frexp(combined_scale / out_params.scale)
     m0 = round(mant * (1 << 31))

@@ -23,14 +23,9 @@ import numpy as np
 
 from . import audio_io
 from .decoder import DecoderConfig
-from .encoder import (
-    Activation,
-    EncoderLayer,
-    EncoderModel,
-    ModelKind,
-)
+from .encoder import Activation, EncoderModel, ModelKind, quantize_layer
 from .frontend import FrontendConfig, mel_center_frequencies, samples_to_ms, SAMPLE_RATE_HZ
-from .quantize import QuantParams, compute_quant_params, quantize, quantize_bias
+from .quantize import QuantParams
 
 # The posterior oracle's geometry, read by both generate_posterior_corpus and
 # oracle_decoder_config. Each unit is planted for one smoothing window.
@@ -250,14 +245,7 @@ def make_tone_acoustic_model(config, num_units, stacked_frames=1, name=""):
             weights[unit, s * config.num_channels + ch] = 1.0 / stacked_frames
     bias = np.zeros(num_units + 1)
     bias[num_units] = 22.0
-    input_params = QuantParams(-30.0, 30.0)
-    w_params = compute_quant_params(weights)
-    layer = EncoderLayer(
-        quantize(weights, w_params),
-        quantize_bias(bias, w_params.scale * input_params.scale),
-        input_params,
-        Activation.SOFTMAX,
-    )
+    layer = quantize_layer(weights, bias, QuantParams(-30.0, 30.0), Activation.SOFTMAX)
     return EncoderModel([layer], config.num_channels, stacked_frames, num_units,
                         ModelKind.ACOUSTIC, name)
 
@@ -267,14 +255,9 @@ def make_random_embedding_model(config, dim=64, hidden=32):
     rng = np.random.default_rng(7)
     w1 = rng.normal(0.0, 0.3, size=(hidden, config.num_channels))
     w2 = rng.normal(0.0, 0.3, size=(dim, hidden))
-    in1 = QuantParams(-30.0, 30.0)
-    in2 = QuantParams(0.0, 40.0)  # post-ReLU activations
-    p1, p2 = compute_quant_params(w1), compute_quant_params(w2)
     layers = [
-        EncoderLayer(quantize(w1, p1), quantize_bias(rng.normal(0, 0.5, hidden), p1.scale * in1.scale),
-                     in1, Activation.RELU),
-        EncoderLayer(quantize(w2, p2), quantize_bias(np.zeros(dim), p2.scale * in2.scale),
-                     in2, Activation.NONE),
+        quantize_layer(w1, rng.normal(0, 0.5, hidden), QuantParams(-30.0, 30.0), Activation.RELU),
+        quantize_layer(w2, np.zeros(dim), QuantParams(0.0, 40.0), Activation.NONE),  # post-ReLU
     ]
     return EncoderModel(layers, config.num_channels, 1, dim, ModelKind.EMBEDDING)
 

@@ -46,6 +46,35 @@ bias
 0.0 0.0 0.5
 """
 
+# MODEL_DESC's layer 0 has weights in [-1, 1] and inputs in [-10, 10]: a bias
+# of this many accumulator steps fits int32, but 255 * sum|w - z_w| over its
+# first row takes the worst case past it
+_NEAR_INT32_BIAS = (2**31 - 1 - 2000) * (2 / 255) * (20 / 255)
+
+# name -> (edit of MODEL_DESC, what the error names); each exited 1 with a
+# traceback, exited 0 writing a file load_model refuses, or (input_range_one_value)
+# exited 2 with "not enough values to unpack"
+BROKEN_DESCRIPTIONS = {
+    "weight_rows_fewer_than_out": (lambda d: d[: d.index("0.0 0.0 1.0\nbias")],
+                                   "expected a row of 3 values, but the text ended"),
+    "bare_model_line": (lambda d: d.replace("model acoustic", "model"),
+                        "line 2: expected 'model acoustic|embedding'"),
+    "bias_1e30": (lambda d: d.replace("0.1 -0.2 0.0", "1e30 -0.2 0.0"),
+                  "layer 0: bias does not fit int32"),
+    "input_range_one_value": (lambda d: d.replace("input_range -10 10", "input_range -1"),
+                              "line 7: expected 'input_range' and 2 values"),
+    "second_layer_out_of_scale": (
+        lambda d: d.replace("input_range 0 20", "input_range 0 1e-20").replace("0.0 0.0 0.5",
+                                                                               "0.0 0.0 0.0"),
+        "layer 1 input range is out of scale with layer 0"),
+    "bias_just_under_int32": (lambda d: d.replace("0.1 -0.2 0.0", f"{_NEAR_INT32_BIAS!r} -0.2 0.0"),
+                              "layer 0: can overflow the 32-bit accumulator"),
+    "inf_weight": (lambda d: d.replace("0.5 -0.25 0.0 1.0", "0.5 -0.25 0.0 inf"),
+                   "layer 0: non-finite range"),
+    "infinite_input_range": (lambda d: d.replace("input_range -10 10", "input_range -inf inf"),
+                             "layer 0: non-finite range"),
+}
+
 DECODER_CONFIG = """
 stage1.smoothing_window_frames = 10
 stage1.threshold = 0.3
@@ -116,6 +145,17 @@ class TestQuantizeModel:
         code, _, err = run_cli(["quantize-model", str(desc), str(tmp_path / "x")], capsys)
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize("edit, named", list(BROKEN_DESCRIPTIONS.values()),
+                             ids=list(BROKEN_DESCRIPTIONS))
+    def test_broken_description_exits_2_naming_line_or_layer(self, tmp_path, capsys,
+                                                             edit, named):
+        desc, out_path = tmp_path / "broken.txt", tmp_path / "broken.kwsq"
+        desc.write_text(edit(MODEL_DESC))
+        code, out, err = run_cli(["quantize-model", str(desc), str(out_path)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert named in err
+        assert not out_path.exists()
 
 
 class TestScore:
@@ -534,6 +574,44 @@ class TestEvaluateAndGenCorpus:
             capsys,
         )
         assert code == EXIT_USAGE
+
+
+# name -> the bytes of a broken WAV, from a good one's; each raised out of
+# read_wav (wave.Error or EOFError), so the CLI exited 1 with a traceback
+BROKEN_WAVS = {
+    "not_riff": lambda good: b"not a RIFF file\n" * 4,
+    "empty": lambda good: b"",
+    "truncated_to_30_bytes": lambda good: good[:30],
+}
+
+
+class TestBrokenWav:
+    @pytest.mark.parametrize("kind", list(BROKEN_WAVS))
+    def test_run_cascade_exits_2_naming_the_file(self, model_files, keyword_wav, tmp_path,
+                                                 capsys, kind):
+        bad = tmp_path / "broken.wav"
+        bad.write_bytes(BROKEN_WAVS[kind](Path(keyword_wav[0]).read_bytes()))
+        code, out, err = run_cli(
+            ["run-cascade", "--stage1", model_files["stage1"], "--stage2",
+             model_files["stage2"], "--input", str(bad)],
+            capsys,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{bad}: not a WAV file" in err
+
+    def test_evaluate_exits_2_naming_the_manifest_file(self, model_files, keyword_wav, tmp_path,
+                                                       capsys):
+        bad = tmp_path / "negative.wav"
+        bad.write_bytes(Path(keyword_wav[0]).read_bytes()[:30])
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"negative {bad.name}\npositive {Path(keyword_wav[0])} 900\n")
+        code, out, err = run_cli(
+            ["evaluate", "--manifest", str(manifest), "--stage1", model_files["stage1"],
+             "--stage2", model_files["stage2"], "--thresholds", "0.3"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{bad}: not a WAV file" in err
 
 
 class TestModelChannels:

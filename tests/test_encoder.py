@@ -14,6 +14,7 @@ from kwscascade.encoder import (
     Activation,
     EncoderLayer,
     EncoderModel,
+    LayerScaleError,
     ModelKind,
     ModelParseError,
     build_model_from_description,
@@ -21,12 +22,15 @@ from kwscascade.encoder import (
     forward_vector,
     load_model,
     pad_model_to_size,
+    quantize_layer,
     serialize_model,
     stack_frames,
 )
 from kwscascade.frontend import ArithmeticMode, FrontendConfig, compute_features
 from kwscascade.quantize import (
     AccumMode,
+    AccumulatorOverflowError,
+    DegenerateRangeError,
     DimensionError,
     QuantParams,
     compute_quant_params,
@@ -41,22 +45,12 @@ from kwscascade.synthetic import (
 )
 
 
-def make_layer(weights, bias, input_params, activation):
-    w_params = compute_quant_params(weights)
-    return EncoderLayer(
-        quantize(weights, w_params),
-        quantize_bias(bias, w_params.scale * input_params.scale),
-        input_params,
-        activation,
-    )
-
-
 def random_acoustic_model(rng, channels=8, stacked=2, units=3, hidden=16):
     in_dim = channels * stacked
     layers = [
-        make_layer(rng.normal(0, 0.5, (hidden, in_dim)), rng.normal(0, 0.5, hidden),
+        quantize_layer(rng.normal(0, 0.5, (hidden, in_dim)), rng.normal(0, 0.5, hidden),
                    QuantParams(-5.0, 5.0), Activation.RELU),
-        make_layer(rng.normal(0, 0.5, (units + 1, hidden)), rng.normal(0, 0.5, units + 1),
+        quantize_layer(rng.normal(0, 0.5, (units + 1, hidden)), rng.normal(0, 0.5, units + 1),
                    QuantParams(0.0, 10.0), Activation.SOFTMAX),
     ]
     return EncoderModel(layers, channels, stacked, units)
@@ -66,25 +60,67 @@ class TestModelValidation:
     def test_layer_chain_must_link(self):
         rng = np.random.default_rng(0)
         bad = [
-            make_layer(rng.normal(size=(6, 8)), np.zeros(6), QuantParams(-1, 1), Activation.RELU),
-            make_layer(rng.normal(size=(4, 5)), np.zeros(4), QuantParams(-1, 1), Activation.SOFTMAX),
+            quantize_layer(rng.normal(size=(6, 8)), np.zeros(6), QuantParams(-1, 1), Activation.RELU),
+            quantize_layer(rng.normal(size=(4, 5)), np.zeros(4), QuantParams(-1, 1), Activation.SOFTMAX),
         ]
         with pytest.raises(DimensionError):
             EncoderModel(bad, 4, 2, 3)
 
     def test_acoustic_needs_softmax_over_units_plus_filler(self):
         rng = np.random.default_rng(0)
-        layers = [make_layer(rng.normal(size=(4, 8)), np.zeros(4), QuantParams(-1, 1), Activation.RELU)]
+        layers = [quantize_layer(rng.normal(size=(4, 8)), np.zeros(4), QuantParams(-1, 1), Activation.RELU)]
         with pytest.raises(DimensionError):
             EncoderModel(layers, 4, 2, 3)
 
     def test_embedding_must_not_end_in_softmax(self):
         rng = np.random.default_rng(0)
-        layers = [make_layer(rng.normal(size=(4, 8)), np.zeros(4), QuantParams(-1, 1), Activation.SOFTMAX)]
+        layers = [quantize_layer(rng.normal(size=(4, 8)), np.zeros(4), QuantParams(-1, 1), Activation.SOFTMAX)]
         with pytest.raises(DimensionError):
             EncoderModel(layers, 8, 1, 4, ModelKind.EMBEDDING)
-        ok = [make_layer(rng.normal(size=(4, 8)), np.zeros(4), QuantParams(-1, 1), Activation.NONE)]
+        ok = [quantize_layer(rng.normal(size=(4, 8)), np.zeros(4), QuantParams(-1, 1), Activation.NONE)]
         EncoderModel(ok, 8, 1, 4, ModelKind.EMBEDDING)
+
+    @pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0),
+                                        (0.0, 1e39), (1.0, 1.0 + 1e-12), (1.0, 1.0)],
+                             ids=["inf", "-inf", "nan", "float32_overflow",
+                                  "no_float32_width", "no_width"])
+    def test_range_must_be_finite_and_wide_as_float32(self, bounds):
+        # a model file stores each bound as a float32
+        with pytest.raises(DegenerateRangeError):
+            QuantParams(*bounds)
+
+    def test_layer_that_can_overflow_the_accumulator_is_refused(self):
+        weights = quantize(np.eye(4), QuantParams(0.0, 1.0))  # zero point 0, ones are 255
+        # row 0's worst case |b| + 255 * 255 sits exactly at the int32 maximum
+        bias = np.array([2**31 - 1 - 255 * 255, 0, 0, 0])
+        EncoderLayer(weights, bias, QuantParams(-1.0, 1.0), Activation.NONE)
+        with pytest.raises(AccumulatorOverflowError, match="32-bit accumulator"):
+            EncoderLayer(weights, bias + [1, 0, 0, 0], QuantParams(-1.0, 1.0), Activation.NONE)
+
+    @pytest.mark.parametrize("second_range", [(0.0, 1e-20), (0.0, 1e30)],
+                             ids=["shift_under_1", "shift_over_62"])
+    def test_model_whose_requantize_shift_leaves_1_to_62_is_refused(self, second_range):
+        rng = np.random.default_rng(0)
+        layers = [
+            quantize_layer(rng.normal(size=(4, 8)), np.zeros(4), QuantParams(-1, 1), Activation.RELU),
+            quantize_layer(rng.normal(size=(3, 4)), np.zeros(3), QuantParams(*second_range),
+                           Activation.SOFTMAX),
+        ]
+        with pytest.raises(LayerScaleError, match="out of scale") as err:
+            EncoderModel(layers, 8, 1, 2)
+        assert err.value.layer == 1
+        EncoderModel(layers[:1] + [quantize_layer(rng.normal(size=(3, 4)), np.zeros(3),
+                                                  QuantParams(0, 10), Activation.SOFTMAX)], 8, 1, 2)
+
+    @pytest.mark.parametrize("fields", [(0, 8, 3), (8, 0, 3), (-4, -2, 3), (8, 1, 0), (2**16, 1, 3)],
+                             ids=["channels_0", "stacked_0", "negative_pair", "units_0",
+                                  "channels_65536"])
+    def test_header_fields_must_fit_the_file(self, fields):
+        # -4 channels of -2 frames once linked to an 8-wide layer, then failed to serialize
+        layer = quantize_layer(np.random.default_rng(0).normal(size=(4, 8)), np.zeros(4),
+                               QuantParams(-1, 1), Activation.SOFTMAX)
+        with pytest.raises(DimensionError, match="1..65535"):
+            EncoderModel([layer], *fields)
 
 
 class TestSerialization:
@@ -192,8 +228,8 @@ class TestSerialization:
         # comfortably under the 13 kB stage-1 budget
         rng = np.random.default_rng(6)
         layers = [
-            make_layer(rng.normal(size=(64, 40)), np.zeros(64), QuantParams(-5, 5), Activation.RELU),
-            make_layer(rng.normal(size=(8, 64)), np.zeros(8), QuantParams(0, 10), Activation.SOFTMAX),
+            quantize_layer(rng.normal(size=(64, 40)), np.zeros(64), QuantParams(-5, 5), Activation.RELU),
+            quantize_layer(rng.normal(size=(8, 64)), np.zeros(8), QuantParams(0, 10), Activation.SOFTMAX),
         ]
         model = EncoderModel(layers, 40, 1, 7)
         weights_bytes = 40 * 64 + 64 * 8
@@ -241,7 +277,7 @@ class TestForward:
         weights = np.zeros((4, 8))
         weights[0, 0] = 1.0  # keep the weight range sane for the bias scale
         bias = np.array([0.0, 25.0, 0.0, 0.0])
-        layer = make_layer(weights, bias, in_params, Activation.SOFTMAX)
+        layer = quantize_layer(weights, bias, in_params, Activation.SOFTMAX)
         model = EncoderModel([layer], 8, 1, 3)
         rng = np.random.default_rng(9)
         out = encoder_forward(rng.uniform(-5, 5, (3, 8)), model, AccumMode.FIXED)
@@ -489,3 +525,73 @@ class TestDescription:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             build_model_from_description(self.DESC.replace("units 2", ""))
+
+    @pytest.mark.parametrize("cut, expected", [
+        ("weights\n    1.0 0.0 0.0", "expected 'weights' and 0 values, but the text ended"),
+        ("0.0 0.0 1.0\n    bias", "expected a row of 3 values, but the text ended"),
+        ("0.0 0.0 0.5", "expected a row of 3 values, but the text ended"),
+    ], ids=["before_weights", "in_weight_rows", "before_bias_row"])
+    def test_early_end_names_what_was_expected(self, cut, expected):
+        with pytest.raises(ValueError, match=expected):
+            build_model_from_description(self.DESC[: self.DESC.index(cut)])
+
+    @pytest.mark.parametrize("old, new, expected", [
+        ("model acoustic", "model", r"line 3: expected 'model acoustic\|embedding'"),
+        ("channels 4", "channels four", "line 4: invalid literal for int.*'four'"),
+        ("layer relu 4 3", "layer relu 4", "line 7: expected 'layer ACT IN OUT'"),
+        ("input_range -10 10", "input_range -1", "line 8: expected 'input_range' and 2 values"),
+        ("0.1 -0.2 0.0", "0.1 -0.2", "line 14: expected a row of 3 values"),
+        ("0.1 -0.2 0.0", "0.1 -0.2 x", "line 14: could not convert string to float: 'x'"),
+        ("units 2", "unit 2", "line 6: unknown directive 'unit'"),
+    ], ids=["bare_model", "channels_not_integer", "layer_missing_out", "input_range_one_value",
+            "bias_row_short", "bias_not_number", "unknown_directive"])
+    def test_malformed_line_is_named(self, old, new, expected):
+        with pytest.raises(ValueError, match=expected):
+            build_model_from_description(self.DESC.replace(old, new))
+
+
+@st.composite
+def descriptions(draw):
+    """Small text descriptions, many of which break a rule. A layer's values
+    are moderate, or mixed with any float (NaN, infinities, float32 overflow,
+    subnormals); its input range is moderate, spans up to 1e-30..1e30, or is
+    any two of its values."""
+    kind = draw(st.sampled_from(["acoustic", "embedding"]))
+    channels, stacked, units = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    widths = [channels * stacked, *draw(st.lists(st.integers(1, 3), max_size=2)),
+              units + (kind == "acoustic")]
+    moderate = st.floats(-10, 10)
+    lines = [f"model {kind}", f"channels {channels}", f"stacked {stacked}", f"units {units}"]
+    for k, (in_dim, out_dim) in enumerate(zip(widths, widths[1:])):
+        last = k == len(widths) - 2
+        act = "softmax" if last and kind == "acoustic" else draw(st.sampled_from(["none", "relu"]))
+        value = draw(st.sampled_from([moderate, moderate, st.one_of(moderate, st.floats())]))
+        lo, hi = draw(st.one_of(
+            st.tuples(moderate, st.floats(0.01, 20)).map(lambda r: (r[0], r[0] + r[1])),
+            st.tuples(st.just(0.0), st.floats(1e-30, 1e30)),
+            st.tuples(value, value),
+        ))
+        weights = draw(st.lists(st.lists(value, min_size=in_dim, max_size=in_dim),
+                                min_size=out_dim, max_size=out_dim))
+        # or a bias within 2**18 of int32's maximum in the accumulator scale,
+        # where only the worst case over the weights decides
+        flat = [w for row in weights for w in row]
+        scale = (max(flat) - min(flat)) / 255 * (hi - lo) / 255
+        edge = st.integers(2**31 - 2**18, 2**31 - 1).map(lambda q: q * scale)
+        bias = draw(st.lists(st.one_of(value, st.floats(-1e12, 1e12), edge),
+                             min_size=out_dim, max_size=out_dim))
+        lines += [f"layer {act} {in_dim} {out_dim}", f"input_range {lo!r} {hi!r}", "weights",
+                  *(" ".join(map(repr, row)) for row in weights), "bias", " ".join(map(repr, bias))]
+    return "\n".join(lines)
+
+
+class TestDescriptionLoads:
+    @settings(max_examples=300, deadline=None)
+    @given(descriptions())
+    def test_every_accepted_description_loads_and_round_trips(self, text):
+        try:
+            model = build_model_from_description(text)
+        except ValueError:
+            return
+        data = serialize_model(model)
+        assert serialize_model(load_model(data)) == data

@@ -400,10 +400,12 @@ THRESHOLDS = st.one_of(st.sampled_from([-np.inf, 0.0, 1.01, np.inf]),
 
 @st.composite
 def score_streams(draw, min_frames=0):
-    # one byte string gives both stages' scores, as indices into SCORE_GRID
-    raw = draw(st.binary(min_size=2 * min_frames, max_size=60))
+    # the length is drawn on its own, so most streams outlast the refractory
+    # (up to 6 frames) and the hit window (up to 20); one byte string then
+    # gives both stages' scores, as indices into SCORE_GRID
+    n = draw(st.integers(min_frames, 80))
+    raw = draw(st.binary(min_size=2 * n, max_size=2 * n))
     scores = SCORE_GRID[np.frombuffer(raw, dtype=np.uint8) % len(SCORE_GRID)]
-    n = len(scores) // 2
     # events start inside the stream or just past it, may overlap, and the
     # later one wins
     planted = st.tuples(st.integers(0, n), st.integers(0, 10), st.booleans())
