@@ -37,6 +37,9 @@ def read_wav(path):
                 f"{path}: expected {SAMPLE_RATE_HZ} Hz, got {wav.getframerate()} Hz"
             )
         raw = wav.readframes(wav.getnframes())
+        expected = 2 * wav.getnframes()  # 16-bit mono
+    if len(raw) != expected:
+        raise ConfigError(f"{path}: WAV data ends early ({len(raw)} of {expected} bytes)")
     return AudioChunk(np.frombuffer(raw, dtype="<i2").astype(np.int16))
 
 

@@ -97,9 +97,9 @@ def enforce_budget(budget, model):
 
 
 class RingBuffer:
-    """Circular int16 sample store sized for the keyword (2 s by default)."""
+    """Circular int16 sample store; a Cascade sizes it to its budget's audio line."""
 
-    def __init__(self, capacity_samples=32000):
+    def __init__(self, capacity_samples):
         if capacity_samples < 1:
             raise ValueError("capacity must be positive")
         self.capacity_samples = capacity_samples

@@ -90,7 +90,7 @@ class ModelKind(Enum):
 class EncoderLayer:
     """One quantized layer. It keeps read-only copies of its arrays, so the
     constants every forward pass uses are worked out once, here: the
-    combined scale and both accumulators' offset weight matrices. It refuses
+    combined scale and the offset weight matrix both accumulators read. It refuses
     a bias and weights that can overflow the 32-bit accumulator."""
 
     weights: QuantizedTensor  # [out_dim, in_dim]
@@ -108,14 +108,13 @@ class EncoderLayer:
             raise DimensionError(f"bias shape {bias_q.shape} != out_dim {weights.shape[0]}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bias_q", bias_q)
-        fixed_weights = _read_only(offset_weights(weights, np.int64))
-        # the worst case over uint8 inputs, |b| + 255 * sum|w - z_w| per row
-        if np.any(np.abs(bias_q.astype(np.int64)) + 255 * np.abs(fixed_weights).sum(axis=0)
+        matrix = _read_only(offset_weights(weights))
+        # the worst case over uint8 inputs, |b| + 255 * sum|w - z_w| per row, exact in float64
+        if np.any(np.abs(bias_q.astype(np.int64)) + 255 * np.abs(matrix).sum(axis=0)
                   > _INT32_MAX):
             raise AccumulatorOverflowError("can overflow the 32-bit accumulator")
         object.__setattr__(self, "combined_scale", weights.params.scale * self.input_params.scale)
-        object.__setattr__(self, "fixed_weights", fixed_weights)
-        object.__setattr__(self, "float_weights", _read_only(offset_weights(weights, np.float64)))
+        object.__setattr__(self, "offset_weights", matrix)
 
     @property
     def in_dim(self):
@@ -145,6 +144,8 @@ class EncoderModel:
         if not all(1 <= v <= 0xFFFF for v in fields):  # u16 fields of the model file
             raise DimensionError(f"channels, stacked frames and units {fields} "
                                  "must lie in 1..65535")
+        if len(self.name.encode("utf-8")) > 0xFFFF:  # the name's length is one too
+            raise DimensionError("model name exceeds 65535 UTF-8 bytes")
         expect = self.num_channels * self.num_stacked_frames
         for i, layer in enumerate(self.layers):
             if layer.in_dim != expect:
@@ -305,7 +306,7 @@ def forward_vector(model, features, mode=AccumMode.FIXED):
     for k, layer in enumerate(model.layers):
         last = k == len(model.layers) - 1
         if mode is AccumMode.FIXED:
-            acc = fixed_accumulate(layer.fixed_weights, x_q, layer.bias_q)
+            acc = fixed_accumulate(layer.offset_weights, x_q, layer.bias_q)
             if layer.activation is Activation.RELU:
                 acc = np.maximum(acc, 0)
             if last:
@@ -316,7 +317,7 @@ def forward_vector(model, features, mode=AccumMode.FIXED):
                 model.layers[k + 1].input_params,
             )
         else:
-            real = float_accumulate(layer.float_weights, x_q, layer.bias_q, layer.combined_scale)
+            real = float_accumulate(layer.offset_weights, x_q, layer.bias_q, layer.combined_scale)
             if layer.activation is Activation.RELU:
                 real = np.maximum(real, 0.0)
             if last:

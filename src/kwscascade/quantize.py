@@ -5,6 +5,10 @@ with scale = (max - min)/255. Rounding is half-away-from-zero everywhere,
 stated once here because platforms disagree and bit-exactness needs a
 single rule. (quantize rounds half up, which gives the same bytes: the two
 rules differ only below zero, where it clips to 0.)
+
+Both accumulator modes take one float64 product of the offset uint8 operands,
+which is exact: EncoderLayer refuses a layer whose worst case leaves int32,
+so every partial sum is an integer below 2**31, the same in any order.
 """
 
 import math
@@ -108,45 +112,33 @@ def quantize_bias(bias, combined_scale):
 
 
 class AccumMode(Enum):
-    FIXED = "fixed"  # integer accumulators, DSP emulation
-    FLOAT = "float"  # float accumulators, AP/CPU path
+    FIXED = "fixed"  # int32 accumulator, Q31 requantize between layers: DSP emulation
+    FLOAT = "float"  # the same accumulator rescaled to float: AP/CPU path
 
 
-def _offset(tensor, dtype):
-    return tensor.data.astype(dtype) - dtype(tensor.params.zero_point)
+def _offset(tensor):
+    return tensor.data.astype(np.float64) - tensor.params.zero_point
 
 
-def offset_weights(weights, dtype):
-    """The [in, out] matrix an accumulator multiplies: ``weights`` [out, in]
-    less their zero point, in ``dtype``, C-contiguous."""
-    return np.ascontiguousarray(_offset(weights, dtype).T)
+def offset_weights(weights):
+    """The [in, out] matrix both accumulators multiply: ``weights`` [out, in]
+    less their zero point, in float64, C-contiguous."""
+    return np.ascontiguousarray(_offset(weights).T)
 
 
 def fixed_accumulate(matrix, inputs, bias_q):
-    """Zero-point-offset integer dot products plus bias, as int64.
-
-    ``matrix`` is ``offset_weights(weights, np.int64)``, [in, out];
-    ``inputs`` is one [in] vector or a stack of rows [N, in], shapes
-    already checked; the result is [out] or [N, out]. It is asserted to fit
-    the 32-bit accumulator lane; this is the quantity a DSP holds before
-    the single rescale.
-    """
-    acc = _offset(inputs, np.int64) @ matrix
-    acc += bias_q
-    if np.any(np.abs(acc) > _INT32_MAX):
-        raise AccumulatorOverflowError("matvec accumulation exceeds 32 bits")
-    return acc
+    """The 32-bit accumulator a DSP holds before the single rescale, as int64:
+    sum (x - z_x)(w - z_w) + b. ``matrix`` is ``offset_weights(weights)``
+    [in, out]; ``inputs`` is one [in] vector or a stack [N, in], shapes
+    already checked. The product is exact, so row k of a stack equals a
+    one-row call bit for bit."""
+    return _matmul_row_blocks(_offset(inputs), matrix).astype(np.int64) + bias_q
 
 
 def float_accumulate(matrix, inputs, bias_q, combined_scale):
-    """The FLOAT path's fixed_accumulate, rescaled: the offset products,
-    ``matrix`` being ``offset_weights(weights, np.float64)``, summed in
-    float64, times the combined scale, plus the bias in that scale (see
-    quantize_bias). Each product is an integer of at most 255**2, so the
-    sum over any loadable layer (in_dim < 2**53 / 255**2) is exact: row k
-    of a stacked call equals a one-row call bit for bit, however the
-    matrix product is blocked."""
-    acc = _matmul_row_blocks(_offset(inputs, np.float64), matrix)
+    """fixed_accumulate's product, rescaled: times the combined scale, plus
+    the bias in that scale (see quantize_bias), in float64."""
+    acc = _matmul_row_blocks(_offset(inputs), matrix)
     return acc * combined_scale + np.asarray(bias_q, dtype=np.float64) * combined_scale
 
 

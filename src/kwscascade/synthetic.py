@@ -33,6 +33,7 @@ ORACLE_UNITS = 3
 ORACLE_HOP_MS = 10
 ORACLE_PLATEAU_FRAMES = 10
 ORACLE_POSITIVE_FRAMES = 400
+KEYWORD_UNIT_MS = 150  # each tone of a keyword, in synth_keyword_audio and gen-corpus negatives
 
 
 @dataclass
@@ -268,7 +269,7 @@ def synth_tone(freq_hz, num_samples, amplitude=8000.0):
     return np.clip(np.round(tone), -32768, 32767).astype(np.int16)
 
 
-def synth_keyword_audio(config, num_units, unit_ms=150, amplitude=8000.0,
+def synth_keyword_audio(config, num_units, unit_ms=KEYWORD_UNIT_MS, amplitude=8000.0,
                         lead_silence_ms=300, trail_silence_ms=500):
     """PCM of the keyword: each unit's tone in order, silence around it.
 
@@ -318,7 +319,7 @@ def generate_audio_corpus(seed, out_dir, num_units=3, num_positives=5, num_negat
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
     lines = []
-    dur = 150 * SAMPLE_RATE_HZ // 1000  # one keyword unit of synth_keyword_audio
+    dur = KEYWORD_UNIT_MS * SAMPLE_RATE_HZ // 1000
     for i in range(num_negatives):
         samples = synth_noise(n, rng)
         # lone tones: first unit only, never the ordered sequence

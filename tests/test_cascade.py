@@ -89,9 +89,13 @@ class TestRingBuffer:
             ring.write(np.array([40000, 0]))
         assert ring.total_written == 0
 
-    def test_default_capacity_is_64kb_of_samples(self):
-        ring = RingBuffer()
-        assert ring.capacity_samples * 2 == 64000
+    def test_default_capacity_is_64kb_of_samples(self, frontend_config, tone_stage1_model,
+                                                 tone_stage2_model):
+        # the ring has no default of its own: a Cascade sizes it to the budget's line
+        cascade = Cascade(CascadeConfig(frontend=frontend_config), tone_stage1_model,
+                          tone_stage2_model)
+        assert cascade._ring.capacity_samples * 2 == 64000
+
 
 
 class TestMemoryBudget:

@@ -1,10 +1,12 @@
 import dataclasses
 import inspect
+import io
 import json
 import math
 import struct
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,8 @@ BROKEN_DESCRIPTIONS = {
                    "layer 0: non-finite range"),
     "infinite_input_range": (lambda d: d.replace("input_range -10 10", "input_range -inf inf"),
                              "layer 0: non-finite range"),
+    "name_over_u16": (lambda d: d.replace("units 2", "units 2\nname " + "n" * 70000),
+                      "model name exceeds 65535 UTF-8 bytes"),
 }
 
 DECODER_CONFIG = """
@@ -366,21 +370,37 @@ class TestRunCascade:
         assert out == ""
         assert "--speaker-model and --speaker-profile go together" in err
 
-    def test_raw_pcm_on_stdin(self, model_files, tmp_path):
+    def test_raw_pcm_on_stdin(self, model_files, tmp_path, capsys):
         cfg = k.FrontendConfig()
         samples, _ = synth_keyword_audio(cfg, 3, unit_ms=150)
-        config = tmp_path / "cascade.cfg"
+        config, wav = tmp_path / "cascade.cfg", tmp_path / "keyword.wav"
         config.write_text(DECODER_CONFIG)
-        proc = subprocess.run(
-            [sys.executable, "-m", "kwscascade", "run-cascade",
-             "--stage1", model_files["stage1"], "--stage2", model_files["stage2"],
-             "--input", "-", "--config", str(config)],
-            input=samples.astype("<i2").tobytes(),
-            capture_output=True,
-        )
+        audio_io.write_wav(str(wav), samples)
+        argv = ["run-cascade", "--stage1", model_files["stage1"], "--stage2",
+                model_files["stage2"], "--config", str(config), "--input"]
+        proc = subprocess.run([sys.executable, "-m", "kwscascade", *argv, "-"],
+                              input=samples.astype("<i2").tobytes(), capture_output=True)
         assert proc.returncode == EXIT_OK
-        kinds = [json.loads(l)["event"] for l in proc.stdout.decode().strip().splitlines()]
-        assert "stage1_trigger" in kinds
+        code, from_wav, _ = run_cli(argv + [str(wav)], capsys)
+        assert code == EXIT_OK
+        assert proc.stdout.decode() == from_wav
+        assert "stage1_trigger" in from_wav
+
+    def test_odd_byte_count_on_stdin_exits_2(self, model_files, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bytes(3201))))
+        code, out, err = run_cli(
+            ["run-cascade", "--stage1", model_files["stage1"], "--stage2",
+             model_files["stage2"], "--input", "-"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "raw PCM has an odd byte count (3201)" in err
+
+    def test_module_entry_help_exits_0(self):
+        proc = subprocess.run([sys.executable, "-m", "kwscascade", "--help"],
+                              capture_output=True)
+        assert proc.returncode == EXIT_OK
+        assert b"run-cascade" in proc.stdout
 
 
 class TestVerifyCommand:
@@ -567,21 +587,40 @@ class TestEvaluateAndGenCorpus:
         assert code == EXIT_OK
         assert out == flagged
 
-    def test_descending_thresholds_rejected(self, model_files, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["evaluate", "--manifest", "nope.txt", "--stage1", model_files["stage1"],
-             "--stage2", model_files["stage2"], "--thresholds", "0.5,0.2"],
+    def test_descending_thresholds_rejected(self, model_files, small_manifest, capsys):
+        code, out, err = run_cli(
+            ["evaluate", "--manifest", small_manifest, "--stage1", model_files["stage1"],
+             "--stage2", model_files["stage2"], "--thresholds", "0.5,0.3"],
             capsys,
         )
-        assert code == EXIT_USAGE
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--thresholds must be ascending" in err
 
 
-# name -> the bytes of a broken WAV, from a good one's; each raised out of
-# read_wav (wave.Error or EOFError), so the CLI exited 1 with a traceback
+def _wav_bytes(channels, sample_width):
+    """A short 16 kHz WAV of silence in another layout than read_wav takes."""
+    out = io.BytesIO()
+    with wave.open(out, "wb") as wav:
+        wav.setnchannels(channels)
+        wav.setsampwidth(sample_width)
+        wav.setframerate(16000)
+        wav.writeframes(bytes(400))
+    return out.getvalue()
+
+
+# name -> (the bytes of a broken WAV, from a good one's; what the error says
+# after the path). The first three raised out of read_wav (wave.Error or
+# EOFError), so the CLI exited 1 with a traceback; a data chunk cut by one
+# byte exited 2 naming neither file nor fault, and one cut by 2000 bytes was
+# read as a shorter file
 BROKEN_WAVS = {
-    "not_riff": lambda good: b"not a RIFF file\n" * 4,
-    "empty": lambda good: b"",
-    "truncated_to_30_bytes": lambda good: good[:30],
+    "not_riff": (lambda good: b"not a RIFF file\n" * 4, "not a WAV file"),
+    "empty": (lambda good: b"", "not a WAV file"),
+    "truncated_to_30_bytes": (lambda good: good[:30], "not a WAV file"),
+    "data_less_1_byte": (lambda good: good[:-1], "WAV data ends early"),
+    "data_less_2000_bytes": (lambda good: good[:-2000], "WAV data ends early"),
+    "stereo": (lambda good: _wav_bytes(2, 2), "expected mono audio, got 2 channels"),
+    "8_bit": (lambda good: _wav_bytes(1, 1), "expected 16-bit PCM, got 8-bit"),
 }
 
 
@@ -590,14 +629,15 @@ class TestBrokenWav:
     def test_run_cascade_exits_2_naming_the_file(self, model_files, keyword_wav, tmp_path,
                                                  capsys, kind):
         bad = tmp_path / "broken.wav"
-        bad.write_bytes(BROKEN_WAVS[kind](Path(keyword_wav[0]).read_bytes()))
+        edit, message = BROKEN_WAVS[kind]
+        bad.write_bytes(edit(Path(keyword_wav[0]).read_bytes()))
         code, out, err = run_cli(
             ["run-cascade", "--stage1", model_files["stage1"], "--stage2",
              model_files["stage2"], "--input", str(bad)],
             capsys,
         )
         assert (code, out) == (EXIT_USAGE, "")
-        assert f"{bad}: not a WAV file" in err
+        assert f"{bad}: {message}" in err
 
     def test_evaluate_exits_2_naming_the_manifest_file(self, model_files, keyword_wav, tmp_path,
                                                        capsys):

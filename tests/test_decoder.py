@@ -277,6 +277,15 @@ class TestPushForms:
             dec.push(np.zeros(shape))
         assert dec.push(self.ROWS[0])[0] == 0  # nothing was consumed
 
+    @pytest.mark.parametrize("shape, message", [
+        ((25,), r"posteriors must be \[T, units\]"),
+        ((25, 2), "stream has 2 units, config expects 3"),
+        ((25, 5), "stream has 5 units, config expects 3"),
+    ])
+    def test_batch_scorer_names_other_shapes(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            batch_frame_scores(np.zeros(shape), self.CFG)
+
 
 @st.composite
 def split_streams(draw):

@@ -122,6 +122,15 @@ class TestModelValidation:
         with pytest.raises(DimensionError, match="1..65535"):
             EncoderModel([layer], *fields)
 
+    def test_name_must_fit_its_u16_length_in_utf8_bytes(self):
+        layer = quantize_layer(np.random.default_rng(0).normal(size=(4, 8)), np.zeros(4),
+                               QuantParams(-1, 1), Activation.SOFTMAX)
+        unnamed = len(serialize_model(EncoderModel([layer], 8, 1, 3)))
+        assert len(serialize_model(EncoderModel([layer], 8, 1, 3, name="n" * 0xFFFF))) == (
+            unnamed + 0xFFFF)
+        with pytest.raises(DimensionError, match="name exceeds 65535 UTF-8 bytes"):
+            EncoderModel([layer], 8, 1, 3, name="\u00e9" * 0x8000)  # 2 bytes each
+
 
 class TestSerialization:
     def test_round_trip_identity(self):
@@ -444,15 +453,15 @@ class TestLayerConstants:
         weights_q = quantize(weights, w_params)
         bias_q = quantize_bias(rng.normal(0, 0.5, 4), w_params.scale * 0.1)
         layer = EncoderLayer(weights_q, bias_q, QuantParams(-5.0, 5.0), Activation.RELU)
-        for array in (layer.weights.data, layer.bias_q, layer.fixed_weights, layer.float_weights):
+        for array in (layer.weights.data, layer.bias_q, layer.offset_weights):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             layer.bias_q = bias_q
-        before = layer.fixed_weights.copy()
+        before = layer.offset_weights.copy()
         weights_q.data[:] = 0
         bias_q[:] = 0
-        assert np.array_equal(layer.fixed_weights, before)
+        assert np.array_equal(layer.offset_weights, before)
         assert layer.weights.data.any() and layer.bias_q.any()
 
 

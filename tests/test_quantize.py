@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwscascade.encoder import Activation, EncoderLayer, EncoderModel, ModelKind, forward_vector
 from kwscascade.quantize import (
+    LEVELS,
     AccumMode,
     AccumulatorOverflowError,
     DegenerateRangeError,
     DimensionError,
     QuantParams,
+    QuantizedTensor,
     compute_quant_params,
     dequantize,
+    fixed_accumulate,
     quantize,
     quantize_bias,
     requantize_fixed,
@@ -152,6 +157,72 @@ class TestMatvec:
             fixed = matvec(w, x, bias, AccumMode.FIXED)
             flt = matvec(w, x, bias, AccumMode.FLOAT)
             assert np.abs(fixed - flt).max() <= 1e-3
+
+
+INT32_MAX = 2**31 - 1
+
+
+def int64_accumulate(layer, inputs):
+    """The oracle for fixed_accumulate: sum (x - z_x)(w - z_w) + b in int64."""
+    x = inputs.data.astype(np.int64) - inputs.params.zero_point
+    w = layer.weights.data.astype(np.int64) - layer.weights.params.zero_point
+    return x @ w.T + layer.bias_q
+
+
+WIDEST = INT32_MAX // (LEVELS * LEVELS)  # 33025 full-scale weights fit one accumulator
+
+
+def zero_point_params(zero_point):
+    """A range whose zero point is exactly ``zero_point`` (its scale is 1)."""
+    return QuantParams(-zero_point, LEVELS - zero_point)
+
+
+@st.composite
+def accumulator_cases(draw):
+    """A layer and uint8 inputs, one row or a stack that spans 16-row blocks:
+    random within the layer's int32 headroom, or a layer exactly at the
+    int32 bound driven by the inputs that reach it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # wide layers take partial sums far past float32's 2**24, up to 2**31
+    in_dim = draw(st.one_of(st.integers(1, 300), st.integers(30000, WIDEST)))
+    out_dim, rows = draw(st.integers(1, 8)), draw(st.integers(0, 40))
+    shape = (in_dim,) if rows == 0 else (rows, in_dim)
+    weights = rng.integers(0, LEVELS, (out_dim, in_dim), endpoint=True)
+    at_bound = draw(st.booleans())
+    zero_points = st.sampled_from([0, LEVELS]) if at_bound else st.integers(0, LEVELS)
+    w_zero, x_zero = draw(zero_points), draw(zero_points)
+    headroom = INT32_MAX - LEVELS * np.abs(weights - w_zero).sum(axis=1)
+    if at_bound:
+        # each (x - z_x)(w - z_w) is 255 |w - z_w| with the bias's sign, so |acc| = INT32_MAX
+        x = np.full(shape, LEVELS - x_zero)
+        bias = np.sign(LEVELS - 2 * x_zero) * np.sign(LEVELS - 2 * w_zero) * headroom
+    else:
+        x = rng.integers(0, LEVELS, shape, endpoint=True)
+        bias = rng.integers(-headroom, headroom, endpoint=True)
+    layer = EncoderLayer(QuantizedTensor(weights, zero_point_params(w_zero)), bias,
+                         zero_point_params(x_zero), Activation.NONE)
+    return layer, QuantizedTensor(x, layer.input_params), at_bound
+
+
+class TestAccumulatorOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(accumulator_cases())
+    def test_fixed_accumulate_equals_the_int64_oracle(self, case):
+        layer, inputs, at_bound = case
+        acc = fixed_accumulate(layer.offset_weights, inputs, layer.bias_q)
+        expected = int64_accumulate(layer, inputs)
+        assert acc.dtype == np.int64 and acc.shape == expected.shape
+        assert np.array_equal(acc, expected)
+        assert np.all(np.abs(acc) == INT32_MAX) if at_bound else np.all(np.abs(acc) <= INT32_MAX)
+
+    def test_worst_case_inputs_reach_the_bound_exactly(self):
+        weights = QuantizedTensor(np.full((2, WIDEST), LEVELS), zero_point_params(0))
+        bias = np.full(2, -(INT32_MAX - LEVELS * LEVELS * WIDEST))
+        layer = EncoderLayer(weights, bias, zero_point_params(LEVELS), Activation.NONE)
+        inputs = QuantizedTensor(np.zeros((17, WIDEST)), layer.input_params)  # each x - z_x is -255
+        acc = fixed_accumulate(layer.offset_weights, inputs, layer.bias_q)
+        assert np.array_equal(acc, int64_accumulate(layer, inputs))
+        assert np.all(acc == -INT32_MAX)
 
 
 class TestBias:
