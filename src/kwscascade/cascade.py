@@ -21,7 +21,7 @@ import numpy as np
 from .decoder import DecoderConfig, StreamingDecoder
 from .encoder import ModelKind, check_kind, forward_vector, stack_frames
 from .frontend import (SAMPLE_RATE_HZ, ConfigError, FrontendConfig, FrontendStream, _pcm,
-                       check_bounds, frame_end_sample, samples_to_ms, setting)
+                       check_bounds, frame_end_sample, pcm_blocks, samples_to_ms, setting)
 from .quantize import AccumMode, DimensionError
 from . import speaker as speaker_mod
 
@@ -174,13 +174,15 @@ class DetectorStream:
 
 
 def stage2_pass(detector, samples):
-    """Push ``samples`` through a stage-2 detector that keeps its features, up to its
-    first frame at or over threshold: (frame_index, hypothesis, the feature frames
-    of its alignment), or None. Every speaker check embeds this one segment."""
-    for frame_index, hyp in detector.push(samples):
-        if hyp.score >= detector.decoder_config.threshold:
-            first, last = hyp.alignment[0], hyp.alignment[-1]
-            return frame_index, hyp, detector.features[first : last + 1]
+    """Push ``samples`` through a stage-2 detector that keeps its features, a block
+    at a time (see ``pcm_blocks``), up to the block of its first frame at or over
+    threshold: (frame_index, hypothesis, the feature frames of its alignment), or
+    None. Every speaker check embeds this one segment."""
+    for block in pcm_blocks(samples):
+        for frame_index, hyp in detector.push(block):
+            if hyp.score >= detector.decoder_config.threshold:
+                first, last = hyp.alignment[0], hyp.alignment[-1]
+                return frame_index, hyp, detector.features[first : last + 1]
     return None
 
 

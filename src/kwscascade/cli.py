@@ -263,7 +263,19 @@ def cmd_verify(args):
     return EXIT_OK if result.accepted else EXIT_NEGATIVE
 
 
+def _thresholds(text):
+    """The --thresholds list, checked before any model or audio is read."""
+    try:
+        thresholds = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"--thresholds must be comma-separated numbers, got {text!r}") from None
+    if sorted(thresholds) != thresholds:
+        raise CliError("--thresholds must be ascending")
+    return thresholds
+
+
 def cmd_evaluate(args):
+    thresholds = _thresholds(args.thresholds)
     cfg = load_config_file(args.config)
     stage1_model = _read_model(args.stage1)
     stage2_model = _read_model(args.stage2)
@@ -275,9 +287,6 @@ def cmd_evaluate(args):
     stage2_decoder = DecoderConfig(stage2_model.num_units, **cfg["stage2"])
     stage2 = PipelineScorer(frontend, stage2_model, stage2_decoder, AccumMode.FLOAT)
     corpus = synthetic.load_audio_corpus(args.manifest)
-    thresholds = [float(v) for v in args.thresholds.split(",")]
-    if sorted(thresholds) != thresholds:
-        raise CliError("--thresholds must be ascending")
     table = cascade_table(
         stage1, stage2, corpus, thresholds,
         stage2_threshold=(stage2_decoder.threshold if args.stage2_threshold is None

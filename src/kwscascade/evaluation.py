@@ -30,7 +30,7 @@ import numpy as np
 
 from .cascade import DetectorStream, check_model
 from .decoder import batch_frame_scores
-from .frontend import SAMPLE_RATE_HZ, frame_timestamp_ms, num_frames_for
+from .frontend import SAMPLE_RATE_HZ, frame_timestamp_ms, num_frames_for, pcm_blocks
 from .quantize import AccumMode
 
 DEFAULT_REFRACTORY_MS = 1000.0
@@ -77,8 +77,9 @@ class PipelineScorer:
         samples = stream.views["audio"]
         det = DetectorStream(self.frontend_config, self.model, self.config, self.mode)
         scores = np.full(num_frames_for(len(samples), self.frontend_config), np.nan)
-        for frame, hyp in det.push(samples):
-            scores[frame] = hyp.score
+        for block in pcm_blocks(samples):
+            for frame, hyp in det.push(block):
+                scores[frame] = hyp.score
         return scores
 
     def hop_ms(self, stream):
@@ -128,30 +129,44 @@ def _check_inputs(refractory_ms, hit_window_ms, **thresholds):
             raise ValueError(f"{name} must not be NaN")
 
 
-def _operating_points(scorer, corpus, negatives, positives, thresholds,
-                      refractory_ms, hit_window_ms):
-    """(threshold, FA/hr, FRR) per threshold: the one FA/FRR counter.
+class _Counter:
+    """The one FA/FRR counter: per threshold, the deduplicated false accepts
+    over the negatives and the missed positives, counted one stream at a time.
 
-    ``negatives`` and ``positives`` hold one score array per stream of
-    ``corpus``, in corpus order, indexed by stream frame on ``scorer``'s
-    clock. No threshold accepts a NaN score. The refractory in frames and
-    each positive's hit-window mask are taken from that clock.
+    Each stream's scores are indexed by stream frame on ``scorer``'s clock,
+    and no threshold accepts a NaN score. The refractory in frames and each
+    positive's hit-window mask are taken from that clock. The counter keeps
+    two integers per threshold, not the score arrays.
     """
-    total_hours = corpus.negative_hours
-    if total_hours <= 0:
-        raise CorpusError("negative corpus has zero duration")
-    if not positives:
-        raise CorpusError("positive corpus is empty")
-    refractory = [int(round(refractory_ms / scorer.hop_ms(s))) for s in corpus.negatives]
-    windows = [np.abs(scorer.frame_timestamps_ms(p.stream, len(s)) - p.keyword_end_ms)
-               <= hit_window_ms for p, s in zip(corpus.positives, positives)]
-    points = []
-    for theta in thresholds:
-        fa = sum(len(accept_event_frames(s, theta, r))
-                 for s, r in zip(negatives, refractory)) / total_hours
-        misses = sum(1 for s, w in zip(positives, windows) if not np.any((s >= theta) & w))
-        points.append((theta, fa, misses / len(positives)))
-    return points
+
+    def __init__(self, scorer, corpus, thresholds, refractory_ms, hit_window_ms):
+        self._hours, self._positives = corpus.negative_hours, len(corpus.positives)
+        if self._hours <= 0:
+            raise CorpusError("negative corpus has zero duration")
+        if not self._positives:
+            raise CorpusError("positive corpus is empty")
+        self._scorer = scorer
+        self._thresholds = list(thresholds)
+        self._refractory_ms = refractory_ms
+        self._hit_window_ms = hit_window_ms
+        self._false_accepts = [0] * len(self._thresholds)
+        self._misses = [0] * len(self._thresholds)
+
+    def negative(self, stream, scores):
+        refractory = int(round(self._refractory_ms / self._scorer.hop_ms(stream)))
+        for i, theta in enumerate(self._thresholds):
+            self._false_accepts[i] += len(accept_event_frames(scores, theta, refractory))
+
+    def positive(self, example, scores):
+        window = np.abs(self._scorer.frame_timestamps_ms(example.stream, len(scores))
+                        - example.keyword_end_ms) <= self._hit_window_ms
+        for i, theta in enumerate(self._thresholds):
+            self._misses[i] += not np.any((scores >= theta) & window)
+
+    def points(self):
+        """(threshold, FA/hr, FRR) per threshold."""
+        return [(theta, fa / self._hours, misses / self._positives) for theta, fa, misses
+                in zip(self._thresholds, self._false_accepts, self._misses)]
 
 
 def sweep_operating_points(detector, corpus, thresholds,
@@ -162,10 +177,12 @@ def sweep_operating_points(detector, corpus, thresholds,
     _check_inputs(refractory_ms, hit_window_ms, threshold=thresholds)
     if sorted(thresholds) != thresholds:
         raise ValueError("thresholds must be sorted ascending")
-    negatives = [detector.frame_scores(s) for s in corpus.negatives]
-    positives = [detector.frame_scores(p.stream) for p in corpus.positives]
-    return _operating_points(detector, corpus, negatives, positives, thresholds,
-                             refractory_ms, hit_window_ms)
+    counter = _Counter(detector, corpus, thresholds, refractory_ms, hit_window_ms)
+    for stream in corpus.negatives:
+        counter.negative(stream, detector.frame_scores(stream))
+    for example in corpus.positives:
+        counter.positive(example, detector.frame_scores(example.stream))
+    return counter.points()
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +283,23 @@ def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
     """
     _check_inputs(refractory_ms, hit_window_ms, stage1_threshold=stage1_thresholds,
                   stage2_threshold=stage2_threshold)
-    negatives = [_paired_scores(stage1, stage2, stream, stage2_threshold, speaker_verification)
-                 for stream in corpus.negatives]
-    positives = [_paired_scores(stage1, stage2, example.stream, stage2_threshold,
-                                speaker_verification) for example in corpus.positives]
     windows = dict(refractory_ms=refractory_ms, hit_window_ms=hit_window_ms)
-    stage1_points = _operating_points(stage1, corpus, [s1 for s1, _ in negatives],
-                                      [s1 for s1, _ in positives], stage1_thresholds,
-                                      **windows)
+    stage1_counter = _Counter(stage1, corpus, stage1_thresholds, **windows)
     # threshold 0 accepts every gated frame (scores are >= 0): the stage-2-alone row
-    (_, fa, frr), *cascade_points = _operating_points(
-        stage1, corpus, [gated for _, gated in negatives], [gated for _, gated in positives],
-        [0.0, *stage1_thresholds], **windows)
+    cascade_counter = _Counter(stage1, corpus, [0.0, *stage1_thresholds], **windows)
+    for stream in corpus.negatives:
+        s1, gated = _paired_scores(stage1, stage2, stream, stage2_threshold,
+                                   speaker_verification)
+        stage1_counter.negative(stream, s1)
+        cascade_counter.negative(stream, gated)
+    for example in corpus.positives:
+        s1, gated = _paired_scores(stage1, stage2, example.stream, stage2_threshold,
+                                   speaker_verification)
+        stage1_counter.positive(example, s1)
+        cascade_counter.positive(example, gated)
+    (_, fa, frr), *cascade_points = cascade_counter.points()
     rows = [OperatingPointRow(None, None, None, fa, frr)]
-    for (theta1, fa1, frr1), (_, fac, frrc) in zip(stage1_points, cascade_points):
+    for (theta1, fa1, frr1), (_, fac, frrc) in zip(stage1_counter.points(), cascade_points):
         rows.append(OperatingPointRow(theta1, fa1, frr1, fac, frrc))
     return CascadeTable(rows, stage2_threshold, speaker_verification)
 

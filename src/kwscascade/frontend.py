@@ -24,6 +24,11 @@ SAMPLE_RATE_HZ = 16000
 # floors at config.log_floor. See FrontendConfig.log_floor.
 _FIXED_POWER_FLOOR = 1
 
+# Whole-file paths feed the streaming stages this many samples (2 s) at a time,
+# so their temporaries, about 10 KB per 10 ms frame, scale with the block and
+# not with the file. Every stage gives the same bits under any chunking.
+BLOCK_SAMPLES = 2 * SAMPLE_RATE_HZ
+
 
 class ConfigError(ValueError):
     """Invalid configuration."""
@@ -370,6 +375,15 @@ class FrontendStream:
         return [FeatureFrame(row, first + i) for i, row in enumerate(logmels)]
 
 
+def pcm_blocks(samples):
+    """``samples`` as int16 PCM (see ``_pcm``) in consecutive slices of
+    BLOCK_SAMPLES, the last one shorter; no slice for an empty input."""
+    samples = _pcm(samples)
+    return (samples[start : start + BLOCK_SAMPLES]
+            for start in range(0, len(samples), BLOCK_SAMPLES))
+
+
 def compute_features(chunk, config):
-    """One-shot feature extraction over a whole chunk."""
-    return FrontendStream(config).push(chunk)
+    """Feature extraction over a whole chunk, the frames one push of it gives."""
+    stream = FrontendStream(config)
+    return [frame for block in pcm_blocks(chunk) for frame in stream.push(block)]

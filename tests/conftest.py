@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import kwscascade as k
+from kwscascade.frontend import BLOCK_SAMPLES, SAMPLE_RATE_HZ
 from kwscascade.synthetic import (
     make_random_embedding_model,
     make_tone_acoustic_model,
@@ -10,6 +13,21 @@ from kwscascade.synthetic import (
 )
 
 _ACCEPTANCE_RESULTS = []
+
+# Stream lengths around the whole-file paths' block: one sample short of a
+# block, one block, one sample over, two blocks and a hop, and 7 s.
+BLOCK_EDGE_LENGTHS = [BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1,
+                      2 * BLOCK_SAMPLES + k.FrontendConfig().hop_samples, 7 * SAMPLE_RATE_HZ]
+
+
+def traced_peak_mb(call):
+    """The most memory ``call()`` held at once, numpy's buffers included, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def record_acceptance(number, description, passed, detail=""):
@@ -60,3 +78,14 @@ def keyword_audio(frontend_config):
     kw, end_ms = synth_keyword_audio(frontend_config, 3, unit_ms=150)
     samples = np.concatenate([synth_noise(8000, rng), kw, synth_noise(24000, rng)])
     return samples, end_ms + 500
+
+
+@pytest.fixture(scope="session")
+def block_edge_clip(frontend_config):
+    """7 s of quiet noise with a keyword across each of the first two block edges."""
+    clip = synth_noise(7 * SAMPLE_RATE_HZ, np.random.default_rng(17)).astype(np.int32)
+    keyword, _ = synth_keyword_audio(frontend_config, 3, unit_ms=150)
+    for edge in (BLOCK_SAMPLES, 2 * BLOCK_SAMPLES):
+        start = edge - len(keyword) // 2
+        clip[start : start + len(keyword)] += keyword
+    return np.clip(clip, -32768, 32767).astype(np.int16)

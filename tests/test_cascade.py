@@ -21,7 +21,7 @@ from kwscascade.cascade import (
 )
 from kwscascade.decoder import DecoderConfig
 from kwscascade.encoder import pad_model_to_size
-from kwscascade.frontend import ConfigError
+from kwscascade.frontend import BLOCK_SAMPLES, SAMPLE_RATE_HZ, ConfigError, num_frames_for
 from kwscascade.quantize import AccumMode, DimensionError
 from kwscascade.synthetic import (
     make_random_embedding_model,
@@ -458,6 +458,30 @@ class TestSpeakerIntegration:
         assert EventKind.SPEAKER_ACCEPT in kinds
         assert EventKind.SPEAKER_REJECT not in kinds
         assert events[-1].speaker_score == pytest.approx(1.0, abs=1e-6)
+
+    def test_stage2_pass_stops_at_the_accepting_block(self, frontend_config,
+                                                       tone_stage2_model, keyword_audio):
+        # 6 s whose keyword is in the first block: the pass returns what a
+        # whole-file push finds, and pushes nothing past that block
+        samples = np.concatenate([keyword_audio[0],
+                                  synth_noise(6 * SAMPLE_RATE_HZ - len(keyword_audio[0]),
+                                              np.random.default_rng(3))])
+        decoder = make_cascade_config(frontend_config).stage2_decoder
+
+        def detector():
+            return DetectorStream(frontend_config, tone_stage2_model, decoder,
+                                  AccumMode.FLOAT, keep_features=True)
+        whole = detector()
+        frame, hyp = next((f, h) for f, h in whole.push(samples) if h.score >= decoder.threshold)
+        segment = whole.features[hyp.alignment[0] : hyp.alignment[-1] + 1]
+        blocked = detector()
+        got_frame, got_hyp, got_segment = stage2_pass(blocked, samples)
+        assert (got_frame, got_hyp.score, got_hyp.alignment) == (frame, hyp.score,
+                                                                 hyp.alignment)
+        assert [f.frame_index for f in got_segment] == [f.frame_index for f in segment]
+        assert (np.stack([f.channels for f in got_segment]).tobytes()
+                == np.stack([f.channels for f in segment]).tobytes())
+        assert len(blocked.features) == num_frames_for(BLOCK_SAMPLES, frontend_config)
 
     def test_impostor_rejected(self, frontend_config, tone_stage1_model,
                                tone_stage2_model, embedding_model, keyword_audio):

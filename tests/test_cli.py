@@ -596,6 +596,25 @@ class TestEvaluateAndGenCorpus:
         assert (code, out) == (EXIT_USAGE, "")
         assert "--thresholds must be ascending" in err
 
+    @pytest.mark.parametrize("thresholds, message", [
+        # read every model and WAV first, then exited 2 with a ValueError not naming the flag
+        ("abc", "--thresholds must be comma-separated numbers, got 'abc'"),
+        ("0.3,", "--thresholds must be comma-separated numbers, got '0.3,'"),
+        # a missing manifest was reported instead
+        ("0.5,0.3", "--thresholds must be ascending"),
+    ])
+    def test_thresholds_checked_before_any_file_is_read(self, tmp_path, capsys, thresholds,
+                                                         message):
+        absent = str(tmp_path / "absent")
+        code, out, err = run_cli(
+            ["evaluate", "--manifest", absent, "--stage1", absent, "--stage2", absent,
+             "--thresholds", thresholds, "--config", absent],
+            capsys,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+        assert "absent" not in err
+
 
 def _wav_bytes(channels, sample_width):
     """A short 16 kHz WAV of silence in another layout than read_wav takes."""

@@ -14,7 +14,8 @@ from kwscascade.evaluation import (
     power_proxy,
     sweep_operating_points,
 )
-from kwscascade.frontend import FrontendConfig, frame_timestamp_ms, num_frames_for
+from kwscascade.frontend import (ArithmeticMode, FrontendConfig, frame_timestamp_ms,
+                                 num_frames_for)
 from kwscascade.quantize import AccumMode
 from kwscascade.synthetic import (
     AudioStream,
@@ -25,9 +26,11 @@ from kwscascade.synthetic import (
     generate_posterior_corpus,
     make_tone_acoustic_model,
     oracle_decoder_config,
+    speech_like_noise,
     synth_keyword_audio,
     synth_noise,
 )
+from conftest import BLOCK_EDGE_LENGTHS, traced_peak_mb
 
 
 class FixedScorer:
@@ -299,6 +302,15 @@ class TestCascadeTable:
             assert row_on.cascade_frr >= row_off.cascade_frr
 
 
+    def test_memory_does_not_grow_with_the_corpus(self, corpus, scorers):
+        # each stream is counted once it is scored; the table that held every
+        # stream's two score arrays peaked 1.98x higher on six streams than on two
+        def peak(count):
+            equal = SyntheticCorpus([corpus.negatives[0]] * count, corpus.positives[:4])
+            return traced_peak_mb(lambda: cascade_table(*scorers, equal, [0.3, 0.5], 0.5))
+        assert peak(6) < 1.3 * peak(2)
+
+
 class OffsetScorer(FixedScorer):
     """Scores NaN before frame ``first``, as a PipelineScorer's are before S-1."""
 
@@ -527,6 +539,31 @@ class TestPipelineScorer:
         assert [frame for frame, _ in hits] == list(range(stacked - 1, len(scores)))
         decoded = np.array([hyp.score for _, hyp in hits], dtype=np.float64)
         assert scores[stacked - 1 :].tobytes() == decoded.tobytes()
+
+    @pytest.mark.parametrize("num_samples", BLOCK_EDGE_LENGTHS)
+    @pytest.mark.parametrize("arithmetic", [ArithmeticMode.FLOAT, ArithmeticMode.FIXED_POINT])
+    @pytest.mark.parametrize("tracker", [False, True])
+    @pytest.mark.parametrize("stacked, mode", [(1, AccumMode.FIXED), (2, AccumMode.FLOAT)])
+    def test_whole_file_blocks_give_one_push_bits(self, block_edge_clip, num_samples,
+                                                  arithmetic, tracker, stacked, mode):
+        frontend = FrontendConfig(arithmetic_mode=arithmetic, noise_suppression_enabled=tracker)
+        model = make_tone_acoustic_model(frontend, 3, stacked_frames=stacked)
+        samples = block_edge_clip[:num_samples]
+        scores = PipelineScorer(frontend, model, TONE_DECODER, mode).frame_scores(
+            AudioStream({"audio": samples}))
+        oracle = np.full(num_frames_for(num_samples, frontend), np.nan)
+        for frame, hyp in DetectorStream(frontend, model, TONE_DECODER, mode).push(samples):
+            oracle[frame] = hyp.score
+        assert scores.tobytes() == oracle.tobytes()
+        # every length holds enough of the keyword across the first block edge
+        assert np.nanmax(scores) >= TONE_DECODER.threshold
+
+    def test_whole_file_memory_is_bounded_by_the_block(self):
+        # one push of 60 s held about 76 MB of framing, FFT and power arrays
+        scorer = PipelineScorer(FRONTEND, make_tone_acoustic_model(FRONTEND, 3, 2),
+                                TONE_DECODER, AccumMode.FLOAT)
+        stream = AudioStream({"audio": speech_like_noise(60 * 16000, seed=3)})
+        assert traced_peak_mb(lambda: scorer.frame_scores(stream)) < 16
 
     @pytest.mark.parametrize("frontend", [FRONTEND, FrontendConfig(frame_length_ms=30,
                                                                    hop_ms=15)])

@@ -28,6 +28,7 @@ from kwscascade.frontend import (
 )
 from kwscascade.cascade import Cascade, CascadeConfig
 from kwscascade.synthetic import make_tone_acoustic_model, speech_like_noise, synth_tone
+from conftest import BLOCK_EDGE_LENGTHS, traced_peak_mb
 
 FIXED = FrontendConfig(arithmetic_mode=ArithmeticMode.FIXED_POINT)
 FLOAT = FrontendConfig()
@@ -442,6 +443,25 @@ class TestStreaming:
         a = np.stack([f.channels for f in chunked])
         b = np.stack([f.channels for f in whole])
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("num_samples", BLOCK_EDGE_LENGTHS)
+    @pytest.mark.parametrize("mode", [ArithmeticMode.FLOAT, ArithmeticMode.FIXED_POINT])
+    @pytest.mark.parametrize("tracker", [False, True])
+    def test_whole_file_blocks_equal_one_push(self, block_edge_clip, num_samples, mode,
+                                              tracker):
+        cfg = FrontendConfig(arithmetic_mode=mode, noise_suppression_enabled=tracker)
+        samples = block_edge_clip[:num_samples]
+        blocked = compute_features(samples, cfg)
+        whole = FrontendStream(cfg).push(samples)
+        assert [f.frame_index for f in blocked] == [f.frame_index for f in whole]
+        assert (np.stack([f.channels for f in blocked]).tobytes()
+                == np.stack([f.channels for f in whole]).tobytes())
+
+    @pytest.mark.parametrize("cfg", [FLOAT, FIXED], ids=["float", "fixed"])
+    def test_whole_file_memory_is_bounded_by_the_block(self, cfg):
+        # one push of 60 s held about 76 MB of framing, FFT and power arrays
+        noise = speech_like_noise(60 * 16000, seed=3)
+        assert traced_peak_mb(lambda: compute_features(noise, cfg)) < 16
 
     def test_frame_indices_continue_across_pushes(self):
         stream = FrontendStream(FLOAT)
