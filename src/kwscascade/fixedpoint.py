@@ -76,18 +76,23 @@ def _bit_reverse_indices(n):
 
 @lru_cache(maxsize=None)
 def _stages(n):
-    """Per FFT stage: its half size m and its m Q15 twiddles, times 2**-15.
+    """Per FFT stage: its m Q15 twiddles times 2**-15 (m is the stage's
+    half size), and the n offsets its single rounding adds.
 
     The factor is a power of two, so each twiddle is still exact in
     complex128 and a product with it is the Q15 product shifted right by 15
-    without rounding.
+    without rounding. The offset is 3/2 on each butterfly's sum and
+    3/2 - 2**-15 on its difference, in both components.
     """
     ang = -2.0 * np.pi * np.arange(n // 2) / n
     w = (quantize_fract(np.cos(ang), TWIDDLE_FRACT_BITS)
          + 1j * quantize_fract(np.sin(ang), TWIDDLE_FRACT_BITS)) * 2.0**-TWIDDLE_FRACT_BITS
     stages, m = [], 1
     while m < n:
-        stages.append((m, _read_only(w[:: n // (2 * m)].copy())))
+        offset = np.empty((n // (2 * m), 2, m), dtype=np.complex128)
+        offset[:, 0] = 1.5 * (1 + 1j)
+        offset[:, 1] = (1.5 - 2.0**-TWIDDLE_FRACT_BITS) * (1 + 1j)
+        stages.append((_read_only(w[:: n // (2 * m)].copy()), _read_only(offset.reshape(n))))
         m *= 2
     return tuple(stages)
 
@@ -103,15 +108,23 @@ def fft_fixed(samples):
     stage implements the 1/N scaling and keeps the outputs in the lane
     (asserted).
 
+    Each stage rounds once. With s = w * b, which lies on the 2**-15 grid,
+    t = floor(s + 1/2), (v + 1) >> 1 = floor((v + 1) / 2), and
+    floor((floor(y) + 1) / 2) = floor((y + 1) / 2) for any real y. So the
+    sum is floor((a + s + 3/2) / 2). The difference is
+    floor((a - s + 3/2 - 2**-15) / 2), because a - t = ceil(a - s - 1/2)
+    and ceil(y) = floor(y + 1 - 2**-15) for y on that grid. A stage is then
+    the products' sum and difference, one add of its offsets from
+    ``_stages``, one halving and one floor, for every twiddle, 1 and -j
+    included.
+
     The butterflies run on one complex128 array, and that is exact. From
     lane inputs a stage keeps the complex modulus within a rounding step
-    (|w| is 1 to within 2**-15), so a, b and t stay integers below 2**32
-    and each Q15 sum of products w*b stays below 2**48. Every product, sum
-    and power-of-two scaling is then exact in float64, with or without
-    fused multiply-add, and each floor or ceil gives the shift's result:
-    (v + 1) >> 1 is ceil(v / 2) for an integer v. The stages of half size
-    1 and 2 have twiddles exactly 1 and -j, so w * b is already an integer
-    and they skip the rounding of t.
+    (|w| is 1 to within 2**-15), so a and b stay integers below 2**32, each
+    Q15 sum of products w*b stays below 2**48, and a +- s plus an offset
+    stays below 2**34 on the 2**-15 grid. Every product, sum and
+    power-of-two scaling is then exact in float64, with or without fused
+    multiply-add.
     """
     n = len(samples)
     if n & (n - 1) or n == 0:
@@ -122,18 +135,15 @@ def fft_fixed(samples):
         raise FixedPointOverflowError(f"input sample outside the {BUTTERFLY_BITS}-bit lane")
     z = x[_bit_reverse_indices(n)].astype(np.complex128)
     flat = z.view(np.float64)
-    for m, w in _stages(n):
-        pairs = z.reshape(-1, 2, m)
+    for w, offset in _stages(n):
+        pairs = z.reshape(-1, 2, len(w))
         a, b = pairs[:, 0], pairs[:, 1]
-        t = w * b
-        if m > 2:
-            t_flat = t.view(np.float64)
-            t_flat += 0.5
-            np.floor(t_flat, out=t_flat)
-        np.subtract(a, t, out=b)
-        a += t
+        s = w * b
+        np.subtract(a, s, out=b)
+        a += s
+        z += offset
         flat *= 0.5
-        np.ceil(flat, out=flat)
+        np.floor(flat, out=flat)
     if np.abs(flat).max() > _BUTTERFLY_MAX:
         raise FixedPointOverflowError(f"butterfly value exceeds {BUTTERFLY_BITS}-bit lane")
     return z.real.astype(np.int64), z.imag.astype(np.int64)
@@ -149,6 +159,26 @@ def power_spectrum_fixed(samples):
 _U31, _U32 = np.uint64(31), np.uint64(32)
 # weight of the i-th square-and-compare bit in the Q16 fraction
 _FRAC_SHIFTS = np.arange(LOG_FRACT_BITS - 1, -1, -1, dtype=np.uint64)
+# fixed_ln's fallback band around each Q16 step, in Q16 units
+_BAND_BELOW = 1e-6
+_BAND_ABOVE = 1e-4
+
+
+def _log2_fraction_exact(x):
+    """The Q16 fraction of log2(x / 2**31) for a 1-D int64 array of Q31
+    mantissas (2**31 <= x < 2**32): square-and-compare in uint64 (the
+    square fits), run in place. This recurrence defines ``fixed_ln``.
+    """
+    x = x.astype(np.uint64)
+    bits = np.empty((LOG_FRACT_BITS, len(x)), dtype=np.uint64)
+    for i in range(LOG_FRACT_BITS):
+        np.multiply(x, x, out=x)
+        x >>= _U31
+        bit = bits[i]
+        np.right_shift(x, _U32, out=bit)  # 1 when the square reached 2.0
+        x >>= bit
+    bits <<= _FRAC_SHIFTS[:, None]
+    return bits.sum(axis=0, dtype=np.uint64).astype(np.int64)
 
 
 def fixed_ln(values):
@@ -157,23 +187,40 @@ def fixed_ln(values):
     Takes a scalar or an int64 array of any shape, returns int64 of that
     shape, exact for every positive int64. The MSB is the float64 exponent,
     less one where rounding carried a value up to the next power of two
-    (one shift test finds those). The fractional log2 bits come from
-    square-and-compare on a Q31 mantissa in uint64 (its square fits), run in
-    place, then one multiply by ln(2).
+    (one shift test finds those). The Q16 fraction of log2 is
+    ``_log2_fraction_exact``'s on the truncated Q31 mantissa x, then one
+    multiply by ln(2) gives the result.
+
+    Most values take that fraction from one float64 log2 instead, and get
+    the same bits. Let f = 2**16 * (log2(x) - 31). The recurrence returns
+    floor(f - d) with 0 <= d < 65535 * 2 * 2**-31 / ln 2, about 8.8e-5:
+    each of its 16 steps truncates at most twice, each time by less than
+    2**-31 relative, and step i's loss weighs 2**(16 - i) in f. x < 2**32
+    is exact in float64, and np.log2 puts f within about 1e-9 of its true
+    value. So where the float f lies at least 1e-4 above a Q16 step and at
+    least 1e-6 below the next, its floor is the recurrence's result; only
+    values in that band around a step, about 1e-4 of them on noise, run
+    the recurrence. x == 2**31 (every power of two, so every floored energy
+    of a silent frame) is the one mantissa whose f is exactly a step. The
+    recurrence gives it exactly (d = 0), and so does the floor of f + 1e-6,
+    so it never runs the recurrence.
     """
     v = np.asarray(values, dtype=np.int64)
     if v.size and v.min() <= 0:
         raise ValueError("fixed_ln requires positive integers")
+    shape, v = v.shape, v.ravel()
     msb = np.frexp(v.astype(np.float64))[1].astype(np.int64) - 1
     msb -= (v >> msb) == 0
-    x = np.array((v << np.maximum(31 - msb, 0)) >> np.maximum(msb - 31, 0), dtype=np.uint64)
-    bits = np.empty((LOG_FRACT_BITS,) + v.shape, dtype=np.uint64)
-    for i in range(LOG_FRACT_BITS):
-        np.multiply(x, x, out=x)
-        x >>= _U31
-        bit = bits[i, ...]  # a view; bits[i] of a 0-d input would be a copied scalar
-        np.right_shift(x, _U32, out=bit)  # 1 when the square reached 2.0
-        x >>= bit
-    bits <<= _FRAC_SHIFTS.reshape((-1,) + (1,) * v.ndim)
-    log2_q = (msb << LOG_FRACT_BITS) | bits.sum(axis=0, dtype=np.uint64).astype(np.int64)
-    return (log2_q * LN2_Q16) >> LOG_FRACT_BITS
+    x = (v << np.maximum(31 - msb, 0)) >> np.maximum(msb - 31, 0)
+    f = np.log2(x)
+    f -= 31
+    f *= 1 << LOG_FRACT_BITS
+    f += _BAND_BELOW
+    frac = np.floor(f)
+    f -= frac  # frac(f + 1e-6)
+    frac = frac.astype(np.int64)
+    near = (f < _BAND_BELOW + _BAND_ABOVE) & (x != 1 << 31)
+    if near.any():
+        frac[near] = _log2_fraction_exact(x[near])
+    log2_q = (msb << LOG_FRACT_BITS) | frac
+    return ((log2_q * LN2_Q16) >> LOG_FRACT_BITS).reshape(shape)[()]

@@ -284,6 +284,7 @@ def _log_mel_float(powers, config):
     return np.log(np.maximum(energies, config.log_floor))
 
 
+@lru_cache(maxsize=None)
 def _fixed_log_offset_q16(config):
     # Fixed power is float power * 2**-(2 log2 N); mel weights add 2**MEL_FRACT.
     stages = config.fft_size.bit_length() - 1

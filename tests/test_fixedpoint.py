@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kwscascade import fixedpoint
 from kwscascade.fixedpoint import (
+    _log2_fraction_exact,
     _stages,
     LN2_Q16,
     TWIDDLE_FRACT_BITS,
@@ -19,6 +21,7 @@ from kwscascade.fixedpoint import (
     quantize_fract,
     rshift_round,
 )
+from kwscascade.frontend import ArithmeticMode, FrontendConfig, compute_features
 
 
 def fft_fixed_reference(samples):
@@ -70,8 +73,24 @@ def fixed_ln_reference(value):
 INT64_MAX = 2**63 - 1
 # powers of two and their neighbours below, where an inexact MSB would slip
 EDGE_VALUES = [1 << k for k in range(63)] + [(1 << k) - 1 for k in range(1, 64)]
+
+
+def near_step(msb, step, offset, low_bits):
+    """A positive int64 with this MSB whose Q31 mantissa lies ``offset``
+    from the first one at or above Q16 step ``step`` of log2, around where
+    fixed_ln's float path hands over to its recurrence; ``low_bits`` fill
+    the bits below the mantissa."""
+    x = math.ceil(2 ** (31 + step / (1 << LOG_FRACT_BITS))) + offset
+    x = min(max(x, 1 << 31), (1 << 32) - 1)
+    if msb < 31:
+        return x >> (31 - msb)
+    return (x << (msb - 31)) | (low_bits & ((1 << (msb - 31)) - 1))
+
+
+NEAR_STEP = st.builds(near_step, st.integers(0, 62), st.integers(0, (1 << LOG_FRACT_BITS) - 1),
+                      st.integers(-3, 3), st.integers(0, INT64_MAX))
 POSITIVE_INT64 = st.one_of(st.integers(1, INT64_MAX), st.sampled_from(EDGE_VALUES),
-                           st.integers(1, 1 << 20))
+                           st.integers(1, 1 << 20), NEAR_STEP)
 SHAPES = st.sampled_from([(), (0,), (32,), (7, 32), (0, 32), (3, 0)])
 
 LANE = 2 ** (BUTTERFLY_BITS - 1) - 1
@@ -168,12 +187,38 @@ class TestFixedFft:
         assert re.dtype == im.dtype == np.int64
         assert np.array_equal(re, ref_re) and np.array_equal(im, ref_im)
 
+    @pytest.mark.parametrize("n", [1 << k for k in range(1, 11)])
+    def test_each_stage_offsets_sums_by_3_2_and_differences_by_one_grid_step_less(self, n):
+        # fft_fixed's single rounding per stage: floor((a + s + 3/2) / 2) and
+        # floor((a - s + 3/2 - 2**-15) / 2), for every twiddle including 1 and -j
+        stages = _stages(n)
+        assert [len(w) for w, _ in stages] == [1 << k for k in range(len(stages))]
+        for w, offset in stages:
+            pairs = offset.reshape(-1, 2, len(w))
+            assert offset.shape == (n,)
+            assert np.all(pairs[:, 0] == 1.5 + 1.5j)
+            assert np.all(pairs[:, 1] == (1.5 - 2.0**-TWIDDLE_FRACT_BITS) * (1 + 1j))
+
     @pytest.mark.parametrize("n", [1 << k for k in range(2, 11)])
-    def test_first_two_stages_have_exact_twiddles_1_and_minus_j(self, n):
-        # fft_fixed skips the rounding of w * b in these two stages
-        (m1, w1), (m2, w2) = _stages(n)[:2]
-        assert (m1, w1.tolist()) == (1, [1 + 0j])
-        assert (m2, w2.tolist()) == (2, [1 + 0j, -1j])
+    def test_rounding_ties_equal_int64_reference(self, n):
+        # x[0] and x[1] alone make every earlier stage's values exact constants:
+        # a = d on the even half and b = c on the odd half. The last stage's
+        # w * c then lands on a half-integer wherever c * w (Q15) is 2**14
+        # modulo 2**15, and odd and even d give both parities of a +- t.
+        half = n // 2
+        w_q15 = np.stack([quantize_fract(np.cos(-2 * np.pi * np.arange(half) / n), TWIDDLE_FRACT_BITS),
+                          quantize_fract(np.sin(-2 * np.pi * np.arange(half) / n), TWIDDLE_FRACT_BITS)])
+        ties = 0
+        for c in (1 << 14, -(1 << 14), 3 << 13, -(3 << 13), 5 << 14):
+            ties += int(np.count_nonzero(w_q15 * c % (1 << 15) == 1 << 14))
+            for d in (0, 1, 2, 3, -1, -2):
+                x = np.zeros(n, dtype=np.int64)
+                x[0], x[1] = d * half, c * half
+                re, im = fft_fixed(x)
+                ref_re, ref_im = fft_fixed_reference(x)
+                assert np.array_equal(re, ref_re) and np.array_equal(im, ref_im), (c, d)
+        # n = 4 has twiddles 1 and -j only, whose products are integers
+        assert ties > 0 or n == 4
 
     @pytest.mark.parametrize("bad", [LANE + 1, -LANE - 1, -(2**63), 2**63 - 1])
     def test_sample_outside_lane_raises(self, bad):
@@ -215,6 +260,41 @@ class TestFixedLn:
     def test_every_power_of_two_edge_matches_reference(self):
         values = np.array(EDGE_VALUES, dtype=np.int64)
         assert fixed_ln(values).tolist() == [fixed_ln_reference(v) for v in EDGE_VALUES]
+
+    def test_every_q16_step_matches_the_recurrence(self):
+        # each mantissa within 3 of a step, at five MSBs; above MSB 31 every
+        # truncated bit is set, the furthest the mantissa falls below v
+        values, expected = [], []
+        steps = np.arange(1 << LOG_FRACT_BITS)
+        for msb in (0, 20, 31, 40, 62):
+            base = min(msb, 31)
+            first = np.ceil(np.exp2(base + steps / (1 << LOG_FRACT_BITS))).astype(np.int64)
+            v = np.unique((first[:, None] + np.arange(-3, 4)).ravel())
+            v = v[(v >> base) == 1]
+            x = v << (31 - base)
+            if msb > 31:
+                v = (v << (msb - 31)) | ((1 << (msb - 31)) - 1)
+            values.append(v)
+            expected.append((((msb << LOG_FRACT_BITS) | _log2_fraction_exact(x)) * LN2_Q16)
+                            >> LOG_FRACT_BITS)
+        values, expected = np.concatenate(values), np.concatenate(expected)
+        assert np.array_equal(fixed_ln(values), expected)
+        # the vectorised recurrence is the scalar oracle's
+        sample = values[::9973].tolist()
+        assert expected[::9973].tolist() == [fixed_ln_reference(v) for v in sample]
+
+    def test_powers_of_two_and_silent_frames_never_fall_back(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError(f"fixed_ln fell back on mantissas {x.tolist()}")
+
+        monkeypatch.setattr(fixedpoint, "_log2_fraction_exact", refuse)
+        powers = [v for v in EDGE_VALUES if v & (v - 1) == 0]
+        assert fixed_ln(np.array(powers)).tolist() == [fixed_ln_reference(v) for v in powers]
+        config = FrontendConfig(arithmetic_mode=ArithmeticMode.FIXED_POINT)
+        silent = compute_features(np.zeros(4000, dtype=np.int16), config)
+        assert len(silent) > 0
+        with pytest.raises(AssertionError, match="fell back"):
+            fixed_ln(near_step(40, 1000, 0, 0))
 
     @settings(max_examples=60, deadline=None)
     @given(

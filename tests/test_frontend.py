@@ -230,7 +230,7 @@ class TestMelFilterbank:
     lambda: [mel_filterbank(FLOAT)],
     lambda: _mel_table_q15(FLOAT),
     lambda: [_bit_reverse_indices(512)],
-    lambda: [w for _, w in _stages(512)],
+    lambda: [table for stage in _stages(512) for table in stage],
 ], ids=["hann", "hann_q15", "mel", "mel_q15", "bit_reverse", "twiddles"])
 def test_cached_tables_are_read_only(tables):
     arrays = tables()
