@@ -14,33 +14,50 @@ import wave
 
 import numpy as np
 
-from .frontend import SAMPLE_RATE_HZ, AudioChunk, ConfigError, _pcm
+from .frontend import BLOCK_SAMPLES, SAMPLE_RATE_HZ, AudioChunk, ConfigError, _pcm
 
 POSTERIOR_MAGIC = b"KWSY"
 STREAM_VERSION = 1
 
 
-def read_wav(path):
-    """Load a 16-bit mono 16 kHz RIFF file as an AudioChunk; ConfigError
-    naming the path for any other file."""
+def open_wav(path):
+    """Open a WAV file for reading once its header shows 16-bit mono 16 kHz PCM;
+    ConfigError naming the path for any other file. ``getnframes()`` is then the
+    header's sample count, which ``read_wav`` checks against the data."""
     try:
         wav = wave.open(path, "rb")
     except (wave.Error, EOFError) as exc:
         raise ConfigError(f"{path}: not a WAV file ({str(exc) or 'it ends early'})") from None
-    with wav:
-        if wav.getnchannels() != 1:
-            raise ConfigError(f"{path}: expected mono audio, got {wav.getnchannels()} channels")
-        if wav.getsampwidth() != 2:
-            raise ConfigError(f"{path}: expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit")
-        if wav.getframerate() != SAMPLE_RATE_HZ:
-            raise ConfigError(
-                f"{path}: expected {SAMPLE_RATE_HZ} Hz, got {wav.getframerate()} Hz"
-            )
-        raw = wav.readframes(wav.getnframes())
+    if wav.getnchannels() != 1:
+        problem = f"expected mono audio, got {wav.getnchannels()} channels"
+    elif wav.getsampwidth() != 2:
+        problem = f"expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit"
+    elif wav.getframerate() != SAMPLE_RATE_HZ:
+        problem = f"expected {SAMPLE_RATE_HZ} Hz, got {wav.getframerate()} Hz"
+    else:
+        return wav
+    wav.close()
+    raise ConfigError(f"{path}: {problem}")
+
+
+def read_wav(path):
+    """Load a 16-bit mono 16 kHz RIFF file as an AudioChunk; ConfigError
+    naming the path for any other file. The data is read a block at a time
+    into one writable int16 array, the only copy of the audio held. The array
+    is no longer than the file, whatever count its header claims."""
+    with open_wav(path) as wav:
         expected = 2 * wav.getnframes()  # 16-bit mono
-    if len(raw) != expected:
-        raise ConfigError(f"{path}: WAV data ends early ({len(raw)} of {expected} bytes)")
-    return AudioChunk(np.frombuffer(raw, dtype="<i2").astype(np.int16))
+        samples = np.empty(min(expected, os.path.getsize(path)) // 2, dtype=np.int16)
+        got = 0  # bytes read
+        while got < samples.nbytes:
+            raw = wav.readframes(BLOCK_SAMPLES)
+            if not raw:
+                break
+            samples[got // 2 : (got + len(raw)) // 2] = np.frombuffer(raw, "<i2", len(raw) // 2)
+            got += len(raw)
+    if got != expected:
+        raise ConfigError(f"{path}: WAV data ends early ({got} of {expected} bytes)")
+    return AudioChunk(samples)
 
 
 def write_wav(path, samples):

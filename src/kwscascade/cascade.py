@@ -138,7 +138,11 @@ class RingBuffer:
 
 
 class DetectorStream:
-    """Frontend + encoder + decoder chained over streaming PCM."""
+    """Frontend + encoder + decoder chained over streaming PCM.
+
+    ``push_frames`` is the encoder-and-decoder head alone, fed the frames of
+    a frontend outside it, so one frontend pass can feed several heads.
+    """
 
     def __init__(self, frontend_config, model, decoder_config,
                  mode=AccumMode.FIXED, keep_features=False):
@@ -158,7 +162,11 @@ class DetectorStream:
 
     def push(self, samples):
         """Feed PCM; return [(feature_frame_index, KeywordHypothesis)]."""
-        frames = self._frontend.push(samples)
+        return self.push_frames(self._frontend.push(samples))
+
+    def push_frames(self, frames):
+        """Feed the next FeatureFrames of a frontend on this detector's config;
+        return [(feature_frame_index, KeywordHypothesis)]."""
         if not frames:
             return []
         if self.features is not None:

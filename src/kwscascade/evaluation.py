@@ -30,7 +30,8 @@ import numpy as np
 
 from .cascade import DetectorStream, check_model
 from .decoder import batch_frame_scores
-from .frontend import SAMPLE_RATE_HZ, frame_timestamp_ms, num_frames_for, pcm_blocks
+from .frontend import (SAMPLE_RATE_HZ, FrontendStream, frame_timestamp_ms, num_frames_for,
+                       pcm_blocks)
 from .quantize import AccumMode
 
 DEFAULT_REFRACTORY_MS = 1000.0
@@ -63,7 +64,7 @@ class PipelineScorer:
 
     Score k is stream frame k's. The first S-1 frames of a model stacking S
     frames have no score of their own and are NaN, which no threshold
-    accepts. A stream's samples are its ``"audio"`` view.
+    accepts. A stream's samples are its ``samples()``.
     """
 
     def __init__(self, frontend_config, model, decoder_config, mode=AccumMode.FIXED):
@@ -73,14 +74,25 @@ class PipelineScorer:
         self.config = decoder_config
         self.mode = mode
 
-    def frame_scores(self, stream):
-        samples = stream.views["audio"]
-        det = DetectorStream(self.frontend_config, self.model, self.config, self.mode)
-        scores = np.full(num_frames_for(len(samples), self.frontend_config), np.nan)
+    def frame_scores(self, stream, *others):
+        """This scorer's scores of ``stream``. Given ``others``, PipelineScorers on an
+        equal frontend config, one frontend pass feeds every scorer's encoder and
+        decoder (its DetectorStream's ``push_frames``), and the result is the list
+        of score arrays, this scorer's first."""
+        if any(other.frontend_config != self.frontend_config for other in others):
+            raise ValueError("a shared frontend pass needs equal frontend configs")
+        samples = stream.samples()
+        frontend = FrontendStream(self.frontend_config)
+        heads = [DetectorStream(s.frontend_config, s.model, s.config, s.mode)
+                 for s in (self, *others)]
+        scores = np.full((len(heads), num_frames_for(len(samples), self.frontend_config)),
+                         np.nan)
         for block in pcm_blocks(samples):
-            for frame, hyp in det.push(block):
-                scores[frame] = hyp.score
-        return scores
+            frames = frontend.push(block)
+            for head, row in zip(heads, scores):
+                for frame, hyp in head.push_frames(frames):
+                    row[frame] = hyp.score
+        return list(scores) if others else scores[0]
 
     def hop_ms(self, stream):
         return self.frontend_config.hop_ms
@@ -255,9 +267,14 @@ def _paired_scores(stage1, stage2, stream, stage2_threshold, speaker_verificatio
     The gated score is the stage-1 score where stage 2 (and the speaker
     gate, when on) accepts, NaN elsewhere, so a stage-1 threshold on it
     accepts exactly the cascade's frames. The stages must score the same
-    frames on one frame clock.
+    frames on one frame clock. Two PipelineScorers on equal frontend configs
+    score the stream in one shared frontend pass.
     """
-    s1, s2 = stage1.frame_scores(stream), stage2.frame_scores(stream)
+    if (isinstance(stage1, PipelineScorer) and isinstance(stage2, PipelineScorer)
+            and stage1.frontend_config == stage2.frontend_config):
+        s1, s2 = stage1.frame_scores(stream, stage2)
+    else:
+        s1, s2 = stage1.frame_scores(stream), stage2.frame_scores(stream)
     if (len(s1) != len(s2) or stage1.hop_ms(stream) != stage2.hop_ms(stream)
             or stage1.frame_timestamps_ms(stream, 1)[0]
             != stage2.frame_timestamps_ms(stream, 1)[0]):
@@ -279,7 +296,8 @@ def cascade_table(stage1, stage2, corpus, stage1_thresholds, stage2_threshold,
     one frame clock. When ``speaker_verification`` is set, the cascade
     mask is additionally gated by each planted event's ``verifies``, its
     ground-truth verification outcome. Each stream is scored once per
-    stage, in corpus order.
+    stage, in corpus order, both stages in one frontend pass where they can
+    share it (see ``_paired_scores``).
     """
     _check_inputs(refractory_ms, hit_window_ms, stage1_threshold=stage1_thresholds,
                   stage2_threshold=stage2_threshold)

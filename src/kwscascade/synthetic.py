@@ -66,14 +66,27 @@ class SyntheticStream:
 
 @dataclass
 class AudioStream:
-    """PCM payload with the same corpus-facing surface as SyntheticStream."""
+    """PCM payload with the same corpus-facing surface as SyntheticStream.
 
-    views: dict  # "audio" -> int16 samples
+    In memory, ``views["audio"]`` holds the int16 samples. A stream of a WAV
+    file has no views: it holds the file's ``path`` and its header's
+    ``num_samples``, and ``samples()`` reads the file at each call, so a corpus
+    of files holds no audio between scoring passes.
+    """
+
+    views: dict = None  # "audio" -> int16 samples
     events: list = field(default_factory=list)
+    path: str = None
+    num_samples: int = None
 
-    @property
-    def num_samples(self):
-        return len(self.views["audio"])
+    def __post_init__(self):
+        if self.num_samples is None:
+            self.num_samples = len(self.views["audio"])
+
+    def samples(self):
+        if self.views is None:
+            return audio_io.read_wav(self.path).samples
+        return self.views["audio"]
 
     @property
     def duration_ms(self):
@@ -342,11 +355,13 @@ def generate_audio_corpus(seed, out_dir, num_units=3, num_positives=5, num_negat
 
 
 def load_audio_corpus(manifest_path):
-    """Read a manifest's WAVs into an in-memory corpus of AudioStreams."""
+    """A manifest's corpus of WAV-file AudioStreams. Each file's header is
+    checked here (see ``audio_io.open_wav``); its samples are read when it is
+    scored."""
+    def stream(path):
+        with audio_io.open_wav(path) as wav:
+            return AudioStream(path=path, num_samples=wav.getnframes())
+
     neg_paths, pos_entries = audio_io.read_manifest(manifest_path)
-    negatives = [AudioStream({"audio": audio_io.read_wav(p).samples}) for p in neg_paths]
-    positives = [
-        PositiveExample(AudioStream({"audio": audio_io.read_wav(p).samples}), end_ms)
-        for p, end_ms in pos_entries
-    ]
-    return SyntheticCorpus(negatives, positives)
+    return SyntheticCorpus([stream(p) for p in neg_paths],
+                           [PositiveExample(stream(p), end_ms) for p, end_ms in pos_entries])

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwscascade import audio_io, speaker
-from kwscascade.frontend import ConfigError
-from kwscascade.synthetic import speech_like_noise
+from kwscascade.frontend import BLOCK_SAMPLES, ConfigError
+from kwscascade.synthetic import generate_audio_corpus, load_audio_corpus, speech_like_noise
+from conftest import traced_peak_mb
 
 
 class TestWav:
@@ -35,6 +37,53 @@ class TestWav:
             wav.writeframes(b"\x00\x00" * 100)
         with pytest.raises(ConfigError):
             audio_io.read_wav(str(path))
+
+    def test_reads_blocks_into_one_writable_array(self, tmp_path):
+        samples = speech_like_noise(2 * BLOCK_SAMPLES + 7, seed=1)
+        path = tmp_path / "long.wav"
+        audio_io.write_wav(str(path), samples)
+        read = audio_io.read_wav(str(path)).samples
+        assert read.dtype == np.int16 and read.flags.writeable
+        assert np.array_equal(read, samples)
+
+    @pytest.mark.parametrize("cut", [1, 2, 2 * BLOCK_SAMPLES + 3])
+    def test_data_cut_anywhere_ends_early(self, tmp_path, cut):
+        path = tmp_path / "cut.wav"
+        audio_io.write_wav(str(path), speech_like_noise(2 * BLOCK_SAMPLES + 7, seed=1))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - cut])
+        expected = 2 * (2 * BLOCK_SAMPLES + 7)
+        with pytest.raises(ConfigError, match=f"WAV data ends early "
+                                              rf"\({expected - cut} of {expected} bytes\)"):
+            audio_io.read_wav(str(path))
+
+    def test_header_claiming_4_gb_reads_as_ending_early(self, tmp_path):
+        # a streaming writer leaves the data size at 0xFFFFFFFF; an array of the
+        # header's count would be 4 GB
+        path = tmp_path / "streamed.wav"
+        audio_io.write_wav(str(path), speech_like_noise(1000, seed=2))
+        data = bytearray(path.read_bytes())
+        data[40:44] = struct.pack("<I", 0xFFFFFFFE)
+        path.write_bytes(bytes(data))
+
+        def read():
+            with pytest.raises(ConfigError, match=f"ends early \\(2000 of {0xFFFFFFFE} bytes\\)"):
+                audio_io.read_wav(str(path))
+
+        assert traced_peak_mb(read) < 1
+
+
+class TestWavCorpus:
+    def test_holds_paths_and_header_counts_and_reads_when_asked(self, tmp_path):
+        manifest = generate_audio_corpus(3, str(tmp_path), num_positives=1, num_negatives=1,
+                                         negative_seconds=2.0)
+        corpus = load_audio_corpus(manifest)
+        stream = corpus.negatives[0]
+        assert stream.views is None
+        assert stream.num_samples == 2 * 16000 and stream.duration_ms == 2000.0
+        assert np.array_equal(stream.samples(), audio_io.read_wav(stream.path).samples)
+        positive = corpus.positives[0].stream
+        assert positive.num_samples == len(audio_io.read_wav(positive.path).samples)
 
 
 class TestRawPcm:

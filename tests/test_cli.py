@@ -11,16 +11,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak_mb
 
 import kwscascade as k
 from kwscascade import audio_io, cli
 from kwscascade.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from kwscascade.encoder import pad_model_to_size, serialize_model
 from kwscascade.evaluation import cascade_table
+from kwscascade.frontend import num_frames_for
 from kwscascade.synthetic import (
     make_random_embedding_model,
     make_tone_acoustic_model,
     generate_audio_corpus,
+    load_audio_corpus,
     synth_keyword_audio,
     synth_noise,
 )
@@ -614,6 +617,53 @@ class TestEvaluateAndGenCorpus:
         assert (code, out) == (EXIT_USAGE, "")
         assert message in err
         assert "absent" not in err
+
+
+class TestEvaluateOnePass:
+    """evaluate frames each file once for both stages and holds one file at a time."""
+
+    def test_pushes_each_frame_of_the_corpus_once(self, model_files, small_manifest,
+                                                  monkeypatch, capsys):
+        # each stage ran its own frontend over every file: twice the corpus's frames
+        pushed = []
+        push = k.FrontendStream.push
+
+        def counting_push(stream, samples):
+            frames = push(stream, samples)
+            pushed.append(len(frames))
+            return frames
+
+        monkeypatch.setattr(k.FrontendStream, "push", counting_push)
+        code, _, _ = run_cli(
+            ["evaluate", "--manifest", small_manifest, "--stage1", model_files["stage1"],
+             "--stage2", model_files["stage2"], "--thresholds", "0.3,0.5"],
+            capsys,
+        )
+        corpus = load_audio_corpus(small_manifest)
+        streams = corpus.negatives + [p.stream for p in corpus.positives]
+        corpus_frames = sum(num_frames_for(s.num_samples, k.FrontendConfig()) for s in streams)
+        assert code == EXIT_OK
+        assert sum(pushed) == corpus_frames > 0
+
+    def test_peak_does_not_grow_with_the_number_of_files(self, model_files, keyword_wav,
+                                                         tmp_path, capsys):
+        # every WAV was read before any was scored, so six 20 s negatives peaked
+        # about 3.2 MB over one
+        audio_io.write_wav(str(tmp_path / "noise.wav"),
+                           synth_noise(20 * 16000, np.random.default_rng(4)))
+        keyword, end_ms = keyword_wav
+
+        def peak(negatives):
+            manifest = tmp_path / f"manifest_{negatives}.txt"
+            manifest.write_text("negative noise.wav\n" * negatives
+                                + f"positive {keyword} {end_ms}\n")
+            argv = ["evaluate", "--manifest", str(manifest), "--stage1", model_files["stage1"],
+                    "--stage2", model_files["stage2"], "--thresholds", "0.3,0.5"]
+            mb = traced_peak_mb(lambda: main(argv))
+            assert capsys.readouterr().out.count("\n") == 4  # header and three rows
+            return mb
+
+        assert abs(peak(6) - peak(1)) < 1.0
 
 
 def _wav_bytes(channels, sample_width):

@@ -14,8 +14,8 @@ from kwscascade.evaluation import (
     power_proxy,
     sweep_operating_points,
 )
-from kwscascade.frontend import (ArithmeticMode, FrontendConfig, frame_timestamp_ms,
-                                 num_frames_for)
+from kwscascade.frontend import (BLOCK_SAMPLES, ArithmeticMode, FrontendConfig,
+                                 frame_timestamp_ms, num_frames_for)
 from kwscascade.quantize import AccumMode
 from kwscascade.synthetic import (
     AudioStream,
@@ -557,6 +557,35 @@ class TestPipelineScorer:
         assert scores.tobytes() == oracle.tobytes()
         # every length holds enough of the keyword across the first block edge
         assert np.nanmax(scores) >= TONE_DECODER.threshold
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_samples=st.one_of(
+            st.just(0),
+            st.integers(1, FRONTEND.frame_samples - 1),  # under one frame
+            # S - 1 = 1 frame for stage 2, which has no score yet
+            st.integers(FRONTEND.frame_samples, FRONTEND.frame_samples + FRONTEND.hop_samples - 1),
+            st.sampled_from([BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1])),
+        start=st.integers(0, BLOCK_SAMPLES // 2),
+        frontend=st.sampled_from([
+            FrontendConfig(noise_suppression_enabled=True),
+            FrontendConfig(arithmetic_mode=ArithmeticMode.FIXED_POINT)]))
+    def test_shared_pass_gives_each_scorers_own_bits(self, block_edge_clip, num_samples, start,
+                                                     frontend):
+        stage1 = PipelineScorer(frontend, make_tone_acoustic_model(frontend, 3), TONE_DECODER)
+        stage2 = PipelineScorer(frontend, make_tone_acoustic_model(frontend, 3, stacked_frames=2),
+                                TONE_DECODER, AccumMode.FLOAT)
+        stream = AudioStream({"audio": block_edge_clip[start : start + num_samples]})
+        shared = stage1.frame_scores(stream, stage2)
+        assert [s.tobytes() for s in shared] == [stage1.frame_scores(stream).tobytes(),
+                                                 stage2.frame_scores(stream).tobytes()]
+
+    def test_shared_pass_refuses_unequal_frontends(self):
+        other = FrontendConfig(noise_suppression_enabled=True)
+        stage1 = PipelineScorer(FRONTEND, make_tone_acoustic_model(FRONTEND, 3), TONE_DECODER)
+        stage2 = PipelineScorer(other, make_tone_acoustic_model(other, 3), TONE_DECODER)
+        with pytest.raises(ValueError, match="equal frontend configs"):
+            stage1.frame_scores(AudioStream({"audio": np.zeros(800, np.int16)}), stage2)
 
     def test_whole_file_memory_is_bounded_by_the_block(self):
         # one push of 60 s held about 76 MB of framing, FFT and power arrays
