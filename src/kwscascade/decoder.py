@@ -22,6 +22,16 @@ chunks of whole blocks and the streaming decoder over each push, carrying
 the same state, so both give the same bits. keyword_score is the
 per-window dynamic program; it agrees with the kernel to rounding (its sums
 are taken in another order) and gives the alignments.
+
+The kernel holds the stream unit-major, [M, T], from the one copy that
+takes a push's [n, M] rows to the scores: the carried rows, the smoothed
+rows and their logs, whose whole blocks reshape to [M, blocks, T_s] with
+no copy. Each unit's running maxima then run along one contiguous row.
+They use np.fmax, whose accumulate runs about a fifth faster and gives the
+same bits as np.maximum here: the two differ only when a NaN meets a
+number, and no NaN reaches the kernel (posteriors are checked to lie in
+[0, 1], see _window_scores). A streaming hypothesis keeps a transposed
+view of the smoothed rows, [rows, M].
 """
 
 from dataclasses import dataclass
@@ -72,32 +82,46 @@ class KeywordHypothesis:
         return self._alignment
 
 
-def _check_unit_range(rows, first_frame=0):
-    """ValueError naming the first row, counted from ``first_frame``, outside [0, 1]."""
-    ok = (rows >= 0.0) & (rows <= 1.0)  # NaN fails both
-    if not ok.all():
-        bad = np.flatnonzero(~ok.all(axis=1))[0]
-        raise ValueError(f"frame {first_frame + bad} has a posterior outside [0, 1]")
+def _check_unit_range(posteriors, first_frame=0):
+    """ValueError naming the first row of unit-major [M, n] ``posteriors``,
+    counted from ``first_frame``, with a value outside [0, 1]."""
+    if not posteriors.size or (posteriors.min() >= 0.0 and posteriors.max() <= 1.0):
+        return  # min and max are NaN if any value is, and a NaN fails both
+    ok = (posteriors >= 0.0) & (posteriors <= 1.0)
+    bad = np.flatnonzero(~ok.all(axis=0))[0]
+    raise ValueError(f"frame {first_frame + bad} has a posterior outside [0, 1]")
 
 
-def _smooth_rows(rows, tail, seen, window, lead=0):
-    """Trailing means of ``rows``, continuing a stream of ``seen`` frames.
+def _smooth_rows(pad, seen, window, lead=0):
+    """Trailing means of the rows of a stream after its first ``seen`` frames.
 
-    ``tail`` holds the stream's last window-1 rows, zeros before its start.
-    Each mean is the sum of its own window rows, added in row order, over
-    the count present, so it depends on those rows alone and any split of a
-    stream gives the same bits. Returns the smoothed rows behind ``lead``
-    rows of room for carried history, and the tail to carry on.
+    ``pad`` [M, window-1+n] holds the stream's last window-1 rows (zeros
+    before its start) followed by the n new rows. Each mean is the sum of
+    its own window rows, added in row order, over the count present, so it
+    depends on those rows alone and any split of a stream gives the same
+    bits. Returns the n smoothed rows, [M, lead+n], behind ``lead`` columns
+    of room for carried history, and the tail to carry on.
     """
-    total = len(rows)
-    pad = np.concatenate((tail, rows))
-    out = np.empty((lead + total, pad.shape[1]))
-    acc = out[lead:]
-    acc[:] = pad[:total]
+    units, width = pad.shape
+    total = width - (window - 1)
+    # window sums along the flattened rows: each add takes one 1-D slice,
+    # which costs less per call than an [M, n] view; sums that straddle two
+    # units go unused
+    flat = pad.ravel()
+    sums = np.empty(pad.size)
+    run = sums[: flat.size - (window - 1)]
+    run[:] = flat[: len(run)]
     for k in range(1, window):
-        acc += pad[k : k + total]
-    acc /= np.minimum(np.arange(seen + 1, seen + total + 1, dtype=np.float64), window)[:, None]
-    return out, pad[total:].copy()
+        run += flat[k : k + len(run)]
+    sums = sums.reshape(units, width)[:, :total]
+    out = np.empty((units, lead + total))
+    np.divide(sums, float(window), out[:, lead:])
+    # only the stream's first window-1 frames have fewer rows than the window
+    warm = min(total, max(0, window - 1 - seen))
+    if warm:
+        counts = np.arange(seen + 1, seen + warm + 1, dtype=np.float64)
+        np.divide(sums[:, :warm], counts, out[:, lead : lead + warm])
+    return out, pad[:, total:].copy()
 
 
 def _running_max_earliest(values):
@@ -123,7 +147,7 @@ def keyword_score(smoothed):
     total, units = smoothed.shape
     if total < units:
         raise InsufficientFramesError(f"window of {total} frames cannot fit {units} units")
-    _check_unit_range(smoothed)
+    _check_unit_range(smoothed.T)
     return _score_window(smoothed)
 
 
@@ -148,9 +172,10 @@ def _score_window(smoothed):
     return KeywordHypothesis(score, tuple(alignment), total - 1)
 
 
-# Bounds batch_frame_scores' temporaries: about 3.4 MB for 3 units and a
-# 50-frame window. At 65536 rows they came to 13.5 MB, enough that glibc
-# could hand them back to the OS after each call and fault them in again.
+# Bounds batch_frame_scores' temporaries: a tracemalloc peak of 3.0 MB for
+# 3 units and a 50-frame window, besides the 8-byte score per frame. At
+# 65536 rows they came to 13.5 MB, enough that glibc could hand them back to
+# the OS after each call and fault them in again.
 _CHUNK_ROWS = 16384
 
 
@@ -181,9 +206,9 @@ def batch_frame_scores(posteriors, config):
 
 
 def _window_scores(logs, suffix, skip=0):
-    """Scores of the trailing windows ending at rows ``skip`` on of ``logs``.
+    """Scores of the trailing windows ending at columns ``skip`` on of ``logs``.
 
-    ``logs`` [T, M] holds log-smoothed rows from a block boundary on, and
+    ``logs`` [M, T] holds log-smoothed rows from a block boundary on, and
     ``suffix`` [M, W] the suffix chains of the block before them (-inf
     before the stream start). Row q of block b scores the window made of
     rows q+1.. of block b-1 and rows ..q of block b, as the best of: a
@@ -194,18 +219,18 @@ def _window_scores(logs, suffix, skip=0):
     (see StreamingDecoder._step).
     """
     units, window = suffix.shape
-    total = len(logs)
+    total = logs.shape[1]
     blocks, complete = max(1, -(-total // window)), total // window
-    x = np.full((units, blocks * window), -np.inf)
-    x[:, :total] = logs.T
-    x = x.reshape(units, blocks, window)
+    if total < blocks * window:  # a part block: -inf rows after the last
+        logs = np.concatenate((logs, np.full((units, blocks * window - total), -np.inf)), axis=1)
+    x = logs.reshape(units, blocks, window)
     # pre[j]: best chain of units j..k from the block start to each row, built
     # unit by unit for every j at once; chains[k] keeps it at the last row
     last = (total - 1) % window
-    pre = np.maximum.accumulate(x[:1], axis=2)
+    pre = np.fmax.accumulate(x[:1], axis=2)
     chains = [pre[:, -1, last].tolist()]
     for k in range(1, units):
-        pre = np.maximum.accumulate(np.concatenate((pre + x[k], x[k : k + 1])), axis=2)
+        pre = np.fmax.accumulate(np.concatenate((pre + x[k], x[k : k + 1])), axis=2)
         chains.append(pre[:, -1, last].tolist())
     # prev[k]: suf[k] of the block before, one row on; -inf where none
     prev = np.full((units, blocks, window), -np.inf)
@@ -214,9 +239,9 @@ def _window_scores(logs, suffix, skip=0):
         # suf[k]: best chain of units 0..k from each row to the block end,
         # on reversed rows, built unit by unit from the last
         rev = x[:, :complete, ::-1]
-        suf = np.maximum.accumulate(rev[units - 1 :], axis=2)
+        suf = np.fmax.accumulate(rev[units - 1 :], axis=2)
         for j in range(units - 2, -1, -1):
-            suf = np.maximum.accumulate(np.concatenate((rev[j : j + 1], suf + rev[j])), axis=2)
+            suf = np.fmax.accumulate(np.concatenate((rev[j : j + 1], suf + rev[j])), axis=2)
         suf = suf[:, :, ::-1]
         prev[:, 1:, :-1] = suf[:, : blocks - 1, 1:]
         suffix = suf[:, -1].copy()
@@ -228,7 +253,8 @@ def _window_scores(logs, suffix, skip=0):
     # Posteriors are checked to lie in [0, 1] on entry, and rounding is
     # monotone, so a sum of c of them is at most c and each mean lies in
     # [0, 1] with no clip. So every log is in [-inf, 0]; sums of such values
-    # are never NaN (no +inf meets a -inf), and exp(best / M) is in [0, 1].
+    # are never NaN (no +inf meets a -inf), so np.fmax gives np.maximum's
+    # bits, and exp(best / M) is in [0, 1].
     return np.exp(best / units), suffix, chains
 
 
@@ -250,8 +276,8 @@ class StreamingDecoder:
         self._config = config
         self._first = first_frame_index
         self._seen = 0
-        self._tail = np.zeros((config.smoothing_window_frames - 1, config.num_units))
-        self._history = np.zeros((0, config.num_units))
+        self._tail = np.zeros((config.num_units, config.smoothing_window_frames - 1))
+        self._history = np.zeros((config.num_units, 0))
         self._suffix = np.full((config.num_units, config.score_window_frames), -np.inf)
         self._chains = None  # set by each push, read by the next row step
 
@@ -274,11 +300,11 @@ class StreamingDecoder:
         if len(stack) == 1 and (self._seen + 1) % cfg.score_window_frames:
             hits = [self._step(stack)]
         else:
-            base = self._first + self._seen - len(self._history)  # frame number of smoothed[0]
+            base = self._first + self._seen - self._history.shape[1]  # frame of smoothed[:, 0]
             smoothed, first, scores = self._advance(stack)  # the hypotheses keep smoothed's rows
-            lag = cfg.score_window_frames - 1
+            frames, lag = smoothed.T, cfg.score_window_frames - 1
             hits = [(base + j, KeywordHypothesis(score, None, base + j,
-                                                 smoothed[max(0, j - lag) : j + 1]))
+                                                 frames[max(0, j - lag) : j + 1]))
                     for j, score in enumerate(scores.tolist(), start=first)]
         return hits[0] if rows.ndim == 1 else hits
 
@@ -294,13 +320,13 @@ class StreamingDecoder:
         kernel's.
         """
         cfg = self._config
-        _check_unit_range(rows, self._first + self._seen)
+        _check_unit_range(rows.T, self._first + self._seen)
+        pad = np.concatenate((self._tail, rows.T), axis=1)
         units, window = cfg.num_units, cfg.score_window_frames
         phase = self._seen % window
-        pad = np.concatenate((self._tail, rows))
         count = min(self._seen + 1, cfg.smoothing_window_frames)
-        mean = np.add.accumulate(pad, axis=0)[-1] / count  # row order, as _smooth_rows adds
-        smoothed = np.concatenate((self._history, mean[None]))
+        mean = np.add.accumulate(pad, axis=1)[:, -1] / count  # row order, as _smooth_rows adds
+        smoothed = np.concatenate((self._history, mean[:, None]), axis=1)
         with np.errstate(divide="ignore"):
             logs = np.log(mean).tolist()
         chains = self._chains if phase else [[-np.inf] * (k + 1) for k in range(units)]
@@ -315,31 +341,32 @@ class StreamingDecoder:
         best = max(below[0], prev[-1])
         for k in range(units - 1):
             best = max(best, prev[k] + below[k + 1])
-        self._tail = pad[1:]
-        self._history = smoothed[1:] if len(smoothed) == window else smoothed
+        self._tail = pad[:, 1:]
+        self._history = smoothed[:, 1:] if smoothed.shape[1] == window else smoothed
         self._chains = chains
         frame = self._first + self._seen
         self._seen += 1
-        return frame, KeywordHypothesis(float(np.exp([best / units])[0]), None, frame, smoothed)
+        return frame, KeywordHypothesis(float(np.exp([best / units])[0]), None, frame, smoothed.T)
 
     def _advance(self, rows):
         """Smooth and score [n, M] rows, carrying the state on.
 
-        Returns the carried smoothed rows followed by the new ones, the
-        index of the first new row in them, and the new rows' scores.
+        Returns the carried smoothed rows followed by the new ones, as
+        [M, columns], the column of the first new row, and the new rows'
+        scores.
         """
         cfg = self._config
-        _check_unit_range(rows, self._first + self._seen)
+        # one copy takes the rows unit-major; the kernel reads them from it
+        pad = np.concatenate((self._tail, rows.T), axis=1)
+        _check_unit_range(pad[:, self._tail.shape[1] :], self._first + self._seen)
         window = cfg.score_window_frames
-        first = len(self._history)
-        smoothed, self._tail = _smooth_rows(
-            rows, self._tail, self._seen, cfg.smoothing_window_frames, lead=first
-        )
-        smoothed[:first] = self._history
-        self._history = smoothed[max(0, len(smoothed) - window + 1) :].copy()
+        first = self._history.shape[1]
+        smoothed, self._tail = _smooth_rows(pad, self._seen, cfg.smoothing_window_frames, first)
+        smoothed[:, :first] = self._history
+        self._history = smoothed[:, max(0, smoothed.shape[1] - window + 1) :].copy()
         phase = self._seen % window  # rows of the current block pushed before
         with np.errstate(divide="ignore"):
-            logs = np.log(smoothed[first - phase :])
+            logs = np.log(smoothed[:, first - phase :])
         scores, self._suffix, self._chains = _window_scores(logs, self._suffix, phase)
         self._seen += len(rows)
         return smoothed, first, scores

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak_mb
+from decoder_reference import reference_scores
 from kwscascade.decoder import (
+    _CHUNK_ROWS,
     DecoderConfig,
     InsufficientFramesError,
     StreamingDecoder,
@@ -298,7 +301,7 @@ def split_streams(draw):
     before a block boundary of the decoder's frame clock.
     """
     units = draw(st.integers(1, 4))
-    window = draw(st.one_of(st.just(units), st.integers(units, 60)))
+    window = draw(st.one_of(st.just(units), st.integers(units, 100)))
     cfg = DecoderConfig(units, smoothing_window_frames=draw(st.integers(1, 25)),
                         score_window_frames=window)
     total = draw(st.one_of(
@@ -354,6 +357,49 @@ class TestPushSplits:
             if hyp.score >= threshold and not short:
                 assert hyp.alignment == tuple(a + lo + first for a in oracle.alignment)
 
+    @settings(max_examples=100, deadline=None)
+    @given(split_streams())
+    def test_batch_and_any_split_give_the_row_major_reference_bytes(self, case):
+        # M 1-4, L 1-25, T_s from M to 100; the reference is the [T, M] kernel
+        # that the unit-major one replaced, in one call over the whole stream
+        cfg, first, posteriors, bounds, _ = case
+        want = reference_scores(posteriors, cfg).tobytes()
+        assert batch_frame_scores(posteriors, cfg).tobytes() == want
+        dec = StreamingDecoder(cfg, first_frame_index=first)
+        pushed = [hyp.score for lo, hi in zip(bounds, bounds[1:])
+                  for _, hyp in dec.push(posteriors[lo:hi])]
+        assert np.array(pushed).tobytes() == want
+
+
+class TestChunkSeams:
+    """Streams of 2 * _CHUNK_ROWS + r rows cross two of the batch scorer's
+    chunk seams. Chunks hold whole blocks: 50-frame blocks do not divide
+    16384 rows, so the seams fall at 16350 and 32700; 64-frame ones do."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(window=st.sampled_from([50, 64]), extra=st.integers(0, 127),
+           smoothing=st.integers(1, 25), seed=st.integers(0, 2**32 - 1),
+           cuts=st.lists(st.integers(1, 2 * _CHUNK_ROWS + 126), max_size=12),
+           near_seams=st.lists(st.integers(-3, 3), max_size=4), zeros=st.booleans())
+    def test_any_split_equals_the_batch_scorer(self, window, extra, smoothing, seed,
+                                              cuts, near_seams, zeros):
+        cfg = DecoderConfig(3, smoothing_window_frames=smoothing, score_window_frames=window)
+        total = 2 * _CHUNK_ROWS + extra
+        posteriors = np.random.default_rng(seed).uniform(0, 1, size=(total, 3))
+        seams = [k * (_CHUNK_ROWS // window) * window for k in (1, 2)]
+        if zeros:  # -inf logs on both sides of each seam
+            for seam in seams:
+                posteriors[seam - window : seam + 7] = 0.0
+        # one-row pushes and cuts around the seams, among random cuts
+        cuts = {*cuts, *(seam + d for seam in seams for d in near_seams)}
+        bounds = [0, *sorted(c for c in cuts if 0 < c < total), total]
+        dec = StreamingDecoder(cfg)
+        pushed = [hyp.score for lo, hi in zip(bounds, bounds[1:])
+                  for _, hyp in dec.push(posteriors[lo:hi])]
+        batch = batch_frame_scores(posteriors, cfg)
+        assert np.array(pushed).tobytes() == batch.tobytes()
+        assert batch.tobytes() == reference_scores(posteriors, cfg).tobytes()
+
 
 class TestRowStep:
     def test_one_row_pushes_sum_each_mean_in_row_order(self):
@@ -378,6 +424,11 @@ class TestStreamAge:
         assert np.array_equal(aged[-300:], fresh[-300:])
 
 
+# one ulp outside [0, 1] on either side fails the range check's min/max fast
+# path as far-off values do
+BAD_VALUES = [np.nan, np.inf, -np.inf, -0.5, 1.5, np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)]
+
+
 class TestOutOfRangePosteriors:
     CFG = DecoderConfig(2, smoothing_window_frames=5, score_window_frames=20)
 
@@ -387,12 +438,12 @@ class TestOutOfRangePosteriors:
         posteriors[100, 1] = bad_value
         return posteriors
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("bad_value", BAD_VALUES)
     def test_batch_names_the_first_bad_frame(self, bad_value):
         with pytest.raises(ValueError, match="frame 100 "):
             batch_frame_scores(self.stream(bad_value), self.CFG)
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("bad_value", BAD_VALUES)
     def test_streaming_names_the_first_bad_frame(self, bad_value):
         posteriors = self.stream(bad_value)
         dec = StreamingDecoder(self.CFG, first_frame_index=7)
@@ -400,19 +451,19 @@ class TestOutOfRangePosteriors:
         with pytest.raises(ValueError, match="frame 107 "):
             dec.push(posteriors[90:120])
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("bad_value", BAD_VALUES)
     def test_keyword_score_names_the_first_bad_row(self, bad_value):
         window = self.stream(bad_value)[90:120]
         window[15, 0] = bad_value
         with pytest.raises(ValueError, match="frame 10 "):
             keyword_score(window)
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("bad_value", BAD_VALUES)
     def test_smooth_names_the_first_bad_row(self, bad_value):
         with pytest.raises(ValueError, match="frame 100 "):
             decoder_means(self.stream(bad_value), 5)
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("bad_value", BAD_VALUES)
     def test_rejected_push_leaves_the_state_unchanged(self, bad_value):
         rng = np.random.default_rng(3)
         clean = rng.uniform(0, 1, size=(200, 2))
@@ -427,7 +478,7 @@ class TestOutOfRangePosteriors:
         after = [(f, h.score) for f, h in rejected.push(clean[50:])]
         assert after == [(f, h.score) for f, h in untouched.push(clean[50:])]
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("bad_value", BAD_VALUES)
     def test_rejected_row_step_leaves_the_state_unchanged(self, bad_value):
         # 53 rows in, the next one-row push is a row step in mid-block
         clean = np.random.default_rng(4).uniform(0, 1, size=(120, 2))
@@ -445,3 +496,27 @@ class TestOutOfRangePosteriors:
 
         after = [(f, h.score, h.alignment) for f, h in one_row_pushes(rejected)]
         assert after == [(f, h.score, h.alignment) for f, h in one_row_pushes(untouched)]
+
+    def test_negative_zero_and_empty_pushes_pass(self):
+        # -0.0 lies in [0, 1]; a run of it gives -0.0 means, whose log is -inf
+        # as that of 0.0 is, so the scores are 0.0's to the bit
+        unsigned, signed = self.stream(0.2), self.stream(0.2)
+        unsigned[60:130, 1], signed[60:130, 1] = 0.0, -0.0
+        want = batch_frame_scores(unsigned, self.CFG).tobytes()
+        assert batch_frame_scores(signed, self.CFG).tobytes() == want
+        dec = StreamingDecoder(self.CFG)
+        assert dec.push(signed[:0]) == []
+        hits = dec.push(signed[:95]) + [dec.push(row) for row in signed[95:135]]
+        hits += dec.push(signed[135:135]) + dec.push(signed[135:])
+        assert np.array([h.score for _, h in hits]).tobytes() == want
+        assert batch_frame_scores(signed[:0], self.CFG).size == 0
+
+
+class TestBatchMemory:
+    def test_peak_is_bounded_by_one_chunk(self):
+        # chunks of at most _CHUNK_ROWS rows hold about 3.0 MB of temporaries
+        # at 3 units, next to the 1.6 MB result; one pass over all 200,000
+        # rows peaks at about 38 MB
+        cfg = DecoderConfig(3, smoothing_window_frames=10, score_window_frames=50)
+        posteriors = np.random.default_rng(23).uniform(0, 1, size=(200_000, 3))
+        assert traced_peak_mb(lambda: batch_frame_scores(posteriors, cfg)) < 6
