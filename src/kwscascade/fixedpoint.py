@@ -4,8 +4,12 @@ Every result in this module is an integer, computed exactly with one
 documented rounding rule, so two runs on any platform produce identical
 bytes. The FFT carries its integers in float64 (complex128), which holds
 them exactly under the bound stated in fft_fixed; everything else is
-integer arithmetic. The bit widths below are the emulation contract;
-changing any of them changes the output stream.
+integer arithmetic. The FFT's stages run in constant geometry (see
+fft_fixed): the in-place butterflies' pairs, twiddles and single rounding
+in another memory order, so the bits are the same. The bit widths below
+are the emulation contract; changing any of them changes the output
+stream. The kernels take integers only: a float that is not a whole
+number raises ValueError rather than being truncated.
 """
 
 from functools import lru_cache
@@ -76,37 +80,68 @@ def _bit_reverse_indices(n):
 
 @lru_cache(maxsize=None)
 def _stages(n):
-    """Per FFT stage: its m Q15 twiddles times 2**-15 (m is the stage's
-    half size), and the n offsets its single rounding adds.
+    """The FFT's two read-only tables: a [stages, n/2] array whose row for
+    the stage of half size m holds its m Q15 twiddles times 2**-15, each
+    repeated n/(2m) times, and the n offsets every stage's single rounding
+    adds.
 
     The factor is a power of two, so each twiddle is still exact in
     complex128 and a product with it is the Q15 product shifted right by 15
-    without rounding. The offset is 3/2 on each butterfly's sum and
-    3/2 - 2**-15 on its difference, in both components.
+    without rounding. The offset is 3/2 on the first half, where the
+    butterflies' sums go, and 3/2 - 2**-15 on the second half, where their
+    differences go, in both components.
     """
-    ang = -2.0 * np.pi * np.arange(n // 2) / n
+    half = n // 2
+    ang = -2.0 * np.pi * np.arange(half) / n
     w = (quantize_fract(np.cos(ang), TWIDDLE_FRACT_BITS)
          + 1j * quantize_fract(np.sin(ang), TWIDDLE_FRACT_BITS)) * 2.0**-TWIDDLE_FRACT_BITS
-    stages, m = [], 1
-    while m < n:
-        offset = np.empty((n // (2 * m), 2, m), dtype=np.complex128)
-        offset[:, 0] = 1.5 * (1 + 1j)
-        offset[:, 1] = (1.5 - 2.0**-TWIDDLE_FRACT_BITS) * (1 + 1j)
-        stages.append((_read_only(w[:: n // (2 * m)].copy()), _read_only(offset.reshape(n))))
-        m *= 2
-    return tuple(stages)
+    twiddles = np.empty((n.bit_length() - 1, half), dtype=np.complex128)
+    for stage, row in enumerate(twiddles):
+        repeat = half >> stage
+        row[:] = np.repeat(w[::repeat], repeat)
+    offset = np.empty(n, dtype=np.complex128)
+    offset[:half] = 1.5 * (1 + 1j)
+    offset[half:] = (1.5 - 2.0**-TWIDDLE_FRACT_BITS) * (1 + 1j)
+    return _read_only(twiddles), _read_only(offset)
+
+
+def _integers(values, name):
+    """``values`` as an int64 array. An integer dtype is taken as it is, with
+    no scan; any other input must hold whole finite numbers within int64,
+    else ValueError, so a float is never truncated into a wrong answer."""
+    v = np.asarray(values)
+    if v.dtype.kind in "iu":
+        return v.astype(np.int64, copy=False)
+    if v.dtype.kind != "f" or not np.all((v == np.floor(v)) & (v >= -(2.0**63)) & (v < 2.0**63)):
+        raise ValueError(f"{name} requires integer values, got {v.dtype} input")
+    return v.astype(np.int64)
 
 
 def fft_fixed(samples):
-    """Radix-2 DIT FFT of an integer sequence, scaled by 1/N.
+    """Radix-2 DIT FFT of a 1-D integer sequence, scaled by 1/N.
 
-    ``samples`` length must be a power of two and every sample must lie in
-    the 32-bit butterfly lane (|x| <= 2**31 - 1), else FixedPointOverflowError.
+    ``samples`` must be 1-D and hold integers (ValueError otherwise), its
+    length must be a power of two, and every sample must lie in the 32-bit
+    butterfly lane (|x| <= 2**31 - 1), else FixedPointOverflowError.
     Returns ``(re, im)`` int64 arrays holding DFT(samples)/N. Each butterfly
     is the integer one: t = (w * b + 2**14) >> 15 per component with Q15
     twiddles w, then (a + t + 1) >> 1 and (a - t + 1) >> 1; halving every
     stage implements the 1/N scaling and keeps the outputs in the lane
     (asserted).
+
+    The stages run in constant geometry (Pease, J. ACM 15(2), 1968). The
+    input is bit-reversed once. Every stage then reads its butterflies'
+    inputs as the even values a = y[0::2] and the odd values b = y[1::2] of
+    one buffer, and writes the sums to the first half of a second buffer
+    and the differences to its second half; the two buffers swap each stage
+    and the last one holds the result in natural order. These are the
+    in-place radix-2 butterflies, the same pairs with the same twiddles and
+    the same rounding, stored in another order: the pair that the in-place
+    stage of half size m keeps at g*2m + j and g*2m + m + j sits at 2q and
+    2q + 1 here, with q = j*n/(2m) + g. So stage m's twiddle row repeats
+    each of its m twiddles n/(2m) times. That repetition is a host-side
+    layout for one contiguous multiply per stage; the emulated DSP's table
+    is still the n/2 Q15 twiddles.
 
     Each stage rounds once. With s = w * b, which lies on the 2**-15 grid,
     t = floor(s + 1/2), (v + 1) >> 1 = floor((v + 1) / 2), and
@@ -114,11 +149,11 @@ def fft_fixed(samples):
     sum is floor((a + s + 3/2) / 2). The difference is
     floor((a - s + 3/2 - 2**-15) / 2), because a - t = ceil(a - s - 1/2)
     and ceil(y) = floor(y + 1 - 2**-15) for y on that grid. A stage is then
-    the products' sum and difference, one add of its offsets from
+    the products' sum and difference, one add of the offsets from
     ``_stages``, one halving and one floor, for every twiddle, 1 and -j
     included.
 
-    The butterflies run on one complex128 array, and that is exact. From
+    The butterflies run on complex128 arrays, and that is exact. From
     lane inputs a stage keeps the complex modulus within a rounding step
     (|w| is 1 to within 2**-15), so a and b stay integers below 2**32, each
     Q15 sum of products w*b stays below 2**48, and a +- s plus an offset
@@ -126,27 +161,38 @@ def fft_fixed(samples):
     power-of-two scaling is then exact in float64, with or without fused
     multiply-add.
     """
-    n = len(samples)
+    x = _integers(samples, "fft_fixed")
+    if x.ndim != 1:
+        raise ValueError(f"fft_fixed takes one 1-D frame, got shape {x.shape}")
+    n = len(x)
     if n & (n - 1) or n == 0:
         raise ValueError(f"FFT size must be a power of two, got {n}")
-    x = np.asarray(samples, dtype=np.int64)
     # min/max, not abs: abs(-2**63) wraps to a negative int64
     if x.min() < -_BUTTERFLY_MAX or x.max() > _BUTTERFLY_MAX:
         raise FixedPointOverflowError(f"input sample outside the {BUTTERFLY_BITS}-bit lane")
-    z = x[_bit_reverse_indices(n)].astype(np.complex128)
-    flat = z.view(np.float64)
-    for w, offset in _stages(n):
-        pairs = z.reshape(-1, 2, len(w))
-        a, b = pairs[:, 0], pairs[:, 1]
-        s = w * b
-        np.subtract(a, s, out=b)
-        a += s
-        z += offset
+    twiddles, offset = _stages(n)
+    offset = offset.view(np.float64)
+    half = n // 2
+    y = x[_bit_reverse_indices(n)].astype(np.complex128)
+    # each buffer's even values, odd values, two halves and float64 view,
+    # sliced once per call rather than once per stage
+    src, dst = ((buf[0::2], buf[1::2], buf[:half], buf[half:], buf.view(np.float64))
+                for buf in (y, np.empty_like(y)))
+    for w in twiddles:
+        a, b = src[:2]
+        first, second, flat = dst[2:]
+        # the products w * b wait in the second half, which they leave last
+        np.multiply(w, b, out=second)
+        np.add(a, second, out=first)
+        np.subtract(a, second, out=second)
+        flat += offset
         flat *= 0.5
         np.floor(flat, out=flat)
+        src, dst = dst, src
+    flat = src[-1]
     if np.abs(flat).max() > _BUTTERFLY_MAX:
         raise FixedPointOverflowError(f"butterfly value exceeds {BUTTERFLY_BITS}-bit lane")
-    return z.real.astype(np.int64), z.imag.astype(np.int64)
+    return flat[0::2].astype(np.int64), flat[1::2].astype(np.int64)
 
 
 def power_spectrum_fixed(samples):
@@ -184,8 +230,9 @@ def _log2_fraction_exact(x):
 def fixed_ln(values):
     """Natural log of positive integers, returned in Q``LOG_FRACT_BITS``.
 
-    Takes a scalar or an int64 array of any shape, returns int64 of that
-    shape, exact for every positive int64. The MSB is the float64 exponent,
+    Takes a scalar or an integer array of any shape (ValueError for a
+    value that is not a whole number), returns int64 of that shape, exact
+    for every positive int64. The MSB is the float64 exponent,
     less one where rounding carried a value up to the next power of two
     (one shift test finds those). The Q16 fraction of log2 is
     ``_log2_fraction_exact``'s on the truncated Q31 mantissa x, then one
@@ -205,7 +252,7 @@ def fixed_ln(values):
     recurrence gives it exactly (d = 0), and so does the floor of f + 1e-6,
     so it never runs the recurrence.
     """
-    v = np.asarray(values, dtype=np.int64)
+    v = _integers(values, "fixed_ln")
     if v.size and v.min() <= 0:
         raise ValueError("fixed_ln requires positive integers")
     shape, v = v.shape, v.ravel()

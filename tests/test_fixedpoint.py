@@ -190,14 +190,22 @@ class TestFixedFft:
     @pytest.mark.parametrize("n", [1 << k for k in range(1, 11)])
     def test_each_stage_offsets_sums_by_3_2_and_differences_by_one_grid_step_less(self, n):
         # fft_fixed's single rounding per stage: floor((a + s + 3/2) / 2) and
-        # floor((a - s + 3/2 - 2**-15) / 2), for every twiddle including 1 and -j
-        stages = _stages(n)
-        assert [len(w) for w, _ in stages] == [1 << k for k in range(len(stages))]
-        for w, offset in stages:
-            pairs = offset.reshape(-1, 2, len(w))
-            assert offset.shape == (n,)
-            assert np.all(pairs[:, 0] == 1.5 + 1.5j)
-            assert np.all(pairs[:, 1] == (1.5 - 2.0**-TWIDDLE_FRACT_BITS) * (1 + 1j))
+        # floor((a - s + 3/2 - 2**-15) / 2), for every twiddle including 1 and -j.
+        # In constant geometry every stage writes its sums to the first half and
+        # its differences to the second, so one offset vector serves them all,
+        # and the stage of half size m repeats each of its m twiddles n/(2m) times
+        twiddles, offset = _stages(n)
+        half = n // 2
+        assert twiddles.shape == (n.bit_length() - 1, half)
+        for stage, row in enumerate(twiddles):
+            m = 1 << stage
+            ang = -2.0 * np.pi * np.arange(m) / (2 * m)
+            w = (quantize_fract(np.cos(ang), TWIDDLE_FRACT_BITS)
+                 + 1j * quantize_fract(np.sin(ang), TWIDDLE_FRACT_BITS))
+            assert np.array_equal(row, np.repeat(w * 2.0**-TWIDDLE_FRACT_BITS, half // m))
+        assert offset.shape == (n,)
+        assert np.all(offset[:half] == 1.5 + 1.5j)
+        assert np.all(offset[half:] == (1.5 - 2.0**-TWIDDLE_FRACT_BITS) * (1 + 1j))
 
     @pytest.mark.parametrize("n", [1 << k for k in range(2, 11)])
     def test_rounding_ties_equal_int64_reference(self, n):
@@ -228,6 +236,26 @@ class TestFixedFft:
             fft_fixed(x)
 
 
+    @pytest.mark.parametrize("shape", [(), (4, 4), (2, 8), (1, 4)])
+    def test_input_that_is_not_one_frame_raises(self, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            fft_fixed(np.zeros(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("samples", [[0.5, 1.7, 2.2, -0.9], [0.0, 0.0, 0.0, np.nan],
+                                         [0.0, np.inf, 0.0, 0.0], [1 + 1j, 0, 0, 0],
+                                         [0, 0, 0, 2.0**63]])
+    def test_non_integer_samples_raise(self, samples):
+        with pytest.raises(ValueError, match="integer values"):
+            fft_fixed(samples)
+
+    def test_whole_floats_and_narrow_integers_give_the_int64_bits(self):
+        x = np.random.default_rng(3).integers(-32768, 32767, 64)
+        ref_re, ref_im = fft_fixed(x)
+        for same in (x.astype(np.float64), x.astype(np.int16), x.tolist()):
+            re, im = fft_fixed(same)
+            assert np.array_equal(re, ref_re) and np.array_equal(im, ref_im)
+
+
 class TestFixedLn:
     def test_matches_math_log(self):
         rng = np.random.default_rng(2)
@@ -242,6 +270,16 @@ class TestFixedLn:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             fixed_ln(0)
+
+    @pytest.mark.parametrize("values", [2.7, 0.5, np.nan, np.inf, [3, 2.5], True, "7"])
+    def test_non_integer_values_raise(self, values):
+        with pytest.raises(ValueError, match="integer values"):
+            fixed_ln(values)
+
+    def test_whole_floats_give_the_int64_bits(self):
+        values = np.array([1, 2, 3, 12345, 2**40])
+        assert fixed_ln(values.astype(np.float64)).tolist() == fixed_ln(values).tolist()
+        assert fixed_ln(2.0) == fixed_ln(2) == LN2_Q16
 
     def test_monotone(self):
         values = [1, 2, 3, 10, 100, 12345, 2**20, 2**40]

@@ -230,7 +230,7 @@ class TestMelFilterbank:
     lambda: [mel_filterbank(FLOAT)],
     lambda: _mel_table_q15(FLOAT),
     lambda: [_bit_reverse_indices(512)],
-    lambda: [table for stage in _stages(512) for table in stage],
+    lambda: list(_stages(512)),
 ], ids=["hann", "hann_q15", "mel", "mel_q15", "bit_reverse", "twiddles"])
 def test_cached_tables_are_read_only(tables):
     arrays = tables()
@@ -256,6 +256,15 @@ class TestFixedPointPath:
         assert frames.dtype == np.int64
         powers = power_spectra(frames, FIXED)
         assert powers.dtype == np.int64
+
+    def test_one_always_on_push_allocates_under_40_kb(self):
+        # one 10 ms push, after a first push has built the cached tables:
+        # 35.2 KB with the constant-geometry FFT's two frame buffers, 34.4 KB
+        # before it; one more 512-point complex128 copy would add 8.2 KB
+        stream = FrontendStream(FIXED)
+        noise = speech_like_noise(16000, seed=3)
+        stream.push(noise[:8000])
+        assert traced_peak_mb(lambda: stream.push(noise[8000:8160])) * 1e6 < 40_000
 
     def test_sparse_mel_table_equals_the_dense_product(self):
         # A full-scale int16 bin has power 2 * (2**15)**2 after the 1/N FFT.
