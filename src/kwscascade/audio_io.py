@@ -1,4 +1,4 @@
-"""File formats: WAV in, raw PCM in, posterior streams.
+"""File formats: PCM in (WAV or a raw stream, one block reader), posterior streams.
 
 Posterior stream layout (little-endian):
     0   4  magic b"KWSY"
@@ -9,7 +9,6 @@ Posterior stream layout (little-endian):
 
 import os
 import struct
-import sys
 import wave
 
 import numpy as np
@@ -23,7 +22,7 @@ STREAM_VERSION = 1
 def open_wav(path):
     """Open a WAV file for reading once its header shows 16-bit mono 16 kHz PCM;
     ConfigError naming the path for any other file. ``getnframes()`` is then the
-    header's sample count, which ``read_wav`` checks against the data."""
+    header's sample count, which ``read_pcm`` checks against the data."""
     try:
         wav = wave.open(path, "rb")
     except (wave.Error, EOFError) as exc:
@@ -40,24 +39,51 @@ def open_wav(path):
     raise ConfigError(f"{path}: {problem}")
 
 
-def read_wav(path):
-    """Load a 16-bit mono 16 kHz RIFF file as an AudioChunk; ConfigError
-    naming the path for any other file. The data is read a block at a time
-    into one writable int16 array, the only copy of the audio held. The array
-    is no longer than the file, whatever count its header claims."""
-    with open_wav(path) as wav:
+def read_pcm(source):
+    """The one PCM reader: int16 blocks of BLOCK_SAMPLES, the last one shorter, from a WAV
+    path (its header checked first, see ``open_wav``) or a binary stream of 16-bit
+    little-endian samples. A fault at the data's end is raised after every whole sample:
+    ConfigError naming the path for WAV data short of its header's count, ValueError for
+    an odd byte count. A short read in mid-stream is not the end."""
+    if hasattr(source, "read"):
+        got = yield from _blocks(source.read)
+        if got % 2:
+            raise ValueError(f"raw PCM has an odd byte count ({got}); samples are 16-bit")
+        return
+    with open_wav(source) as wav:
         expected = 2 * wav.getnframes()  # 16-bit mono
-        samples = np.empty(min(expected, os.path.getsize(path)) // 2, dtype=np.int16)
-        got = 0  # bytes read
-        while got < samples.nbytes:
-            raw = wav.readframes(BLOCK_SAMPLES)
-            if not raw:
-                break
-            samples[got // 2 : (got + len(raw)) // 2] = np.frombuffer(raw, "<i2", len(raw) // 2)
-            got += len(raw)
+        got = yield from _blocks(lambda size: wav.readframes(size // 2))
     if got != expected:
-        raise ConfigError(f"{path}: WAV data ends early ({got} of {expected} bytes)")
-    return AudioChunk(samples)
+        raise ConfigError(f"{source}: WAV data ends early ({got} of {expected} bytes)")
+
+
+def _blocks(read):
+    """Yield int16 blocks of BLOCK_SAMPLES, the last one shorter, from ``read(size)``,
+    which returns at most ``size`` bytes and b"" at the end; return the bytes read.
+    A block read whole is used as it is, without a copy."""
+    size, got, pieces = 2 * BLOCK_SAMPLES, 0, []  # pieces: the current block's reads
+    while raw := read(size - got % size):
+        got += len(raw)
+        pieces.append(raw)
+        if got % size == 0:
+            yield np.frombuffer(b"".join(pieces), "<i2")
+            pieces = []
+    if got % size > 1:
+        yield np.frombuffer(b"".join(pieces), "<i2", got % size // 2)
+    return got
+
+
+def read_wav(path):
+    """Load a 16-bit mono 16 kHz RIFF file as an AudioChunk; ConfigError naming the
+    path for any other file (see ``read_pcm``). The blocks fill one writable int16
+    array, the only copy of the audio held, no longer than the file, whatever count
+    its header claims."""
+    samples = np.empty(os.path.getsize(path) // 2, dtype=np.int16)
+    got = 0  # samples read
+    for block in read_pcm(path):
+        samples[got : got + len(block)] = block
+        got += len(block)
+    return AudioChunk(samples[:got])
 
 
 def write_wav(path, samples):
@@ -68,15 +94,6 @@ def write_wav(path, samples):
         wav.setsampwidth(2)
         wav.setframerate(SAMPLE_RATE_HZ)
         wav.writeframes(samples.astype("<i2").tobytes())
-
-
-def read_raw_pcm(stream=None):
-    """Signed 16-bit little-endian mono PCM from a binary stream (stdin by default)."""
-    stream = stream if stream is not None else sys.stdin.buffer
-    raw = stream.read()
-    if len(raw) % 2:
-        raise ValueError(f"raw PCM has an odd byte count ({len(raw)}); samples are 16-bit")
-    return AudioChunk(np.frombuffer(raw, dtype="<i2").astype(np.int16))
 
 
 def write_posteriors(fileobj, posteriors, num_units):

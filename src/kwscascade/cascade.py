@@ -369,7 +369,7 @@ class Cascade:
         return []
 
     def _conclude_stage2(self, accept):
-        job = self._stage2_job
+        job, self._stage2_job = self._stage2_job, None
         frontend = self.config.frontend
         if accept is not None:
             frame, hyp, segment = accept
@@ -386,7 +386,6 @@ class Cascade:
             decision_sample = job.deadline_sample
             events = [CascadeEvent(EventKind.STAGE2_REJECT, samples_to_ms(decision_sample),
                                    stage1_score=job.trigger_score)]
-        self._stage2_job = None
         self.stats.stage2_samples += decision_sample - job.base_sample
         # Anchor the refractory where the decision was made: a snapshot accept
         # is stamped at its audio time, but is decided at the trigger.
@@ -397,7 +396,13 @@ class Cascade:
         return events
 
     def _verify_speaker(self, segment, ts):
-        signature = speaker_mod.embed(segment, self._speaker_model)
-        result = speaker_mod.verify(signature, self._speaker_profile)
+        """The speaker decision on an accept's segment, stamped at the accept. A segment
+        the verifier cannot score (``speaker.UnscorableError``) is a speaker_reject with
+        no speaker_score."""
+        try:
+            result = speaker_mod.verify(speaker_mod.embed(segment, self._speaker_model),
+                                        self._speaker_profile)
+        except speaker_mod.UnscorableError:
+            return CascadeEvent(EventKind.SPEAKER_REJECT, ts)
         kind = EventKind.SPEAKER_ACCEPT if result.accepted else EventKind.SPEAKER_REJECT
         return CascadeEvent(kind, ts, speaker_score=result.score)

@@ -23,7 +23,7 @@ from .cascade import (
     enforce_budget,
     stage2_pass,
 )
-from .decoder import DecoderConfig, StreamingDecoder
+from .decoder import DecoderConfig, StreamingDecoder, _check_unit_range
 from .encoder import (
     ModelKind,
     ModelParseError,
@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# `score` decodes this many frames at a time, so its memory does not grow with the stream
+SCORE_BLOCK_FRAMES = 16384
 
 # The config file's sections. A section's keys are the fields its dataclass
 # declares as keys (see frontend.setting), and each key is parsed by its
@@ -122,12 +125,6 @@ def _read_model(path):
         return load_model(fh.read())
 
 
-def _read_audio(source):
-    if source == "-":
-        return audio_io.read_raw_pcm()
-    return audio_io.read_wav(source)
-
-
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -174,14 +171,16 @@ def cmd_score(args):
         with open(args.posteriors, "rb") as fh:
             posteriors, num_units = audio_io.read_posteriors(fh)
     dec = StreamingDecoder(DecoderConfig(num_units, **cfg["stage1"]))
-    hits = dec.push(posteriors[:, :num_units])  # raises before any output
+    units = posteriors[:, :num_units]
+    _check_unit_range(units.T)  # raises before any output
     sys.stdout.write("record,frame,score\n")
-    for frame, hyp in hits:
-        sys.stdout.write(f"score,{frame},{hyp.score:.9f}\n")
-    if hits:
-        last_hyp = hits[-1][1]
-        cells = ",".join(str(a) for a in last_hyp.alignment)
-        sys.stdout.write(f"alignment,{last_hyp.end_frame},{cells}\n")
+    last = None  # the last hypothesis, for the alignment line
+    for start in range(0, len(units), SCORE_BLOCK_FRAMES):
+        for frame, last in dec.push(units[start : start + SCORE_BLOCK_FRAMES]):
+            sys.stdout.write(f"score,{frame},{last.score:.9f}\n")
+    if last is not None:
+        cells = ",".join(str(a) for a in last.alignment)
+        sys.stdout.write(f"alignment,{last.end_frame},{cells}\n")
     return EXIT_OK
 
 
@@ -205,12 +204,11 @@ def cmd_run_cascade(args):
         with open(args.speaker_profile, "rb") as fh:
             profile = speaker.load_profile(fh.read())
     cascade = Cascade(cascade_cfg, stage1, stage2, speaker_model, profile)
-    chunk = _read_audio(args.input)
-    step = frontend.hop_samples * 16  # 160 ms chunks
-    for start in range(0, len(chunk.samples), step):
-        for event in cascade.push_audio(chunk.samples[start : start + step]):
-            _emit(event.to_dict())
-    for event in cascade.finish():
+    source = sys.stdin.buffer if args.input == "-" else args.input
+    # printed once the input ends, so a malformed input leaves stdout empty
+    events = [event for block in audio_io.read_pcm(source)
+              for event in cascade.push_audio(block)]
+    for event in events + cascade.finish():
         _emit(event.to_dict())
     return EXIT_OK
 
@@ -229,7 +227,7 @@ def _segment_signature(wav_path, stage2_model, embedding_model, frontend, decode
     """Embed the segment of stage 2's first accept in the file, as the cascade does."""
     det = DetectorStream(frontend, stage2_model, decoder_cfg,
                          AccumMode.FLOAT, keep_features=True)
-    accept = stage2_pass(det, _read_audio(wav_path))
+    accept = stage2_pass(det, audio_io.read_wav(wav_path))
     if accept is None:
         raise CliError(f"{wav_path}: stage 2 never reaches its threshold")
     return speaker.embed(accept[2], embedding_model)

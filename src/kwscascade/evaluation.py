@@ -30,8 +30,7 @@ import numpy as np
 
 from .cascade import DetectorStream, check_model
 from .decoder import batch_frame_scores
-from .frontend import (SAMPLE_RATE_HZ, FrontendStream, frame_timestamp_ms, num_frames_for,
-                       pcm_blocks)
+from .frontend import SAMPLE_RATE_HZ, FrontendStream, frame_timestamp_ms, num_frames_for
 from .quantize import AccumMode
 
 DEFAULT_REFRACTORY_MS = 1000.0
@@ -64,7 +63,7 @@ class PipelineScorer:
 
     Score k is stream frame k's. The first S-1 frames of a model stacking S
     frames have no score of their own and are NaN, which no threshold
-    accepts. A stream's samples are its ``samples()``.
+    accepts. A stream's samples are its ``blocks()``, ``num_samples`` in all.
     """
 
     def __init__(self, frontend_config, model, decoder_config, mode=AccumMode.FIXED):
@@ -81,13 +80,12 @@ class PipelineScorer:
         of score arrays, this scorer's first."""
         if any(other.frontend_config != self.frontend_config for other in others):
             raise ValueError("a shared frontend pass needs equal frontend configs")
-        samples = stream.samples()
         frontend = FrontendStream(self.frontend_config)
         heads = [DetectorStream(s.frontend_config, s.model, s.config, s.mode)
                  for s in (self, *others)]
-        scores = np.full((len(heads), num_frames_for(len(samples), self.frontend_config)),
+        scores = np.full((len(heads), num_frames_for(stream.num_samples, self.frontend_config)),
                          np.nan)
-        for block in pcm_blocks(samples):
+        for block in stream.blocks():
             frames = frontend.push(block)
             for head, row in zip(heads, scores):
                 for frame, hyp in head.push_frames(frames):

@@ -24,10 +24,13 @@ SAMPLE_RATE_HZ = 16000
 # floors at config.log_floor. See FrontendConfig.log_floor.
 _FIXED_POWER_FLOOR = 1
 
-# Whole-file paths feed the streaming stages this many samples (2 s) at a time,
-# so their temporaries, about 10 KB per 10 ms frame, scale with the block and
-# not with the file. Every stage gives the same bits under any chunking.
+# Audio is read (audio_io.read_pcm) and whole arrays are pushed this many samples
+# (2 s) at a time, so the temporaries, about 10 KB per 10 ms frame, scale with the
+# block and not with the input. Every stage gives the same bits under any chunking.
 BLOCK_SAMPLES = 2 * SAMPLE_RATE_HZ
+
+# The noise tracker's window W in frames, 1 s at the default hop: see NoiseFloorTracker.
+NOISE_WINDOW_FRAMES = 100
 
 
 class ConfigError(ValueError):
@@ -101,7 +104,6 @@ class FrontendConfig:
     mel_high_hz: float = setting(7500.0, le=SAMPLE_RATE_HZ / 2)
     log_floor: float = setting(1e-12, gt=0.0, lt=math.inf)
     noise_suppression_enabled: bool = setting(False, key="noise_suppression")
-    noise_window_frames: int = setting(100, key=False, ge=1)
     arithmetic_mode: ArithmeticMode = setting(ArithmeticMode.FLOAT)
 
     def __post_init__(self):
@@ -352,7 +354,7 @@ class FrontendStream:
         self._config = config
         self._residual = np.zeros(0, dtype=np.int16)
         self._next_frame = 0
-        self._tracker = (NoiseFloorTracker(config.noise_window_frames)
+        self._tracker = (NoiseFloorTracker(NOISE_WINDOW_FRAMES)
                          if config.noise_suppression_enabled else None)
 
     def push(self, samples):

@@ -19,7 +19,12 @@ PROFILE_MAGIC = b"KWSV"
 PROFILE_VERSION = 1
 
 
-class EmptySegmentError(ValueError):
+class UnscorableError(ValueError):
+    """Input the verifier cannot score: a segment too short to embed, or a zero
+    vector, whose cosine is undefined."""
+
+
+class EmptySegmentError(UnscorableError):
     """No frames to embed."""
 
 
@@ -89,7 +94,7 @@ def cosine_similarity(a, b):
     b = np.asarray(b, dtype=np.float64)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity of a zero vector is undefined")
+        raise UnscorableError("cosine similarity of a zero vector is undefined")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 

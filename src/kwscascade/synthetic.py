@@ -47,7 +47,7 @@ class PlantedEvent:
 
 @dataclass
 class SyntheticStream:
-    views: dict  # name -> [T, M+1] posterior array (or audio samples)
+    views: dict  # name -> [T, M+1] posterior array
     hop_ms: int
     events: list = field(default_factory=list)
 
@@ -66,27 +66,16 @@ class SyntheticStream:
 
 @dataclass
 class AudioStream:
-    """PCM payload with the same corpus-facing surface as SyntheticStream.
+    """A WAV file with the same corpus-facing surface as SyntheticStream: the file's
+    ``path`` and its header's ``num_samples``. ``blocks()`` reads the file a block at a
+    time (see ``audio_io.read_pcm``) at each call, so a corpus holds no audio."""
 
-    In memory, ``views["audio"]`` holds the int16 samples. A stream of a WAV
-    file has no views: it holds the file's ``path`` and its header's
-    ``num_samples``, and ``samples()`` reads the file at each call, so a corpus
-    of files holds no audio between scoring passes.
-    """
-
-    views: dict = None  # "audio" -> int16 samples
+    path: str
+    num_samples: int
     events: list = field(default_factory=list)
-    path: str = None
-    num_samples: int = None
 
-    def __post_init__(self):
-        if self.num_samples is None:
-            self.num_samples = len(self.views["audio"])
-
-    def samples(self):
-        if self.views is None:
-            return audio_io.read_wav(self.path).samples
-        return self.views["audio"]
+    def blocks(self):
+        return audio_io.read_pcm(self.path)
 
     @property
     def duration_ms(self):
@@ -360,7 +349,7 @@ def load_audio_corpus(manifest_path):
     scored."""
     def stream(path):
         with audio_io.open_wav(path) as wav:
-            return AudioStream(path=path, num_samples=wav.getnframes())
+            return AudioStream(path, wav.getnframes())
 
     neg_paths, pos_entries = audio_io.read_manifest(manifest_path)
     return SyntheticCorpus([stream(p) for p in neg_paths],

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import kwscascade as k
+from kwscascade.audio_io import write_wav
 from kwscascade.frontend import BLOCK_SAMPLES, SAMPLE_RATE_HZ
 from kwscascade.synthetic import (
+    AudioStream,
     make_random_embedding_model,
     make_tone_acoustic_model,
     synth_keyword_audio,
@@ -28,6 +30,12 @@ def traced_peak_mb(call):
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def wav_stream(path, samples, events=()):
+    """Write ``samples`` to the WAV file ``path``; the AudioStream that reads it."""
+    write_wav(str(path), samples)
+    return AudioStream(str(path), len(samples), list(events))
 
 
 def record_acceptance(number, description, passed, detail=""):

@@ -66,11 +66,12 @@ class TestWav:
         data[40:44] = struct.pack("<I", 0xFFFFFFFE)
         path.write_bytes(bytes(data))
 
-        def read():
+        def read(reader):
             with pytest.raises(ConfigError, match=f"ends early \\(2000 of {0xFFFFFFFE} bytes\\)"):
-                audio_io.read_wav(str(path))
+                reader(str(path))
 
-        assert traced_peak_mb(read) < 1
+        assert traced_peak_mb(lambda: read(audio_io.read_wav)) < 1
+        assert traced_peak_mb(lambda: read(lambda p: list(audio_io.read_pcm(p)))) < 1
 
 
 class TestWavCorpus:
@@ -79,22 +80,86 @@ class TestWavCorpus:
                                          negative_seconds=2.0)
         corpus = load_audio_corpus(manifest)
         stream = corpus.negatives[0]
-        assert stream.views is None
         assert stream.num_samples == 2 * 16000 and stream.duration_ms == 2000.0
-        assert np.array_equal(stream.samples(), audio_io.read_wav(stream.path).samples)
+        assert np.array_equal(np.concatenate(list(stream.blocks())),
+                              audio_io.read_wav(stream.path).samples)
         positive = corpus.positives[0].stream
         assert positive.num_samples == len(audio_io.read_wav(positive.path).samples)
 
 
-class TestRawPcm:
+class Trickle:
+    """A binary stream whose every read returns at most 3 bytes, as a pipe may."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def read(self, size):
+        return self._data.read(min(size, 3))
+
+
+def read_until(source, error, match):
+    """The samples ``read_pcm(source)`` yields before it raises ``error`` matching ``match``."""
+    blocks = []
+    with pytest.raises(error, match=match):
+        for block in audio_io.read_pcm(source):
+            blocks.append(block)
+    return np.concatenate(blocks) if blocks else np.zeros(0, np.int16)
+
+
+class TestReadPcm:
+    @pytest.mark.parametrize("length", [0, 1, BLOCK_SAMPLES - 1, BLOCK_SAMPLES,
+                                        BLOCK_SAMPLES + 1, 2 * BLOCK_SAMPLES])
+    def test_wav_blocks_concatenate_to_read_wav(self, tmp_path, length):
+        samples = speech_like_noise(length, seed=4) if length else np.zeros(0, np.int16)
+        path = str(tmp_path / "a.wav")
+        audio_io.write_wav(path, samples)
+        blocks = list(audio_io.read_pcm(path))
+        assert [len(b) for b in blocks] == [min(BLOCK_SAMPLES, length - start)
+                                            for start in range(0, length, BLOCK_SAMPLES)]
+        assert all(b.dtype == np.int16 for b in blocks)
+        whole = np.concatenate(blocks) if blocks else np.zeros(0, np.int16)
+        assert np.array_equal(whole, audio_io.read_wav(path).samples)
+        assert np.array_equal(whole, samples)
+
+    @pytest.mark.parametrize("cut", [1, 2000, 2 * (BLOCK_SAMPLES + 7)])  # the last: a block edge
+    def test_wav_cut_yields_the_samples_before_the_cut_then_ends_early(self, tmp_path, cut):
+        samples = speech_like_noise(2 * BLOCK_SAMPLES + 7, seed=1)
+        path = tmp_path / "cut.wav"
+        audio_io.write_wav(str(path), samples)
+        path.write_bytes(path.read_bytes()[:-cut])
+        expected = 2 * len(samples)
+        got = read_until(str(path), ConfigError,
+                         rf"WAV data ends early \({expected - cut} of {expected} bytes\)")
+        assert np.array_equal(got, samples[: (expected - cut) // 2])
+
+    def test_a_header_checked_before_the_first_block(self, tmp_path):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(b"not a RIFF file\n" * 4)
+        assert len(read_until(str(path), ConfigError, "not a WAV file")) == 0
+
+    def test_short_reads_give_the_same_samples(self):
+        samples = speech_like_noise(2 * BLOCK_SAMPLES + 5, seed=6)
+        data = samples.astype("<i2").tobytes()
+        trickled = list(audio_io.read_pcm(Trickle(data)))
+        assert [len(b) for b in trickled] == [BLOCK_SAMPLES, BLOCK_SAMPLES, 5]
+        assert np.array_equal(np.concatenate(trickled), samples)
+        assert np.array_equal(np.concatenate(list(audio_io.read_pcm(io.BytesIO(data)))),
+                              samples)
+
     def test_reads_little_endian_int16(self):
         samples = np.array([1, -2, 300, -32768], dtype=np.int16)
-        chunk = audio_io.read_raw_pcm(io.BytesIO(samples.astype("<i2").tobytes()))
-        assert np.array_equal(chunk.samples, samples)
+        blocks = list(audio_io.read_pcm(io.BytesIO(samples.astype("<i2").tobytes())))
+        assert len(blocks) == 1 and np.array_equal(blocks[0], samples)
 
-    def test_odd_trailing_byte_rejected(self):
-        with pytest.raises(ValueError, match="odd byte count"):
-            audio_io.read_raw_pcm(io.BytesIO(b"\x01\x00\x02"))
+    @pytest.mark.parametrize("stream", [io.BytesIO, Trickle])
+    def test_odd_total_names_the_total_after_the_whole_samples(self, stream):
+        data = speech_like_noise(BLOCK_SAMPLES + 1000, seed=7).astype("<i2").tobytes() + b"\x01"
+        got = read_until(stream(data), ValueError,
+                         rf"raw PCM has an odd byte count \({len(data)}\)")
+        assert got.tobytes() == data[:-1]
+
+    def test_empty_stream_yields_nothing(self):
+        assert list(audio_io.read_pcm(io.BytesIO(b""))) == []
 
 
 class TestPosteriorStream:

@@ -20,9 +20,10 @@ from kwscascade.cascade import (
     stage2_pass,
 )
 from kwscascade.decoder import DecoderConfig
-from kwscascade.encoder import pad_model_to_size
+from kwscascade.encoder import (Activation, EncoderModel, ModelKind, pad_model_to_size,
+                                quantize_layer)
 from kwscascade.frontend import BLOCK_SAMPLES, SAMPLE_RATE_HZ, ConfigError, num_frames_for
-from kwscascade.quantize import AccumMode, DimensionError
+from kwscascade.quantize import AccumMode, DimensionError, QuantParams
 from kwscascade.synthetic import (
     make_random_embedding_model,
     make_tone_acoustic_model,
@@ -32,12 +33,12 @@ from kwscascade.synthetic import (
 from kwscascade import speaker
 
 
-def make_cascade_config(frontend_config, threshold1=0.3, threshold2=0.4, **windows):
+def make_cascade_config(frontend_config, threshold1=0.3, threshold2=0.4, units=3, **windows):
     return CascadeConfig(
         frontend=frontend_config,
-        stage1_decoder=DecoderConfig(3, smoothing_window_frames=10,
+        stage1_decoder=DecoderConfig(units, smoothing_window_frames=10,
                                      score_window_frames=100, threshold=threshold1),
-        stage2_decoder=DecoderConfig(3, smoothing_window_frames=10,
+        stage2_decoder=DecoderConfig(units, smoothing_window_frames=10,
                                      score_window_frames=100, threshold=threshold2),
         **windows,
     )
@@ -434,9 +435,20 @@ class TestCascade:
             Cascade(make_cascade_config(frontend_config), big, tone_stage2_model)
 
 
+def relu_embedding_model(frontend_config, stacked, weight, bias, dim=8):
+    """A one-layer ReLU embedding model: weights from ``weight`` to about twice it,
+    every bias ``bias``."""
+    in_dim = frontend_config.num_channels * stacked
+    weights = np.tile(weight * (1 + np.arange(in_dim) / in_dim), (dim, 1))
+    layer = quantize_layer(weights, np.full(dim, bias),
+                           QuantParams(-30.0, 30.0), Activation.RELU)
+    return EncoderModel([layer], frontend_config.num_channels, stacked, dim,
+                        ModelKind.EMBEDDING)
+
+
 class TestSpeakerIntegration:
-    def _run(self, frontend_config, stage1, stage2, embedding, profile, audio):
-        cascade = Cascade(make_cascade_config(frontend_config), stage1, stage2,
+    def _run(self, frontend_config, stage1, stage2, embedding, profile, audio, units=3):
+        cascade = Cascade(make_cascade_config(frontend_config, units=units), stage1, stage2,
                           speaker_model=embedding, speaker_profile=profile)
         events = []
         for start in range(0, len(audio), 1600):
@@ -496,6 +508,37 @@ class TestSpeakerIntegration:
         assert kinds == [EventKind.STAGE1_TRIGGER, EventKind.STAGE2_ACCEPT,
                          EventKind.SPEAKER_REJECT]
         assert events[2].timestamp_ms == events[1].timestamp_ms
+
+    def _assert_unscorable_rejected(self, cascade, events):
+        # the push's trigger and accept are kept, the check is a reject with no
+        # score at the accept's stamp, and the job is decided
+        assert [e.kind for e in events] == [EventKind.STAGE1_TRIGGER, EventKind.STAGE2_ACCEPT,
+                                            EventKind.SPEAKER_REJECT]
+        assert events[2].to_dict() == {"event": "speaker_reject",
+                                       "timestamp_ms": events[1].timestamp_ms}
+        assert cascade.finish() == []
+
+    def test_segment_shorter_than_the_speaker_stack_is_rejected(self, frontend_config):
+        # a 1-unit keyword aligns to one frame, and the speaker model stacks 2:
+        # the check raised EmptySegmentError out of push_audio
+        stage1 = make_tone_acoustic_model(frontend_config, 1)
+        stage2 = make_tone_acoustic_model(frontend_config, 1, stacked_frames=2)
+        embedding = relu_embedding_model(frontend_config, 2, 0.01, 0.5)
+        profile = speaker.enroll([speaker.SpeakerSignature(np.ones(8))])
+        samples, _ = synth_keyword_audio(frontend_config, 1)
+        cascade, events = self._run(frontend_config, stage1, stage2, embedding, profile,
+                                    samples, units=1)
+        self._assert_unscorable_rejected(cascade, events)
+
+    def test_zero_embedding_is_rejected(self, frontend_config, tone_stage1_model,
+                                        tone_stage2_model, keyword_audio):
+        # a final ReLU that outputs only zeros: cosine_similarity raised ValueError
+        # out of push_audio
+        embedding = relu_embedding_model(frontend_config, 1, -0.01, -100.0)
+        profile = speaker.enroll([speaker.SpeakerSignature(np.ones(8))])
+        cascade, events = self._run(frontend_config, tone_stage1_model, tone_stage2_model,
+                                    embedding, profile, keyword_audio[0])
+        self._assert_unscorable_rejected(cascade, events)
 
 
 def _clock_clip():

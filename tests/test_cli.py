@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import inspect
 import io
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -197,6 +199,20 @@ class TestScore:
         assert code == EXIT_USAGE
         assert "frame 100 " in err
         assert out == ""
+
+    def test_peak_grows_with_the_held_stream_only(self, tmp_path):
+        # every frame's hypothesis was held until the stream ended: about 0.5 KB a frame
+        def peak(frames):
+            posteriors = np.random.default_rng(frames).uniform(0, 1, size=(frames, 4))
+            path = tmp_path / f"posts_{frames}.kwsy"
+            with open(path, "wb") as fh:
+                audio_io.write_posteriors(fh, posteriors, 3)
+            del posteriors
+            with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
+                return traced_peak_mb(lambda: main(["score", "--posteriors", str(path)]))
+
+        # the read stream itself, 4 float32s in the file and 4 float64s a frame
+        assert peak(4 * 20_000) - peak(20_000) < 60_000 * 0.06e-3
 
     @pytest.mark.parametrize("value", ["1.5", "-0.25"])
     def test_posterior_outside_unit_range_exits_2(self, tmp_path, capsys, value):
@@ -398,6 +414,29 @@ class TestRunCascade:
         )
         assert (code, out) == (EXIT_USAGE, "")
         assert "raw PCM has an odd byte count (3201)" in err
+
+    def test_peak_does_not_grow_with_the_input(self, model_files, tmp_path, capsys,
+                                               monkeypatch):
+        # the whole input was read before the first push: 2 bytes a sample from a
+        # WAV, 4 from stdin (the bytes and their int16 copy)
+        argv = ["run-cascade", "--stage1", model_files["stage1"], "--stage2",
+                model_files["stage2"], "--input"]
+        peaks = {}
+        for seconds in (20, 120):
+            samples = synth_noise(seconds * 16000, np.random.default_rng(seconds))
+            wav, raw = tmp_path / f"noise_{seconds}.wav", tmp_path / f"noise_{seconds}.raw"
+            audio_io.write_wav(str(wav), samples)
+            raw.write_bytes(samples.astype("<i2").tobytes())
+            del samples
+            codes = []
+            peaks["wav", seconds] = traced_peak_mb(lambda: codes.append(main(argv + [str(wav)])))
+            with open(raw, "rb") as fh:
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(fh))
+                peaks["stdin", seconds] = traced_peak_mb(lambda: codes.append(main(argv + ["-"])))
+            assert codes == [EXIT_OK, EXIT_OK]
+            assert capsys.readouterr().out == ""  # quiet noise wakes nothing
+        for source in ("wav", "stdin"):
+            assert abs(peaks[source, 120] - peaks[source, 20]) < 1.0, peaks
 
     def test_module_entry_help_exits_0(self):
         proc = subprocess.run([sys.executable, "-m", "kwscascade", "--help"],

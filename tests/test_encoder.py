@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import struct
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from kwscascade.encoder import (
     serialize_model,
     stack_frames,
 )
+from kwscascade import frontend as frontend_module
 from kwscascade.frontend import ArithmeticMode, FrontendConfig, compute_features
 from kwscascade.quantize import (
     AccumMode,
@@ -397,9 +399,10 @@ class TestForward:
 DETECTOR_SETUPS = {
     "fixed": (FrontendConfig(arithmetic_mode=ArithmeticMode.FIXED_POINT), AccumMode.FIXED),
     "float": (FrontendConfig(), AccumMode.FLOAT),
-    "float-tracker": (FrontendConfig(noise_suppression_enabled=True, noise_window_frames=20),
-                      AccumMode.FLOAT),
+    "float-tracker": (FrontendConfig(noise_suppression_enabled=True), AccumMode.FLOAT),
 }
+# the tracker's window in the detector tests: 20 frames, short against the 0.9 s clip
+DETECTOR_NOISE_WINDOW_FRAMES = 20
 DETECTOR_DECODER = DecoderConfig(3, smoothing_window_frames=7, score_window_frames=30)
 
 
@@ -480,19 +483,21 @@ class TestStacking:
     @given(st.sampled_from(sorted(DETECTOR_SETUPS)), st.integers(1, 3), detector_splits())
     def test_detector_splits_equal_whole_clip_and_batch(self, setup, stacked, cuts):
         frontend, mode = DETECTOR_SETUPS[setup]
-        model = tone_model(frontend, stacked)
-        clip = detector_clip()
-        whole = DetectorStream(frontend, model, DETECTOR_DECODER, mode).push(clip)
-        det = DetectorStream(frontend, model, DETECTOR_DECODER, mode)
-        split = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            split.extend(det.push(clip[lo:hi]))
-        assert [(f, h.score) for f, h in split] == [(f, h.score) for f, h in whole]
-        posteriors = encoder_forward(compute_features(clip, frontend), model, mode)
-        batch = batch_frame_scores(
-            np.array([p.keyword_posteriors for p in posteriors]), DETECTOR_DECODER)
-        assert [f for f, _ in whole] == list(range(stacked - 1, stacked - 1 + len(batch)))
-        assert np.array_equal([h.score for _, h in whole], batch)
+        with mock.patch.object(frontend_module, "NOISE_WINDOW_FRAMES",
+                               DETECTOR_NOISE_WINDOW_FRAMES):
+            model = tone_model(frontend, stacked)
+            clip = detector_clip()
+            whole = DetectorStream(frontend, model, DETECTOR_DECODER, mode).push(clip)
+            det = DetectorStream(frontend, model, DETECTOR_DECODER, mode)
+            split = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                split.extend(det.push(clip[lo:hi]))
+            assert [(f, h.score) for f, h in split] == [(f, h.score) for f, h in whole]
+            posteriors = encoder_forward(compute_features(clip, frontend), model, mode)
+            batch = batch_frame_scores(
+                np.array([p.keyword_posteriors for p in posteriors]), DETECTOR_DECODER)
+            assert [f for f, _ in whole] == list(range(stacked - 1, stacked - 1 + len(batch)))
+            assert np.array_equal([h.score for _, h in whole], batch)
 
 
 class TestDescription:

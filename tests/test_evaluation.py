@@ -18,7 +18,6 @@ from kwscascade.frontend import (BLOCK_SAMPLES, ArithmeticMode, FrontendConfig,
                                  frame_timestamp_ms, num_frames_for)
 from kwscascade.quantize import AccumMode
 from kwscascade.synthetic import (
-    AudioStream,
     PlantedEvent,
     PositiveExample,
     SyntheticCorpus,
@@ -30,7 +29,7 @@ from kwscascade.synthetic import (
     synth_keyword_audio,
     synth_noise,
 )
-from conftest import BLOCK_EDGE_LENGTHS, traced_peak_mb
+from conftest import BLOCK_EDGE_LENGTHS, traced_peak_mb, wav_stream
 
 
 class FixedScorer:
@@ -528,11 +527,12 @@ TONE_DECODER = DecoderConfig(3, smoothing_window_frames=10, threshold=0.3)
 class TestPipelineScorer:
     @pytest.mark.parametrize("stacked", [1, 2, 5])
     @pytest.mark.parametrize("num_samples", [None, 400, 400 + 3 * 160])
-    def test_nan_before_frame_s_minus_1_then_the_detector_scores(self, stacked, num_samples):
+    def test_nan_before_frame_s_minus_1_then_the_detector_scores(self, tmp_path, stacked,
+                                                                  num_samples):
         model = make_tone_acoustic_model(FRONTEND, 3, stacked_frames=stacked)
         samples = synth_keyword_audio(FRONTEND, 3)[0][:num_samples]
         scores = PipelineScorer(FRONTEND, model, TONE_DECODER).frame_scores(
-            AudioStream({"audio": samples}))
+            wav_stream(tmp_path / "clip.wav", samples))
         hits = DetectorStream(FRONTEND, model, TONE_DECODER, AccumMode.FIXED).push(samples)
         assert len(scores) == num_frames_for(len(samples), FRONTEND)
         assert np.isnan(scores[: stacked - 1]).all()
@@ -544,13 +544,13 @@ class TestPipelineScorer:
     @pytest.mark.parametrize("arithmetic", [ArithmeticMode.FLOAT, ArithmeticMode.FIXED_POINT])
     @pytest.mark.parametrize("tracker", [False, True])
     @pytest.mark.parametrize("stacked, mode", [(1, AccumMode.FIXED), (2, AccumMode.FLOAT)])
-    def test_whole_file_blocks_give_one_push_bits(self, block_edge_clip, num_samples,
+    def test_whole_file_blocks_give_one_push_bits(self, block_edge_clip, tmp_path, num_samples,
                                                   arithmetic, tracker, stacked, mode):
         frontend = FrontendConfig(arithmetic_mode=arithmetic, noise_suppression_enabled=tracker)
         model = make_tone_acoustic_model(frontend, 3, stacked_frames=stacked)
         samples = block_edge_clip[:num_samples]
         scores = PipelineScorer(frontend, model, TONE_DECODER, mode).frame_scores(
-            AudioStream({"audio": samples}))
+            wav_stream(tmp_path / "clip.wav", samples))
         oracle = np.full(num_frames_for(num_samples, frontend), np.nan)
         for frame, hyp in DetectorStream(frontend, model, TONE_DECODER, mode).push(samples):
             oracle[frame] = hyp.score
@@ -570,43 +570,45 @@ class TestPipelineScorer:
         frontend=st.sampled_from([
             FrontendConfig(noise_suppression_enabled=True),
             FrontendConfig(arithmetic_mode=ArithmeticMode.FIXED_POINT)]))
-    def test_shared_pass_gives_each_scorers_own_bits(self, block_edge_clip, num_samples, start,
-                                                     frontend):
+    def test_shared_pass_gives_each_scorers_own_bits(self, block_edge_clip, tmp_path_factory,
+                                                     num_samples, start, frontend):
         stage1 = PipelineScorer(frontend, make_tone_acoustic_model(frontend, 3), TONE_DECODER)
         stage2 = PipelineScorer(frontend, make_tone_acoustic_model(frontend, 3, stacked_frames=2),
                                 TONE_DECODER, AccumMode.FLOAT)
-        stream = AudioStream({"audio": block_edge_clip[start : start + num_samples]})
+        stream = wav_stream(tmp_path_factory.getbasetemp() / "shared_pass.wav",
+                            block_edge_clip[start : start + num_samples])
         shared = stage1.frame_scores(stream, stage2)
         assert [s.tobytes() for s in shared] == [stage1.frame_scores(stream).tobytes(),
                                                  stage2.frame_scores(stream).tobytes()]
 
-    def test_shared_pass_refuses_unequal_frontends(self):
+    def test_shared_pass_refuses_unequal_frontends(self, tmp_path):
         other = FrontendConfig(noise_suppression_enabled=True)
         stage1 = PipelineScorer(FRONTEND, make_tone_acoustic_model(FRONTEND, 3), TONE_DECODER)
         stage2 = PipelineScorer(other, make_tone_acoustic_model(other, 3), TONE_DECODER)
         with pytest.raises(ValueError, match="equal frontend configs"):
-            stage1.frame_scores(AudioStream({"audio": np.zeros(800, np.int16)}), stage2)
+            stage1.frame_scores(wav_stream(tmp_path / "zeros.wav", np.zeros(800, np.int16)),
+                                stage2)
 
-    def test_whole_file_memory_is_bounded_by_the_block(self):
+    def test_whole_file_memory_is_bounded_by_the_block(self, tmp_path):
         # one push of 60 s held about 76 MB of framing, FFT and power arrays
         scorer = PipelineScorer(FRONTEND, make_tone_acoustic_model(FRONTEND, 3, 2),
                                 TONE_DECODER, AccumMode.FLOAT)
-        stream = AudioStream({"audio": speech_like_noise(60 * 16000, seed=3)})
+        stream = wav_stream(tmp_path / "noise.wav", speech_like_noise(60 * 16000, seed=3))
         assert traced_peak_mb(lambda: scorer.frame_scores(stream)) < 16
 
     @pytest.mark.parametrize("frontend", [FRONTEND, FrontendConfig(frame_length_ms=30,
                                                                    hop_ms=15)])
-    def test_timestamps_are_the_frontend_clock(self, frontend):
+    def test_timestamps_are_the_frontend_clock(self, tmp_path, frontend):
         scorer = PipelineScorer(frontend, make_tone_acoustic_model(frontend, 3, 4),
                                 TONE_DECODER)
-        stream = AudioStream({"audio": np.zeros(4000, dtype=np.int16)})
+        stream = wav_stream(tmp_path / "zeros.wav", np.zeros(4000, dtype=np.int16))
         assert scorer.frame_timestamps_ms(stream, 7).tolist() == [
             frame_timestamp_ms(k, frontend) for k in range(7)]
 
 
 class TestSpeakerGateByFrame:
     @pytest.mark.parametrize("stacked", [1, 2, 11])
-    def test_cascade_frr_does_not_depend_on_the_stage1_stack(self, stacked):
+    def test_cascade_frr_does_not_depend_on_the_stage1_stack(self, tmp_path, stacked):
         # A verifying speaker event covers four frames from stage 2's first
         # accept, and the hit window is 5 frames each side of that frame. A
         # stage 1 stacking S frames has no score before frame S-1; the gate
@@ -619,8 +621,8 @@ class TestSpeakerGateByFrame:
             if hyp.score >= 0.4)
         event = PlantedEvent(first, first + 3, 0.0, 0.0, verifies=True)
         corpus = SyntheticCorpus(
-            [AudioStream({"audio": synth_noise(16000, np.random.default_rng(0))})],
-            [PositiveExample(AudioStream({"audio": samples}, [event]),
+            [wav_stream(tmp_path / "noise.wav", synth_noise(16000, np.random.default_rng(0)))],
+            [PositiveExample(wav_stream(tmp_path / "keyword.wav", samples, [event]),
                              frame_timestamp_ms(first, FRONTEND))])
         stage1 = PipelineScorer(FRONTEND, make_tone_acoustic_model(FRONTEND, 3, stacked),
                                 TONE_DECODER)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from kwscascade.fixedpoint import (MEL_FRACT_BITS, _bit_reverse_indices, _stages, fixed_ln,
                                    quantize_fract)
+from kwscascade import frontend
 from kwscascade.frontend import (
     _hann_window,
     _hann_window_q15,
@@ -99,10 +102,6 @@ class TestConfig:
         for floor in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="log_floor"):
                 FrontendConfig(log_floor=floor)
-
-    def test_noise_window_must_hold_a_frame(self):
-        with pytest.raises(ConfigError, match="noise_window_frames"):
-            FrontendConfig(noise_suppression_enabled=True, noise_window_frames=0)
 
     def test_channel_bounds(self):
         with pytest.raises(ConfigError):
@@ -316,7 +315,7 @@ def chunk_bounds(draw, n):
 class TestNoiseSuppression:
     def test_disabled_is_identity(self):
         # with the tracker off, features are the log-mel of the raw spectra
-        cfg = FrontendConfig(noise_window_frames=5)
+        cfg = FrontendConfig()
         noise = speech_like_noise(4000, seed=2)
         powers = power_spectra(frame_audio(noise, cfg), cfg)
         plain = np.log(np.maximum(powers @ mel_filterbank(cfg).T, cfg.log_floor))
@@ -389,7 +388,7 @@ class TestNoiseSuppressionInPipeline:
 
         rng = np.random.default_rng(0)
         plain = FrontendConfig()
-        suppressed = FrontendConfig(noise_suppression_enabled=True, noise_window_frames=80)
+        suppressed = FrontendConfig(noise_suppression_enabled=True)
         keyword, _ = synth_keyword_audio(plain, 3, unit_ms=150)
         audio = synth_noise(len(keyword) + 32000, rng, rms=300.0)
         region = slice(16000, 16000 + len(keyword))
@@ -444,10 +443,10 @@ class TestStreaming:
     )
     def test_any_chunking_equals_one_push(self, bounds, mode, window_frames):
         cfg = FrontendConfig(arithmetic_mode=mode,
-                             noise_suppression_enabled=window_frames is not None,
-                             noise_window_frames=window_frames or 100)
-        chunked = _push_in_pieces(_STREAM_CLIP, cfg, bounds)
-        whole = compute_features(_STREAM_CLIP, cfg)
+                             noise_suppression_enabled=window_frames is not None)
+        with mock.patch.object(frontend, "NOISE_WINDOW_FRAMES", window_frames or 100):
+            chunked = _push_in_pieces(_STREAM_CLIP, cfg, bounds)
+            whole = compute_features(_STREAM_CLIP, cfg)
         assert [f.frame_index for f in chunked] == [f.frame_index for f in whole]
         a = np.stack([f.channels for f in chunked])
         b = np.stack([f.channels for f in whole])
