@@ -13,10 +13,17 @@ import wave
 
 import numpy as np
 
+from .decoder import _check_unit_range
 from .frontend import BLOCK_SAMPLES, SAMPLE_RATE_HZ, AudioChunk, ConfigError, _pcm
 
 POSTERIOR_MAGIC = b"KWSY"
 STREAM_VERSION = 1
+
+# A posterior stream is checked and decoded this many frames at a time, so its
+# reader's memory does not grow with the stream. `score`'s peak RSS at M = 3 read
+# 30.1 MB at 1k frames and 31.5 MB at 720k, against 37.3 MB in 16384-frame blocks
+# (Linux, Python 3.11, numpy 2.4).
+POSTERIOR_BLOCK_FRAMES = 4096
 
 
 def open_wav(path):
@@ -106,18 +113,51 @@ def write_posteriors(fileobj, posteriors, num_units):
     fileobj.write(posteriors.astype("<f4").tobytes())
 
 
-def read_posteriors(fileobj):
-    """Read a binary posterior stream; returns ([T, M+1] array, num_units)."""
+def posterior_blocks(fileobj):
+    """Check a seekable binary posterior stream in one pass over blocks of
+    POSTERIOR_BLOCK_FRAMES frames; return num_units and a generator that seeks
+    back to the first frame and yields the frames as float64 [n, M+1] blocks.
+
+    ValueError for a bad header, data that is not a whole number of frames, the
+    first frame with a NaN or inf, or else the first frame with a unit posterior
+    outside [0, 1] (the decoder's check), whichever comes first in that order.
+    """
     head = fileobj.read(12)
     if len(head) < 12 or head[:4] != POSTERIOR_MAGIC:
         raise ValueError("not a posterior stream (bad magic)")
     version, num_units = struct.unpack("<II", head[4:])
     if version != STREAM_VERSION:
         raise ValueError(f"unsupported posterior stream version {version}")
-    data = np.frombuffer(fileobj.read(), dtype="<f4")
-    if data.size % (num_units + 1):
+    start, frame_bytes = fileobj.tell(), 4 * (num_units + 1)
+    size = fileobj.seek(0, os.SEEK_END) - start
+    if size % frame_bytes:
         raise ValueError("posterior stream data is not a whole number of frames")
-    return _finite_frames(data.reshape(-1, num_units + 1), "posterior stream"), num_units
+
+    def frames():
+        fileobj.seek(start)
+        for first in range(0, size // frame_bytes, POSTERIOR_BLOCK_FRAMES):
+            count = min(POSTERIOR_BLOCK_FRAMES, size // frame_bytes - first)
+            raw = fileobj.read(count * frame_bytes)
+            yield first, np.frombuffer(raw, "<f4").reshape(count, num_units + 1)
+
+    out_of_range = None  # raised once every frame is known to be finite
+    for first, block in frames():
+        _check_finite(block, "posterior stream", first)
+        if out_of_range is None:
+            try:
+                _check_unit_range(block[:, :num_units].T, first)
+            except ValueError as exc:
+                out_of_range = exc
+    if out_of_range is not None:
+        raise out_of_range
+    return num_units, (block.astype(np.float64) for _, block in frames())
+
+
+def read_posteriors(fileobj):
+    """Read a whole binary posterior stream, checked as ``posterior_blocks`` checks
+    it; returns ([T, M+1] float64 array, num_units)."""
+    num_units, blocks = posterior_blocks(fileobj)
+    return np.concatenate([np.empty((0, num_units + 1)), *blocks]), num_units
 
 
 def read_posteriors_csv(fileobj):
@@ -135,18 +175,19 @@ def read_posteriors_csv(fileobj):
     if header is None or not rows:
         raise ValueError("empty posterior CSV")
     data = np.asarray(rows, dtype=np.float64)
-    return _finite_frames(data, "posterior CSV"), data.shape[1] - 1
+    _check_finite(data, "posterior CSV")
+    return data, data.shape[1] - 1
 
 
-def _finite_frames(data, what):
-    """``data`` [T, C] as float64, or ValueError naming its first frame with a NaN or inf.
+def _check_finite(data, what, first_frame=0):
+    """ValueError naming the first frame of ``data`` [T, C], counted from
+    ``first_frame``, with a NaN or inf.
 
-    Checked before the cast, which warns on a signalling NaN.
+    Checked before any cast to float64, which warns on a signalling NaN.
     """
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if len(bad):
-        raise ValueError(f"{what} frame {bad[0]} is not finite")
-    return data.astype(np.float64, copy=False)
+        raise ValueError(f"{what} frame {first_frame + bad[0]} is not finite")
 
 
 def read_manifest(path):

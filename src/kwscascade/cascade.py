@@ -11,6 +11,10 @@ this chunk's worth of stage-2 work first, then stage-1's, so stage-1 never
 stalls on stage-2. Every decision is a pure function of the sample clock,
 whatever the chunking. The one exception to the per-chunk work bound is
 the trigger push itself, which runs stage-2 over the (<= 2 s) snapshot.
+
+A detector push returns the decoder's Hits (see decoder.Hits): push_audio
+reads stage 1's score row and visits only the frames at or over its
+threshold, and stage2_pass builds the one hypothesis it accepts.
 """
 
 from dataclasses import dataclass, field
@@ -161,17 +165,19 @@ class DetectorStream:
         return self._decoder.config
 
     def push(self, samples):
-        """Feed PCM; return [(feature_frame_index, KeywordHypothesis)]."""
+        """Feed PCM; return the decoder's Hits, (feature_frame_index, KeywordHypothesis)
+        pairs."""
         return self.push_frames(self._frontend.push(samples))
 
     def push_frames(self, frames):
-        """Feed the next FeatureFrames of a frontend on this detector's config;
-        return [(feature_frame_index, KeywordHypothesis)]."""
+        """Feed the FeatureFrames of the next push of a frontend on this detector's
+        config; return the decoder's Hits, (feature_frame_index, KeywordHypothesis)
+        pairs."""
         if not frames:
-            return []
+            return self._decoder._no_hits()
         if self.features is not None:
             self.features.extend(frames)
-        rows = np.array([f.channels for f in frames])
+        rows = frames.channels
         stacked = self._model.num_stacked_frames
         if stacked > 1:
             rows = np.concatenate((self._tail, rows))
@@ -187,10 +193,12 @@ def stage2_pass(detector, samples):
     threshold: (frame_index, hypothesis, the feature frames of its alignment), or
     None. Every speaker check embeds this one segment."""
     for block in pcm_blocks(samples):
-        for frame_index, hyp in detector.push(block):
-            if hyp.score >= detector.decoder_config.threshold:
-                first, last = hyp.alignment[0], hyp.alignment[-1]
-                return frame_index, hyp, detector.features[first : last + 1]
+        hits = detector.push(block)
+        above = np.flatnonzero(hits.scores >= detector.decoder_config.threshold)
+        if len(above):
+            frame_index, hyp = hits[above[0]]
+            first, last = hyp.alignment[0], hyp.alignment[-1]
+            return frame_index, hyp, detector.features[first : last + 1]
     return None
 
 
@@ -319,16 +327,16 @@ class Cascade:
         if self._stage2_job is not None:
             events.extend(self._feed_stage2(samples, first))
         cut = 0  # samples[:cut] are in the ring
-        for frame_index, hyp in self._stage1.push(samples):
-            trigger = frame_end_sample(frame_index, self.config.frontend)
-            if (not hyp.score >= self.config.stage1_decoder.threshold
-                    or self._stage2_job is not None
-                    or trigger < self._suppress_until_sample):
+        hits = self._stage1.push(samples)
+        for i in np.flatnonzero(hits.scores >= self.config.stage1_decoder.threshold).tolist():
+            trigger = frame_end_sample(hits.first_frame + i, self.config.frontend)
+            if self._stage2_job is not None or trigger < self._suppress_until_sample:
                 continue
+            score = float(hits.scores[i])
             self._ring.write(samples[cut : trigger - first])
             cut = trigger - first
             ts = samples_to_ms(trigger)
-            events.append(CascadeEvent(EventKind.STAGE1_TRIGGER, ts, stage1_score=hyp.score))
+            events.append(CascadeEvent(EventKind.STAGE1_TRIGGER, ts, stage1_score=score))
             self.stats.triggers += 1
             # the snapshot ends at the trigger frame, starts after the last accepted
             # keyword (so stage 2 cannot accept it again) and on stage 1's frame grid
@@ -344,7 +352,7 @@ class Cascade:
                 base_sample=trigger - len(snap),
                 trigger_sample=trigger,
                 deadline_sample=trigger + self.config.stage2_window_ms * SAMPLE_RATE_HZ // 1000,
-                trigger_score=hyp.score,
+                trigger_score=score,
             )
             events.extend(self._feed_stage2(snap, trigger - len(snap)))
             if self._stage2_job is not None:

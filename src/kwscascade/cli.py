@@ -40,9 +40,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# `score` decodes this many frames at a time, so its memory does not grow with the stream
-SCORE_BLOCK_FRAMES = 16384
-
 # The config file's sections. A section's keys are the fields its dataclass
 # declares as keys (see frontend.setting), and each key is parsed by its
 # field's type; the dataclass checks the values.
@@ -167,20 +164,32 @@ def cmd_score(args):
     if args.posteriors.endswith(".csv"):
         with open(args.posteriors) as fh:
             posteriors, num_units = audio_io.read_posteriors_csv(fh)
-    else:
-        with open(args.posteriors, "rb") as fh:
-            posteriors, num_units = audio_io.read_posteriors(fh)
-    dec = StreamingDecoder(DecoderConfig(num_units, **cfg["stage1"]))
-    units = posteriors[:, :num_units]
-    _check_unit_range(units.T)  # raises before any output
+        dec = StreamingDecoder(DecoderConfig(num_units, **cfg["stage1"]))
+        units = posteriors[:, :num_units]
+        _check_unit_range(units.T)  # raises before any output
+        step = audio_io.POSTERIOR_BLOCK_FRAMES
+        return _write_scores(dec, (units[start : start + step]
+                                   for start in range(0, len(units), step)))
+    with open(args.posteriors, "rb") as fh:
+        num_units, blocks = audio_io.posterior_blocks(fh)  # checked before any output
+        dec = StreamingDecoder(DecoderConfig(num_units, **cfg["stage1"]))
+        return _write_scores(dec, (block[:, :num_units] for block in blocks))
+
+
+def _write_scores(dec, blocks):
+    """``score``'s lines: each frame's score as ``dec`` decodes the unit posterior
+    ``blocks``, then the alignment of the last frame's hypothesis."""
     sys.stdout.write("record,frame,score\n")
-    last = None  # the last hypothesis, for the alignment line
-    for start in range(0, len(units), SCORE_BLOCK_FRAMES):
-        for frame, last in dec.push(units[start : start + SCORE_BLOCK_FRAMES]):
-            sys.stdout.write(f"score,{frame},{last.score:.9f}\n")
+    last = None  # the last non-empty push, for the alignment line
+    for block in blocks:
+        hits = dec.push(block)
+        sys.stdout.write("".join(f"score,{frame},{score:.9f}\n" for frame, score
+                                 in enumerate(hits.scores.tolist(), hits.first_frame)))
+        last = hits if len(hits) else last
     if last is not None:
-        cells = ",".join(str(a) for a in last.alignment)
-        sys.stdout.write(f"alignment,{last.end_frame},{cells}\n")
+        _, hyp = last[-1]
+        cells = ",".join(str(a) for a in hyp.alignment)
+        sys.stdout.write(f"alignment,{hyp.end_frame},{cells}\n")
     return EXIT_OK
 
 

@@ -32,13 +32,17 @@ same bits as np.maximum here: the two differ only when a NaN meets a
 number, and no NaN reaches the kernel (posteriors are checked to lie in
 [0, 1], see _window_scores). A streaming hypothesis keeps a transposed
 view of the smoothed rows, [rows, M].
+
+A push of [n, M] rows returns Hits: the kernel's float64 score row,
+``scores``, and the push's smoothed rows, with one (frame_index,
+KeywordHypothesis) pair built only when it is indexed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import ConfigError, check_bounds, setting
+from .frontend import ConfigError, _PushRows, check_bounds, setting
 
 
 class InsufficientFramesError(ValueError):
@@ -80,6 +84,25 @@ class KeywordHypothesis:
             offset = self.end_frame - len(self._window) + 1
             self._alignment = tuple(a + offset for a in _score_window(self._window).alignment)
         return self._alignment
+
+
+class Hits(_PushRows):
+    """The (frame_index, KeywordHypothesis) pairs of one push, frames ``first_frame``
+    on: ``scores`` [n] is the kernel's float64 score row, and pair i's hypothesis
+    keeps the smoothed rows of its score window, columns ..column+i of the push's
+    unit-major [M, columns] ``smoothed``, at most ``window`` of them."""
+
+    def __init__(self, first_frame, scores, smoothed, column, window):
+        super().__init__(first_frame, len(scores))
+        self.scores = scores
+        self._frames = smoothed.T
+        self._column = column
+        self._window = window
+
+    def _item(self, i):
+        frame, end = self.first_frame + i, self._column + i + 1
+        window = self._frames[max(0, end - self._window) : end]
+        return frame, KeywordHypothesis(float(self.scores[i]), None, frame, window)
 
 
 def _check_unit_range(posteriors, first_frame=0):
@@ -287,7 +310,7 @@ class StreamingDecoder:
 
     def push(self, posteriors):
         """Consume one row of unit posteriors, an [M] vector or a PosteriorFrame, and
-        return (frame_index, hypothesis); or [n, M] rows, and return one pair per row."""
+        return (frame_index, hypothesis); or [n, M] rows, and return their Hits."""
         cfg = self._config
         rows = np.asarray(getattr(posteriors, "keyword_posteriors", posteriors), dtype=np.float64)
         if rows.ndim not in (1, 2) or rows.shape[-1] != cfg.num_units:
@@ -295,18 +318,21 @@ class StreamingDecoder:
                 f"expected [n, {cfg.num_units}] unit posteriors, got shape {rows.shape}"
             )
         stack = rows.reshape(-1, cfg.num_units)
+        frame = self._first + self._seen
         # a row that completes a block goes through the kernel, which builds
         # the block's suffix chains
         if len(stack) == 1 and (self._seen + 1) % cfg.score_window_frames:
-            hits = [self._step(stack)]
+            smoothed, first, scores = self._step(stack)
         else:
-            base = self._first + self._seen - self._history.shape[1]  # frame of smoothed[:, 0]
-            smoothed, first, scores = self._advance(stack)  # the hypotheses keep smoothed's rows
-            frames, lag = smoothed.T, cfg.score_window_frames - 1
-            hits = [(base + j, KeywordHypothesis(score, None, base + j,
-                                                 frames[max(0, j - lag) : j + 1]))
-                    for j, score in enumerate(scores.tolist(), start=first)]
+            smoothed, first, scores = self._advance(stack)
+        hits = Hits(frame, scores, smoothed, first, cfg.score_window_frames)
         return hits[0] if rows.ndim == 1 else hits
+
+    def _no_hits(self):
+        """The Hits of an empty push, without one."""
+        history = self._history
+        return Hits(self._first + self._seen, np.empty(0), history, history.shape[1],
+                    self._config.score_window_frames)
 
     def _step(self, rows):
         """Smooth and score one row [1, M] that does not complete a block.
@@ -317,7 +343,7 @@ class StreamingDecoder:
         max(itself, log x_k) at j = k, and the score joins the chains to the
         suffix chains as _window_scores does. Each mean, sum, max, division
         and exp is one the kernel takes, in its order, so the bits are the
-        kernel's.
+        kernel's. Returns what _advance returns.
         """
         cfg = self._config
         _check_unit_range(rows.T, self._first + self._seen)
@@ -344,9 +370,8 @@ class StreamingDecoder:
         self._tail = pad[:, 1:]
         self._history = smoothed[:, 1:] if smoothed.shape[1] == window else smoothed
         self._chains = chains
-        frame = self._first + self._seen
         self._seen += 1
-        return frame, KeywordHypothesis(float(np.exp([best / units])[0]), None, frame, smoothed.T)
+        return smoothed, smoothed.shape[1] - 1, np.exp([best / units])
 
     def _advance(self, rows):
         """Smooth and score [n, M] rows, carrying the state on.

@@ -88,8 +88,8 @@ class PipelineScorer:
         for block in stream.blocks():
             frames = frontend.push(block)
             for head, row in zip(heads, scores):
-                for frame, hyp in head.push_frames(frames):
-                    row[frame] = hyp.score
+                hits = head.push_frames(frames)
+                row[hits.first_frame :][: len(hits)] = hits.scores
         return list(scores) if others else scores[0]
 
     def hop_ms(self, stream):

@@ -5,10 +5,15 @@ and a fixed-point path whose intermediates are all integers (see
 ``fixedpoint`` for the bit widths), making the fixed output byte-identical
 across runs and platforms. An optional minimum-statistics noise tracker
 sits between the power spectrum and the mel filterbank.
+
+``FrontendStream.push`` returns its block's log-mel rows as one [n, C]
+array, ``FeatureFrames.channels``; a FeatureFrame is built only when one
+is indexed.
 """
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
@@ -130,6 +135,38 @@ class FeatureFrame:
 
     channels: np.ndarray
     frame_index: int
+
+
+class _PushRows(Sequence):
+    """A push's result, one item per frame from ``first_frame`` on, backed by
+    arrays with one row per frame: indexing builds one item (``_item``), a
+    slice a list of them."""
+
+    def __init__(self, first_frame, count):
+        self.first_frame = first_frame
+        self._count = count
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, index):
+        rows = range(self._count)[index]  # a range for a slice; IndexError out of range
+        return [self._item(i) for i in rows] if isinstance(index, slice) else self._item(rows)
+
+    def __iter__(self):
+        return map(self._item, range(self._count))
+
+
+class FeatureFrames(_PushRows):
+    """The FeatureFrames of one push: ``channels`` [n, C] holds their rows, and
+    item i is FeatureFrame(channels[i], first_frame + i)."""
+
+    def __init__(self, channels, first_frame):
+        super().__init__(first_frame, len(channels))
+        self.channels = channels
+
+    def _item(self, i):
+        return FeatureFrame(self.channels[i], self.first_frame + i)
 
 
 def frame_end_sample(frame_index, config):
@@ -344,7 +381,8 @@ class NoiseFloorTracker:
 
 
 class FrontendStream:
-    """Stateful streaming frontend: push PCM samples, collect FeatureFrames.
+    """Stateful streaming frontend: push PCM samples, get the FeatureFrames of
+    the frames they complete, as one FeatureFrames.
 
     State (window position, noise estimate) is per-stream; run one stream
     per thread.
@@ -363,7 +401,7 @@ class FrontendStream:
         count = num_frames_for(len(buf), cfg)
         if count == 0:
             self._residual = buf
-            return []
+            return FeatureFrames(np.empty((0, cfg.num_channels)), self._next_frame)
         frames = frame_audio(buf, cfg)
         self._residual = buf[count * cfg.hop_samples :]
         powers = power_spectra(frames, cfg)
@@ -375,7 +413,7 @@ class FrontendStream:
             logmels = _log_mel_float(powers, cfg)
         first = self._next_frame
         self._next_frame += count
-        return [FeatureFrame(row, first + i) for i, row in enumerate(logmels)]
+        return FeatureFrames(logmels, first)
 
 
 def pcm_blocks(samples):

@@ -168,6 +168,8 @@ class TestQuantizeModel:
 
 
 class TestScore:
+    BLOCK = audio_io.POSTERIOR_BLOCK_FRAMES
+
     def test_binary_stream_scores_and_alignment(self, tmp_path, capsys):
         posteriors = np.array(
             [[0.1, 0.1, 0.8], [0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.05, 0.9, 0.05]]
@@ -213,6 +215,42 @@ class TestScore:
 
         # the read stream itself, 4 float32s in the file and 4 float64s a frame
         assert peak(4 * 20_000) - peak(20_000) < 60_000 * 0.06e-3
+
+    def test_blocks_give_the_one_push_lines(self, tmp_path, capsys):
+        # three of the reader's blocks, the last 5 frames long
+        frames = 2 * self.BLOCK + 5
+        posteriors = np.random.default_rng(12).uniform(0, 1, size=(frames, 3))
+        posteriors[4000:4200, 0] = 0.0
+        path = tmp_path / "posts.kwsy"
+        with open(path, "wb") as fh:
+            audio_io.write_posteriors(fh, posteriors, 2)
+        code, out, _ = run_cli(["score", "--posteriors", str(path)], capsys)
+        units = posteriors[:, :2].astype("<f4").astype(np.float64)
+        pairs = k.StreamingDecoder(k.DecoderConfig(2)).push(units)
+        _, last = pairs[-1]
+        want = ["record,frame,score", *(f"score,{f},{h.score:.9f}" for f, h in pairs),
+                f"alignment,{last.end_frame},{','.join(map(str, last.alignment))}"]
+        assert code == EXIT_OK
+        assert out.splitlines() == want
+
+    @pytest.mark.parametrize("bad, named", [
+        # a NaN anywhere is named before an out-of-range posterior in an earlier block
+        ({10: (0, 1.5), 2 * BLOCK + 3: (2, np.nan)},
+         f"posterior stream frame {2 * BLOCK + 3} is not finite"),
+        ({2 * BLOCK + 2: (1, -0.25)}, f"frame {2 * BLOCK + 2} has a posterior outside [0, 1]"),
+        ({BLOCK + 1: (0, 2.0), 2 * BLOCK: (1, 1.5)},
+         f"frame {BLOCK + 1} has a posterior outside [0, 1]"),
+    ])
+    def test_stream_is_checked_whole_before_any_output(self, tmp_path, capsys, bad, named):
+        posteriors = np.full((2 * self.BLOCK + 5, 3), 0.2)
+        for frame, (column, value) in bad.items():
+            posteriors[frame, column] = value
+        path = tmp_path / "posts.kwsy"
+        with open(path, "wb") as fh:
+            audio_io.write_posteriors(fh, posteriors, 2)
+        code, out, err = run_cli(["score", "--posteriors", str(path)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert named in err
 
     @pytest.mark.parametrize("value", ["1.5", "-0.25"])
     def test_posterior_outside_unit_range_exits_2(self, tmp_path, capsys, value):

@@ -269,8 +269,8 @@ class TestPushForms:
         dec = StreamingDecoder(self.CFG)
         empty, first = dec.push(self.ROWS[:0]), dec.push(self.ROWS[:1])
         rest = dec.push(self.ROWS[1:])
-        assert empty == [] and len(first) == 1
-        assert [(frame, hyp.score) for frame, hyp in first + rest] == self.expected()
+        assert len(empty) == 0 and len(first) == 1
+        assert [(frame, hyp.score) for frame, hyp in [*first, *rest]] == self.expected()
 
     @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2), (2,)])
     def test_other_shapes_are_named(self, shape):
@@ -338,7 +338,7 @@ class TestPushSplits:
     def test_any_split_equals_batch_and_keyword_score(self, case):
         cfg, first, posteriors, bounds, threshold = case
         dec = StreamingDecoder(cfg, first_frame_index=first)
-        assert dec.push(posteriors[:0]) == []  # an empty push changes nothing
+        assert len(dec.push(posteriors[:0])) == 0  # an empty push changes nothing
         hits = []
         for lo, hi in zip(bounds, bounds[1:]):
             hits.extend(dec.push(posteriors[lo:hi]))
@@ -356,6 +356,18 @@ class TestPushSplits:
             assert abs(hyp.score - oracle.score) <= 1e-12
             if hyp.score >= threshold and not short:
                 assert hyp.alignment == tuple(a + lo + first for a in oracle.alignment)
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_streams())
+    def test_concatenated_score_rows_give_the_batch_bytes(self, case):
+        cfg, first, posteriors, bounds, _ = case
+        dec = StreamingDecoder(cfg, first_frame_index=first)
+        pushes = [dec.push(posteriors[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        assert [hits.first_frame for hits in pushes] == [first + lo for lo in bounds[:-1]]
+        assert [len(hits) for hits in pushes] == [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        scores = np.concatenate([hits.scores for hits in pushes])
+        assert scores.dtype == np.float64
+        assert scores.tobytes() == batch_frame_scores(posteriors, cfg).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(split_streams())
@@ -399,6 +411,45 @@ class TestChunkSeams:
         batch = batch_frame_scores(posteriors, cfg)
         assert np.array(pushed).tobytes() == batch.tobytes()
         assert batch.tobytes() == reference_scores(posteriors, cfg).tobytes()
+
+
+class TestHits:
+    CFG = DecoderConfig(3, smoothing_window_frames=4, score_window_frames=10)
+
+    @staticmethod
+    def pair(pair):
+        frame, hyp = pair
+        return frame, hyp.score, hyp.end_frame, hyp.alignment
+
+    @pytest.mark.parametrize("lead", [0, 7, 10, 23])  # rows pushed before the stack
+    def test_indexed_pairs_equal_the_row_by_row_pairs(self, lead):
+        rows = np.random.default_rng(31).uniform(0, 1, size=(lead + 37, 3))
+        rows[lead + 5 : lead + 12, 1] = 0.0  # -inf logs inside some windows
+        stacked, by_row = StreamingDecoder(self.CFG, 4), StreamingDecoder(self.CFG, 4)
+        stacked.push(rows[:lead])
+        for row in rows[:lead]:
+            by_row.push(row)
+        hits = stacked.push(rows[lead:])
+        want = [self.pair(by_row.push(row)) for row in rows[lead:]]
+        n = len(want)
+        assert len(hits) == n and hits.first_frame == 4 + lead
+        # the alignments are keyword_score's over each full trailing window
+        smoothed = trailing_mean(rows, self.CFG.smoothing_window_frames)
+        for frame, _, _, alignment in want:
+            t = frame - 4
+            lo = t - self.CFG.score_window_frames + 1
+            if lo >= 0:
+                oracle = keyword_score(smoothed[lo : t + 1]).alignment
+                assert alignment == tuple(a + lo + 4 for a in oracle)
+        for i in range(-n, n):
+            assert self.pair(hits[i]) == want[i]
+        assert [self.pair(p) for p in hits] == want
+        for cut in (slice(None), slice(3, 30, 4), slice(None, None, -1), slice(-5, None),
+                    slice(-3, 2), slice(40, 50)):
+            assert [self.pair(p) for p in hits[cut]] == want[cut]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                hits[bad]
 
 
 class TestRowStep:
@@ -505,9 +556,9 @@ class TestOutOfRangePosteriors:
         want = batch_frame_scores(unsigned, self.CFG).tobytes()
         assert batch_frame_scores(signed, self.CFG).tobytes() == want
         dec = StreamingDecoder(self.CFG)
-        assert dec.push(signed[:0]) == []
-        hits = dec.push(signed[:95]) + [dec.push(row) for row in signed[95:135]]
-        hits += dec.push(signed[135:135]) + dec.push(signed[135:])
+        assert len(dec.push(signed[:0])) == 0
+        hits = [*dec.push(signed[:95]), *[dec.push(row) for row in signed[95:135]]]
+        hits += [*dec.push(signed[135:135]), *dec.push(signed[135:])]
         assert np.array([h.score for _, h in hits]).tobytes() == want
         assert batch_frame_scores(signed[:0], self.CFG).size == 0
 

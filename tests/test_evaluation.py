@@ -15,7 +15,7 @@ from kwscascade.evaluation import (
     sweep_operating_points,
 )
 from kwscascade.frontend import (BLOCK_SAMPLES, ArithmeticMode, FrontendConfig,
-                                 frame_timestamp_ms, num_frames_for)
+                                 frame_timestamp_ms, num_frames_for, pcm_blocks)
 from kwscascade.quantize import AccumMode
 from kwscascade.synthetic import (
     PlantedEvent,
@@ -557,6 +557,27 @@ class TestPipelineScorer:
         assert scores.tobytes() == oracle.tobytes()
         # every length holds enough of the keyword across the first block edge
         assert np.nanmax(scores) >= TONE_DECODER.threshold
+
+    @pytest.mark.parametrize("num_samples", [400, BLOCK_SAMPLES + 1,
+                                             2 * BLOCK_SAMPLES + FRONTEND.hop_samples])
+    @pytest.mark.parametrize("arithmetic", [ArithmeticMode.FLOAT, ArithmeticMode.FIXED_POINT])
+    @pytest.mark.parametrize("stacked", [1, 2])
+    def test_score_rows_equal_a_per_pair_loop_over_the_detector(self, block_edge_clip, tmp_path,
+                                                                num_samples, arithmetic,
+                                                                stacked):
+        frontend = FrontendConfig(arithmetic_mode=arithmetic)
+        model = make_tone_acoustic_model(frontend, 3, stacked_frames=stacked)
+        samples = block_edge_clip[:num_samples]
+        scores = PipelineScorer(frontend, model, TONE_DECODER).frame_scores(
+            wav_stream(tmp_path / "clip.wav", samples))
+        detector = DetectorStream(frontend, model, TONE_DECODER, AccumMode.FIXED)
+        loop = np.full(num_frames_for(num_samples, frontend), np.nan)
+        for block in pcm_blocks(samples):  # the 2 s blocks frame_scores pushes
+            for frame, hyp in detector.push(block):
+                loop[frame] = hyp.score
+        assert np.isnan(scores[: stacked - 1]).all()
+        assert not np.isnan(scores[stacked - 1 :]).any()
+        assert scores.tobytes() == loop.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -475,4 +475,28 @@ class TestStreaming:
         stream = FrontendStream(FLOAT)
         first = stream.push(np.zeros(560, dtype=np.int16))
         second = stream.push(np.zeros(320, dtype=np.int16))
-        assert [f.frame_index for f in first + second] == [0, 1, 2, 3]
+        assert [f.frame_index for f in [*first, *second]] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("cfg", [FLOAT, FIXED], ids=["float", "fixed"])
+    def test_channels_are_the_stacked_rows_of_the_frames(self, cfg):
+        # pushes of 560 samples (2 frames), none, 100 (no frame), 300 and 2000
+        noise = speech_like_noise(2960, seed=5)
+        stream, pushed = FrontendStream(cfg), []
+        for lo, hi in [(0, 560), (560, 560), (560, 660), (660, 960), (960, 2960)]:
+            frames = stream.push(noise[lo:hi])
+            assert frames.first_frame == len(pushed)
+            assert frames.channels.shape == (len(frames), cfg.num_channels)
+            rows = np.array([f.channels for f in frames]).reshape(-1, cfg.num_channels)
+            assert frames.channels.tobytes() == rows.tobytes()
+            assert [f.frame_index for f in frames] == list(
+                range(frames.first_frame, frames.first_frame + len(frames)))
+            if len(frames):
+                assert frames[-1].frame_index == frames.first_frame + len(frames) - 1
+                assert [f.frame_index for f in frames[::-2]] == [
+                    f.frame_index for f in list(frames)[::-2]]
+            with pytest.raises(IndexError):
+                frames[len(frames)]
+            pushed.extend(frames)
+        whole = compute_features(noise, cfg)
+        assert (np.stack([f.channels for f in pushed]).tobytes()
+                == np.stack([f.channels for f in whole]).tobytes())
