@@ -1,4 +1,5 @@
-"""File formats: PCM in (WAV or a raw stream, one block reader), posterior streams.
+"""File formats, each read in blocks: PCM in (WAV or a raw stream), posterior streams
+(binary or CSV, both checked by one pass).
 
 Posterior stream layout (little-endian):
     0   4  magic b"KWSY"
@@ -7,6 +8,7 @@ Posterior stream layout (little-endian):
     12  *  frame-major float32 data
 """
 
+import itertools
 import os
 import struct
 import wave
@@ -118,9 +120,8 @@ def posterior_blocks(fileobj):
     POSTERIOR_BLOCK_FRAMES frames; return num_units and a generator that seeks
     back to the first frame and yields the frames as float64 [n, M+1] blocks.
 
-    ValueError for a bad header, data that is not a whole number of frames, the
-    first frame with a NaN or inf, or else the first frame with a unit posterior
-    outside [0, 1] (the decoder's check), whichever comes first in that order.
+    ValueError for a bad header, data that is not a whole number of frames, or
+    else as ``_checked_blocks``.
     """
     head = fileobj.read(12)
     if len(head) < 12 or head[:4] != POSTERIOR_MAGIC:
@@ -138,56 +139,63 @@ def posterior_blocks(fileobj):
         for first in range(0, size // frame_bytes, POSTERIOR_BLOCK_FRAMES):
             count = min(POSTERIOR_BLOCK_FRAMES, size // frame_bytes - first)
             raw = fileobj.read(count * frame_bytes)
-            yield first, np.frombuffer(raw, "<f4").reshape(count, num_units + 1)
+            yield np.frombuffer(raw, "<f4").reshape(count, num_units + 1)
 
-    out_of_range = None  # raised once every frame is known to be finite
-    for first, block in frames():
-        _check_finite(block, "posterior stream", first)
+    return _checked_blocks(num_units, frames, "posterior stream")
+
+
+def posterior_csv_blocks(fileobj):
+    """``posterior_blocks`` for a seekable CSV text file: its first non-blank line is a
+    header, each later one a frame, read POSTERIOR_BLOCK_FRAMES lines at a time. Cells
+    parse to ``float()``'s bits but refuse ``_`` and non-ASCII digits. ValueError for no
+    frame, the first line not as many numbers as the first frame, or as posterior_blocks."""
+    def frames():
+        fileobj.seek(0)
+        lines = ((n, text) for n, line in enumerate(fileobj, 1) if (text := line.strip()))
+        next(lines, None)  # the header
+        width = None  # the first frame's cell count
+        while block := list(itertools.islice(lines, POSTERIOR_BLOCK_FRAMES)):
+            width = width or block[0][1].count(",") + 1
+            yield _csv_block(block, width)
+
+    first = next(frames(), None)
+    if first is None:
+        raise ValueError("empty posterior CSV")
+    return _checked_blocks(first.shape[1] - 1, frames, "posterior CSV")
+
+
+def _csv_block(rows, width):
+    """(line number, line) ``rows`` as a float64 [n, width] block, parsed whole or
+    else line by line; ValueError naming the first line that is not ``width`` numbers."""
+    try:
+        block = np.loadtxt([line for _, line in rows], delimiter=",", comments=None, ndmin=2)
+        if block.shape[1] == width:
+            return block
+    except ValueError:
+        pass
+    if len(rows) > 1:
+        return np.concatenate([_csv_block([row], width) for row in rows])
+    raise ValueError(f"posterior CSV line {rows[0][0]} is not {width} numbers: {rows[0][1]!r}")
+
+
+def _checked_blocks(num_units, frames, what):
+    """The check both posterior formats run over ``frames()``, a fresh iterator over
+    the stream's [n, M+1] blocks on each call: ValueError naming the first frame
+    with a NaN or inf, or else the first with a unit posterior outside [0, 1] (the
+    decoder's check). Then num_units and the frames as float64 blocks."""
+    out_of_range, first = None, 0  # raised once every frame is known to be finite
+    for block in frames():  # checked before the cast, which warns on a signalling NaN
+        if len(bad := np.flatnonzero(~np.isfinite(block).all(axis=1))):
+            raise ValueError(f"{what} frame {first + bad[0]} is not finite")
         if out_of_range is None:
             try:
                 _check_unit_range(block[:, :num_units].T, first)
             except ValueError as exc:
                 out_of_range = exc
+        first += len(block)
     if out_of_range is not None:
         raise out_of_range
-    return num_units, (block.astype(np.float64) for _, block in frames())
-
-
-def read_posteriors(fileobj):
-    """Read a whole binary posterior stream, checked as ``posterior_blocks`` checks
-    it; returns ([T, M+1] float64 array, num_units)."""
-    num_units, blocks = posterior_blocks(fileobj)
-    return np.concatenate([np.empty((0, num_units + 1)), *blocks]), num_units
-
-
-def read_posteriors_csv(fileobj):
-    """CSV posterior stream: header row then one frame per line, filler last."""
-    rows = []
-    header = None
-    for line in fileobj:
-        line = line.strip()
-        if not line:
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    if header is None or not rows:
-        raise ValueError("empty posterior CSV")
-    data = np.asarray(rows, dtype=np.float64)
-    _check_finite(data, "posterior CSV")
-    return data, data.shape[1] - 1
-
-
-def _check_finite(data, what, first_frame=0):
-    """ValueError naming the first frame of ``data`` [T, C], counted from
-    ``first_frame``, with a NaN or inf.
-
-    Checked before any cast to float64, which warns on a signalling NaN.
-    """
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if len(bad):
-        raise ValueError(f"{what} frame {first_frame + bad[0]} is not finite")
+    return num_units, (block.astype(np.float64, copy=False) for block in frames())
 
 
 def read_manifest(path):
@@ -204,10 +212,14 @@ def read_manifest(path):
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "negative" and len(parts) == 2:
-                negatives.append(os.path.join(base, parts[1]))
-            elif parts[0] == "positive" and len(parts) == 3:
-                positives.append((os.path.join(base, parts[1]), int(parts[2])))
-            else:
-                raise ValueError(f"{path}:{lineno}: bad manifest line {line!r}")
+            try:
+                if parts[0] == "negative" and len(parts) == 2:
+                    negatives.append(os.path.join(base, parts[1]))
+                    continue
+                if parts[0] == "positive" and len(parts) == 3:
+                    positives.append((os.path.join(base, parts[1]), int(parts[2])))
+                    continue
+            except ValueError:  # END_MS is not an integer
+                pass
+            raise ValueError(f"{path}:{lineno}: bad manifest line {line!r}")
     return negatives, positives

@@ -23,7 +23,7 @@ from .cascade import (
     enforce_budget,
     stage2_pass,
 )
-from .decoder import DecoderConfig, StreamingDecoder, _check_unit_range
+from .decoder import DecoderConfig, StreamingDecoder
 from .encoder import (
     ModelKind,
     ModelParseError,
@@ -161,31 +161,18 @@ def cmd_quantize_model(args):
 
 def cmd_score(args):
     cfg = load_config_file(args.config)
-    if args.posteriors.endswith(".csv"):
-        with open(args.posteriors) as fh:
-            posteriors, num_units = audio_io.read_posteriors_csv(fh)
+    csv = args.posteriors.endswith(".csv")
+    with open(args.posteriors, "r" if csv else "rb") as fh:
+        read = audio_io.posterior_csv_blocks if csv else audio_io.posterior_blocks
+        num_units, blocks = read(fh)  # checked before any output
         dec = StreamingDecoder(DecoderConfig(num_units, **cfg["stage1"]))
-        units = posteriors[:, :num_units]
-        _check_unit_range(units.T)  # raises before any output
-        step = audio_io.POSTERIOR_BLOCK_FRAMES
-        return _write_scores(dec, (units[start : start + step]
-                                   for start in range(0, len(units), step)))
-    with open(args.posteriors, "rb") as fh:
-        num_units, blocks = audio_io.posterior_blocks(fh)  # checked before any output
-        dec = StreamingDecoder(DecoderConfig(num_units, **cfg["stage1"]))
-        return _write_scores(dec, (block[:, :num_units] for block in blocks))
-
-
-def _write_scores(dec, blocks):
-    """``score``'s lines: each frame's score as ``dec`` decodes the unit posterior
-    ``blocks``, then the alignment of the last frame's hypothesis."""
-    sys.stdout.write("record,frame,score\n")
-    last = None  # the last non-empty push, for the alignment line
-    for block in blocks:
-        hits = dec.push(block)
-        sys.stdout.write("".join(f"score,{frame},{score:.9f}\n" for frame, score
-                                 in enumerate(hits.scores.tolist(), hits.first_frame)))
-        last = hits if len(hits) else last
+        sys.stdout.write("record,frame,score\n")
+        last = None  # the last non-empty push, for the alignment line
+        for block in blocks:
+            hits = dec.push(block[:, :num_units])
+            sys.stdout.write("".join(f"score,{frame},{score:.9f}\n" for frame, score
+                                     in enumerate(hits.scores.tolist(), hits.first_frame)))
+            last = hits if len(hits) else last
     if last is not None:
         _, hyp = last[-1]
         cells = ",".join(str(a) for a in hyp.alignment)

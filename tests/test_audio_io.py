@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 
 import numpy as np
@@ -162,13 +163,19 @@ class TestReadPcm:
         assert list(audio_io.read_pcm(io.BytesIO(b""))) == []
 
 
+def read_whole(read, fileobj):
+    """A block reader's whole stream as one [T, M+1] array, and num_units."""
+    num_units, blocks = read(fileobj)
+    return np.concatenate([np.empty((0, num_units + 1)), *blocks]), num_units
+
+
 class TestPosteriorStream:
     def test_round_trip(self):
         posteriors = np.random.default_rng(2).uniform(0, 1, size=(30, 4))
         buf = io.BytesIO()
         audio_io.write_posteriors(buf, posteriors, 3)
         buf.seek(0)
-        data, units = audio_io.read_posteriors(buf)
+        data, units = read_whole(audio_io.posterior_blocks, buf)
         assert units == 3
         assert np.allclose(data, posteriors, atol=1e-6)
 
@@ -178,7 +185,7 @@ class TestPosteriorStream:
 
     def test_csv_parsing(self):
         text = io.StringIO("u1,u2,filler\n0.5,0.25,0.25\n0.1,0.2,0.7\n")
-        data, units = audio_io.read_posteriors_csv(text)
+        data, units = read_whole(audio_io.posterior_csv_blocks, text)
         assert units == 2
         assert data.shape == (2, 3)
         assert data[0, 0] == 0.5
@@ -192,13 +199,46 @@ class TestPosteriorStream:
         audio_io.write_posteriors(buf, posteriors, 2)
         buf.seek(0)
         with pytest.raises(ValueError, match="frame 100 "):
-            audio_io.read_posteriors(buf)
+            read_whole(audio_io.posterior_blocks, buf)
+
+    def test_csv_blocks_parse_every_line_as_float_does(self):
+        # blank and padded lines across three blocks, cells in several spellings
+        rng = np.random.default_rng(8)
+        values = rng.uniform(0, 1, (2 * audio_io.POSTERIOR_BLOCK_FRAMES + 5, 3))
+        spell = [repr, lambda v: f"{v:.6g}", lambda v: f" {v:.3e}\t", lambda v: f"{v:.25f}"]
+        rows = [",".join(spell[(i + j) % 4](float(v)) for j, v in enumerate(row))
+                for i, row in enumerate(values)]
+        lines = ["", "u1,u2,filler"] + [f"  {r} " if i % 7 else f"{r}\n" for i, r in enumerate(rows)]
+        data, units = read_whole(audio_io.posterior_csv_blocks, io.StringIO("\n".join(lines)))
+        want = np.array([[float(c) for c in r.split(",")] for r in rows])
+        assert units == 2
+        assert data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "u1,filler\n", "u1,filler\n\n \n"])
+    def test_csv_without_a_frame_rejected(self, text):
+        with pytest.raises(ValueError, match="^empty posterior CSV$"):
+            audio_io.posterior_csv_blocks(io.StringIO(text))
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "0x1p-1", "", "0.5#"])
+    def test_csv_cell_that_does_not_parse_names_its_line(self, cell):
+        text = io.StringIO(f"u1,u2,filler\n0.5,0.25,0.25\n\n0.1,{cell},0.7\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"posterior CSV line 4 is not 3 numbers: '0.1,{cell},0.7'")):
+            audio_io.posterior_csv_blocks(text)
+
+    def test_csv_block_wider_than_the_first_frame_names_its_line(self, monkeypatch):
+        # a whole block one cell wider parses on its own; its first line is named
+        monkeypatch.setattr(audio_io, "POSTERIOR_BLOCK_FRAMES", 2)
+        text = io.StringIO("u1,filler\n0.5,0.5\n0.5,0.5\n0.2,0.3,0.5\n0.2,0.3,0.5\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "posterior CSV line 4 is not 2 numbers: '0.2,0.3,0.5'")):
+            audio_io.posterior_csv_blocks(text)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_csv_frame_rejected(self, bad):
         text = io.StringIO(f"u1,u2,filler\n0.5,0.25,0.25\n0.1,{bad},0.7\n0.1,0.2,{bad}\n")
         with pytest.raises(ValueError, match="frame 1 "):
-            audio_io.read_posteriors_csv(text)
+            read_whole(audio_io.posterior_csv_blocks, text)
 
 
 def _posterior_file():
@@ -218,12 +258,12 @@ def _profile_file():
     return speaker.serialize_profile(speaker.enroll([signature], 0.6))
 
 
-def _read_posteriors(data):
-    return audio_io.read_posteriors(io.BytesIO(data))[0]
+def _posterior_blocks(data):
+    return read_whole(audio_io.posterior_blocks, io.BytesIO(data))[0]
 
 
-def _read_posteriors_csv(data):
-    return audio_io.read_posteriors_csv(io.StringIO(data.decode()))[0]
+def _posterior_csv_blocks(data):
+    return read_whole(audio_io.posterior_csv_blocks, io.StringIO(data.decode()))[0]
 
 
 def _load_profile(data):
@@ -234,12 +274,12 @@ def _load_profile(data):
 
 # each reader, a valid file, and what it loads as one array
 READERS = {
-    "read_posteriors": (_read_posteriors, _posterior_file()),
-    "read_posteriors_csv": (_read_posteriors_csv, _posterior_csv_file()),
+    "posterior_blocks": (_posterior_blocks, _posterior_file()),
+    "posterior_csv_blocks": (_posterior_csv_blocks, _posterior_csv_file()),
     "load_profile": (_load_profile, _profile_file()),
 }
 # the binary readers, and the offset of their first float32
-FLOAT_STARTS = {"read_posteriors": 12, "load_profile": 14}
+FLOAT_STARTS = {"posterior_blocks": 12, "load_profile": 14}
 
 
 class TestCorruptFiles:
@@ -297,4 +337,12 @@ class TestManifest:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("positive missing_end.wav\n")
         with pytest.raises(ValueError):
+            audio_io.read_manifest(str(manifest))
+
+    @pytest.mark.parametrize("end_ms", ["12.5", "1e3", "12ms"])
+    def test_end_ms_that_is_not_an_integer_names_its_line(self, tmp_path, end_ms):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"negative noise.wav\n\npositive kw.wav {end_ms}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}:3: bad manifest "
+                                             f"line 'positive kw.wav {re.escape(end_ms)}'$"):
             audio_io.read_manifest(str(manifest))

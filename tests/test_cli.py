@@ -167,8 +167,22 @@ class TestQuantizeModel:
         assert not out_path.exists()
 
 
+def write_stream(path, posteriors, num_units):
+    """Write float32 ``posteriors`` [T, M+1] as a binary stream, or as a CSV
+    whose cells hold the same float32 values if ``path`` ends in .csv."""
+    if str(path).endswith(".csv"):
+        cells = posteriors.astype(np.float32).tolist()
+        with open(path, "w") as fh:
+            fh.write(",".join([*(f"unit_{u}" for u in range(num_units)), "filler"]) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in cells)
+    else:
+        with open(path, "wb") as fh:
+            audio_io.write_posteriors(fh, posteriors, num_units)
+
+
 class TestScore:
     BLOCK = audio_io.POSTERIOR_BLOCK_FRAMES
+    FORMATS = ["kwsy", "csv"]
 
     def test_binary_stream_scores_and_alignment(self, tmp_path, capsys):
         posteriors = np.array(
@@ -216,6 +230,32 @@ class TestScore:
         # the read stream itself, 4 float32s in the file and 4 float64s a frame
         assert peak(4 * 20_000) - peak(20_000) < 60_000 * 0.06e-3
 
+    def test_csv_peak_grows_with_the_held_stream_only(self, tmp_path):
+        # the whole file was parsed into rows of Python floats: about 0.2 KB a frame
+        def peak(frames):
+            posteriors = np.random.default_rng(frames).uniform(0, 1, size=(frames, 4))
+            path = tmp_path / f"posts_{frames}.csv"
+            write_stream(path, posteriors, 3)
+            del posteriors
+            with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
+                return traced_peak_mb(lambda: main(["score", "--posteriors", str(path)]))
+
+        # the score rows that the CSV stream does not hold either
+        assert peak(4 * 20_000) - peak(20_000) < 60_000 * 0.06e-3
+
+    def test_csv_and_binary_streams_give_the_same_lines(self, tmp_path, capsys):
+        # three of the reader's blocks, the last 5 frames long
+        posteriors = np.random.default_rng(13).uniform(0, 1, size=(2 * self.BLOCK + 5, 4))
+        posteriors[5000:5300, 1] = 0.0
+        outs = []
+        for name in ("posts.kwsy", "posts.csv"):
+            write_stream(tmp_path / name, posteriors, 3)
+            code, out, _ = run_cli(["score", "--posteriors", str(tmp_path / name)], capsys)
+            assert code == EXIT_OK
+            outs.append(out)
+        assert len(outs[0].splitlines()) == 2 * self.BLOCK + 5 + 2
+        assert outs[0] == outs[1]
+
     def test_blocks_give_the_one_push_lines(self, tmp_path, capsys):
         # three of the reader's blocks, the last 5 frames long
         frames = 2 * self.BLOCK + 5
@@ -241,16 +281,31 @@ class TestScore:
         ({BLOCK + 1: (0, 2.0), 2 * BLOCK: (1, 1.5)},
          f"frame {BLOCK + 1} has a posterior outside [0, 1]"),
     ])
-    def test_stream_is_checked_whole_before_any_output(self, tmp_path, capsys, bad, named):
+    @pytest.mark.parametrize("suffix", FORMATS)
+    def test_stream_is_checked_whole_before_any_output(self, tmp_path, capsys, bad, named,
+                                                       suffix):
         posteriors = np.full((2 * self.BLOCK + 5, 3), 0.2)
         for frame, (column, value) in bad.items():
             posteriors[frame, column] = value
-        path = tmp_path / "posts.kwsy"
-        with open(path, "wb") as fh:
-            audio_io.write_posteriors(fh, posteriors, 2)
+        path = tmp_path / f"posts.{suffix}"
+        write_stream(path, posteriors, 2)
         code, out, err = run_cli(["score", "--posteriors", str(path)], capsys)
         assert (code, out) == (EXIT_USAGE, "")
+        if suffix == "csv":
+            named = named.replace("posterior stream", "posterior CSV")
         assert named in err
+
+    @pytest.mark.parametrize("row", ["0.2,0.2,0.2,0.2", "0.2,0.2", "0.2,abc,0.2"])
+    def test_bad_csv_row_in_a_later_block_names_its_line(self, tmp_path, capsys, row):
+        # frame f is on line f + 2, after the header
+        frame = 2 * self.BLOCK + 3
+        lines = ["unit_1,unit_2,filler"] + ["0.2,0.2,0.6"] * (2 * self.BLOCK + 5)
+        lines[frame + 1] = row
+        path = tmp_path / "posts.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["score", "--posteriors", str(path)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"posterior CSV line {frame + 2} is not 3 numbers: {row!r}" in err
 
     @pytest.mark.parametrize("value", ["1.5", "-0.25"])
     def test_posterior_outside_unit_range_exits_2(self, tmp_path, capsys, value):
